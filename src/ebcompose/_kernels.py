@@ -1,38 +1,20 @@
-"""Hot numerical kernels with an optional numba JIT path.
+"""Hot numerical kernels of the seesaw searches, in plain numpy.
 
-Each kernel is written once in numba-compatible numpy and compiled when numba
-is importable; setting ``EBCOMPOSE_DISABLE_JIT=1`` (or missing numba) selects
-the identical pure-numpy code path.  The ``*_py`` names always refer to the
-uncompiled variants so the two paths can be compared directly.
+``ball_seesaw`` and ``kpos_seesaw`` run all restarts as one batch: every
+iteration is a handful of stacked LAPACK calls, and a mask retires each
+restart at its own stopping point, so each restart takes the same steps it
+would take alone.
 """
 
 from __future__ import annotations
 
-import functools
-import os
-
 import numpy as np
 
-_DISABLE = bool(os.environ.get("EBCOMPOSE_DISABLE_JIT"))
-
-try:
-    import numba as _nb
-except ImportError:  # numba is optional; the pure-numpy kernels are used
-    _nb = None
-
-HAS_NUMBA = _nb is not None
-JIT_ENABLED = HAS_NUMBA and not _DISABLE
-
-if JIT_ENABLED:
-    _njit = functools.partial(_nb.njit, cache=True)
-else:
-    def _njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
+# No kernel is compiled; kept for the environment block of perfbench/run.py.
+JIT_ENABLED = False
 
 
-def _ball_seesaw_py(fwd, adj, starts, iters):
+def ball_seesaw(fwd, adj, starts, iters):
     """Maximize ||D(X)||_inf over unitary X by alternating exact steps.
 
     fwd and adj are the n^2 x n^2 matrix representations of the shifted map D
@@ -41,93 +23,73 @@ def _ball_seesaw_py(fwd, adj, starts, iters):
     direction is the top singular pair of D(X); given the pair, the optimal
     unitary is the polar factor of the adjoint-propagated dyad.  Both half
     steps are exact maximizations, so the objective is non-decreasing.
+    Returns the best (value, x); the first best restart wins ties.
     """
-    n = starts.shape[1]
-    best_val = -1.0
-    best_x = starts[0].ravel().copy()
-    for r in range(starts.shape[0]):
-        x = starts[r].ravel().copy()
-        prev = -1.0
-        for _ in range(iters):
-            Q = (fwd @ x).reshape((n, n))
-            U, s, Vh = np.linalg.svd(Q)
-            val = s[0]
-            m = np.empty(n * n, dtype=np.complex128)
-            for i in range(n):
-                for j in range(n):
-                    m[i * n + j] = U[i, 0] * Vh[0, j]
-            A = (adj @ m).reshape((n, n))
-            Ua, sa, Vha = np.linalg.svd(A)
-            x = (Ua @ Vha).ravel()
-            if abs(val - prev) <= 1e-13 * max(1.0, val):
-                break
-            prev = val
-        s_fin = np.linalg.svd((fwd @ x).reshape((n, n)))[1]
-        if s_fin[0] > best_val:
-            best_val = s_fin[0]
-            best_x = x.copy()
-    return best_val, best_x
+    r, n = starts.shape[0], starts.shape[1]
+    x = starts.reshape(r, n * n).astype(np.complex128)
+    prev = np.full(r, -1.0)
+    live = np.arange(r)
+    for _ in range(iters):
+        if live.size == 0:
+            break
+        U, s, Vh = np.linalg.svd((x[live] @ fwd.T).reshape(-1, n, n))
+        val = s[:, 0]
+        m = (U[:, :, 0, None] * Vh[:, None, 0, :]).reshape(-1, n * n)
+        Ua, _, Vha = np.linalg.svd((m @ adj.T).reshape(-1, n, n))
+        x[live] = (Ua @ Vha).reshape(-1, n * n)
+        done = np.abs(val - prev[live]) <= 1e-13 * np.maximum(1.0, val)
+        prev[live] = val
+        live = live[~done]
+    s_fin = np.linalg.svd((x @ fwd.T).reshape(r, n, n), compute_uv=False)[:, 0]
+    best = int(np.argmax(s_fin))
+    return s_fin[best], x[best].copy()
 
 
-def _kpos_seesaw_py(C, d1, d2, k, a_starts, b_starts, iters):
+def kpos_seesaw(C, d1, d2, k, a_starts, b_starts, iters):
     """Minimize <psi|C|psi> over unit vectors of Schmidt rank <= k.
 
     psi is parametrized as vec(A @ B) with A of shape (d1, k) and B of shape
     (k, d2).  With the passive factor orthonormalized, each half step is an
     exact smallest-eigenvector computation, so the value is non-increasing.
-    Returns the best (value, psi).
+    Returns the best (value, psi); the first best restart wins ties.
     """
-    restarts = a_starts.shape[0]
-    best_val = np.inf
-    best_psi = np.zeros(d1 * d2, dtype=np.complex128)
-    for r in range(restarts):
-        A = a_starts[r].copy()
-        B = b_starts[r].copy()
-        prev = np.inf
-        val = np.inf
-        for _ in range(iters):
-            # orthonormalize rows of B, then solve exactly for A
-            Qb, Rb = np.linalg.qr(np.ascontiguousarray(B.conj().T))
-            Bt = Qb.conj().T
-            KB = np.zeros((d1 * d2, d1 * k), dtype=np.complex128)
-            for i in range(d1):
-                for a in range(d2):
-                    for s in range(k):
-                        KB[i * d2 + a, i * k + s] = Bt[s, a]
-            HA = KB.conj().T @ C @ KB
-            wA, VA = np.linalg.eigh(HA)
-            val = wA[0]
-            A = VA[:, 0].copy().reshape((d1, k))
-            B = Bt
-            # orthonormalize columns of A, then solve exactly for B
-            Qa, Ra = np.linalg.qr(A)
-            At = Qa.copy()
-            KA = np.zeros((d1 * d2, k * d2), dtype=np.complex128)
-            for i in range(d1):
-                for a in range(d2):
-                    for s in range(k):
-                        KA[i * d2 + a, s * d2 + a] = At[i, s]
-            HB = KA.conj().T @ C @ KA
-            wB, VB = np.linalg.eigh(HB)
-            val = wB[0]
-            B = VB[:, 0].copy().reshape((k, d2))
-            A = At
-            if abs(val - prev) <= 1e-14 * max(1.0, abs(val)):
-                break
-            prev = val
-        M = A @ B
-        psi = M.ravel()
-        nrm = np.sqrt((np.abs(psi) ** 2).sum())
-        if nrm > 0:
-            psi = psi / nrm
-        value = (psi.conj() @ (C @ psi)).real
-        if value < best_val:
-            best_val = value
-            best_psi = psi.copy()
-    return best_val, best_psi
+    # C4[i, a, j, b] = C[(i a), (j b)], flattened for the two contractions
+    C4 = C.reshape(d1, d2, d1, d2)
+    C_b = C4.reshape(d1 * d2 * d1, d2)
+    C_j = C4.transpose(0, 1, 3, 2).reshape(d1 * d2 * d2, d1)
+    A = a_starts.astype(np.complex128)
+    B = b_starts.astype(np.complex128)
+    prev = np.full(A.shape[0], np.inf)
+    live = np.arange(A.shape[0])
+    for _ in range(iters):
+        if live.size == 0:
+            break
+        # orthonormalize rows of B, then solve exactly for A:
+        # HA[(i s), (j t)] = sum_ab conj(Bt[s, a]) C4[i, a, j, b] Bt[t, b]
+        Bt = np.linalg.qr(B[live].conj().transpose(0, 2, 1))[0].conj().transpose(0, 2, 1)
+        HA = Bt.conj()[:, None] @ (C_b @ Bt.transpose(0, 2, 1)).reshape(-1, d1, d2, d1 * k)
+        VA = np.linalg.eigh(HA.reshape(-1, d1 * k, d1 * k))[1]
+        # orthonormalize columns of A, then solve exactly for B:
+        # HB[(s a), (t b)] = sum_ij conj(At[i, s]) C4[i, a, j, b] At[j, t]
+        At = np.linalg.qr(VA[:, :, 0].reshape(-1, d1, k))[0]
+        HB = At.conj().transpose(0, 2, 1) @ (C_j @ At).reshape(-1, d1, d2 * d2 * k)
+        HB = HB.reshape(-1, k, d2, d2, k).transpose(0, 1, 2, 4, 3)
+        wB, VB = np.linalg.eigh(HB.reshape(-1, k * d2, k * d2))
+        A[live] = At
+        B[live] = VB[:, :, 0].reshape(-1, k, d2)
+        val = wB[:, 0]
+        done = np.abs(val - prev[live]) <= 1e-14 * np.maximum(1.0, np.abs(val))
+        prev[live] = val
+        live = live[~done]
+    psi = (A @ B).reshape(A.shape[0], d1 * d2)
+    nrm = np.linalg.norm(psi, axis=1)
+    psi[nrm > 0] /= nrm[nrm > 0, None]
+    values = np.einsum("ri,ij,rj->r", psi.conj(), C, psi).real
+    best = int(np.argmin(values))
+    return values[best], psi[best].copy()
 
 
-def _pursuit_atom_py(R, dA, dB, a_starts, b_starts, iters):
+def pursuit_atom(R, dA, dB, a_starts, b_starts, iters):
     """Maximize <a (x) b|R|a (x) b> over unit product vectors.
 
     Alternates exact top-eigenvector steps for each factor; R is the current
@@ -165,8 +127,3 @@ def _pursuit_atom_py(R, dA, dB, a_starts, b_starts, iters):
             best_a = a.copy()
             best_b = b.copy()
     return best_val, best_a, best_b
-
-
-ball_seesaw = _njit()(_ball_seesaw_py)
-kpos_seesaw = _njit()(_kpos_seesaw_py)
-pursuit_atom = _njit()(_pursuit_atom_py)

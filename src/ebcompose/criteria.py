@@ -295,15 +295,15 @@ def _reflection_starts(d: int, restarts: int, seed: int) -> np.ndarray:
     if 2 ** d <= max(0, restarts - 1):
         patterns = range(1, 2 ** d)
     else:
-        patterns = np.random.default_rng(seed).choice(
-            2 ** d, size=max(0, min(2 ** d, restarts) - 1), replace=False
+        # pattern 0 is the identity, already the first start
+        patterns = 1 + np.random.default_rng(seed).choice(
+            2 ** d - 1, size=max(0, min(2 ** d, restarts) - 1), replace=False
         )
     for bits in patterns:
         signs = np.array([1.0 if (int(bits) >> j) & 1 == 0 else -1.0 for j in range(d)])
         starts.append(np.diag(signs).astype(complex))
     gen = np.random.default_rng(seed + 1)
-    while len(starts) < restarts:
-        starts.append(linalg.haar_unitary(d, gen))
+    starts.extend(linalg.haar_unitary(d, gen, size=max(0, restarts - len(starts))))
     return np.ascontiguousarray(np.stack(starts[:restarts])).astype(np.complex128)
 
 
@@ -333,7 +333,7 @@ def deviation_from_depolarizing(
 
     if samples > 0:
         gen = np.random.default_rng(seed + 2)
-        batch = np.stack([linalg.haar_unitary(d, gen) for _ in range(samples)])
+        batch = linalg.haar_unitary(d, gen, size=samples)
         Q = (fwd @ batch.reshape(samples, d * d).T).T.reshape(samples, d, d)
         svals = np.linalg.svd(Q, compute_uv=False)
         best = max(best, float(svals[:, 0].max()))

@@ -207,11 +207,18 @@ def random_psd(d: int, rng: np.random.Generator, rank: int | None = None) -> np.
     return G @ G.conj().T
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
-    G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    Q, R = np.linalg.qr(G)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
+def haar_unitary(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix (Mezzadri 2007).
+
+    ``size=n`` returns an ``(n, d, d)`` stack from one draw and one stacked
+    QR; it equals n successive single calls bit for bit and leaves ``rng``
+    in the same state.
+    """
+    G = rng.normal(size=(1 if size is None else size, 2, d, d))
+    Q, R = np.linalg.qr(G[:, 0] + 1j * G[:, 1])
+    diag = np.diagonal(R, axis1=1, axis2=2)
+    U = Q * (diag / np.abs(diag))[:, None, :]
+    return U[0] if size is None else U
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -295,6 +295,13 @@ class TestBallCertificate:
         # state, so the entanglement-breaking fallback still accepts
         assert criteria.two_eb_ball_certificate(T, samples=200)
 
+    @pytest.mark.parametrize("d,restarts", [(3, 8), (4, 10), (5, 64), (6, 64)])
+    def test_reflection_starts_are_distinct(self, d, restarts):
+        starts = criteria._reflection_starts(d, restarts, seed=0)
+        assert starts.shape == (restarts, d, d)
+        np.testing.assert_array_equal(starts[0], np.eye(d))
+        assert len({S.tobytes() for S in starts}) == restarts
+
     def test_negative_parameter_accepted_via_fallback(self):
         # deviation is 0.8 > 1/2, but the map is entanglement breaking
         assert criteria.two_eb_ball_certificate(holevo_werner(3, -0.8), samples=200)

@@ -221,6 +221,31 @@ class TestRandomHelpers:
         U = linalg.haar_unitary(5, rng)
         np.testing.assert_allclose(U @ U.conj().T, np.eye(5), atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 3, 4, 5])
+    def test_haar_stack_matches_sequential_draws(self, d):
+        seq_rng, stack_rng = np.random.default_rng(7), np.random.default_rng(7)
+        sequential = np.stack([linalg.haar_unitary(d, seq_rng) for _ in range(40)])
+        stacked = linalg.haar_unitary(d, stack_rng, size=40)
+        assert stacked.shape == (40, d, d)
+        assert np.array_equal(stacked, sequential)
+        assert stack_rng.bit_generator.state == seq_rng.bit_generator.state
+        np.testing.assert_allclose(stacked @ stacked.conj().transpose(0, 2, 1),
+                                   np.broadcast_to(np.eye(d), (40, d, d)), atol=1e-12)
+
+    def test_haar_stack_matches_ginibre_qr_reference(self):
+        # the per-call recipe: real then imaginary Ginibre draws, QR, and
+        # the phases of R's diagonal moved into Q
+        ref_rng, stack_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for U in linalg.haar_unitary(4, stack_rng, size=5):
+            G = ref_rng.normal(size=(4, 4)) + 1j * ref_rng.normal(size=(4, 4))
+            Q, R = np.linalg.qr(G)
+            assert np.array_equal(U, Q * (np.diag(R) / np.abs(np.diag(R))))
+
+    def test_haar_empty_stack_draws_nothing(self, rng):
+        state = rng.bit_generator.state
+        assert linalg.haar_unitary(3, rng, size=0).shape == (0, 3, 3)
+        assert rng.bit_generator.state == state
+
     def test_random_psd_is_psd(self, rng):
         assert linalg.is_psd(linalg.random_psd(6, rng))
 
