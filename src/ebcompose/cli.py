@@ -193,8 +193,10 @@ def _suite_gaussian(args) -> list[dict]:
     checks.append(_check("ppt2-witness", verified))
     result = gaussian.is_eb(gaussian.compose(C, C))
     feasible = result.status == sdp.FEASIBLE
-    residuals = {k: float(v) for k, v in result.residuals.items() if np.isscalar(v)}
-    checks.append(_check("composition-eb", feasible, status=result.status, **residuals))
+    checks.append(
+        _check("composition-eb", feasible, status=result.status, reason=result.reason,
+               **result.residuals)
+    )
     if feasible:
         checks.append(
             _check(

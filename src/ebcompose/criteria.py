@@ -323,6 +323,8 @@ def deviation_from_depolarizing(
     """
     if T.din != T.dout:
         raise DimMismatch("deviation from depolarizing needs a square map")
+    if restarts < 1:
+        raise DomainError(f"need at least one restart, got restarts={restarts}")
     d = T.din
     C4 = (T.choi - np.eye(d * d)).reshape(d, d, d, d)
     fwd = np.ascontiguousarray(C4.transpose(1, 3, 0, 2).reshape(d * d, d * d))
@@ -501,15 +503,6 @@ class SepDecomposition:
         return sum(np.kron(A, B) for A, B in self.terms)
 
 
-def _hvec(H: np.ndarray) -> np.ndarray:
-    """Isometric real parametrization of a Hermitian matrix."""
-    n = H.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return np.concatenate(
-        [np.diag(H).real, np.sqrt(2.0) * H[iu].real, np.sqrt(2.0) * H[iu].imag]
-    )
-
-
 def _mub_vectors(d: int) -> list[np.ndarray]:
     """Vectors of d+1 mutually unbiased bases (d prime or 4), a projective 2-design."""
     vecs = [np.eye(d, dtype=complex)[:, j] for j in range(d)]
@@ -595,11 +588,11 @@ def heuristic_sep_certify(
     rng = np.random.default_rng(seed)
 
     atoms: list[tuple[np.ndarray, np.ndarray]] = list(_seed_atoms(X.dims, rng))
-    x_target = _hvec(X.mat)
+    x_target = linalg.hvec(X.mat)
 
     def refit_prune() -> np.ndarray:
         nonlocal atoms
-        cols = np.column_stack([_hvec(_atom_matrix(a, b)) for a, b in atoms])
+        cols = np.column_stack([linalg.hvec(_atom_matrix(a, b)) for a, b in atoms])
         w, _ = nnls(cols, x_target)
         keep = w > 0.0
         atoms = [at for at, k in zip(atoms, keep) if k]

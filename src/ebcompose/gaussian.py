@@ -3,8 +3,8 @@
 A channel on n modes is the pair (X, Y) acting on covariance matrices as
 gamma -> X gamma X^T + Y.  Means are omitted throughout; no Fock-space
 objects appear.  Validity, complete copositivity, and entanglement breaking
-are all linear matrix inequalities against the symplectic form, checked as
-Hermitian PSD conditions through the real embedding.
+are all linear matrix inequalities against the symplectic form, checked
+directly as complex Hermitian PSD conditions.
 """
 
 from __future__ import annotations
@@ -63,16 +63,9 @@ class GaussianChannel:
         object.__setattr__(self, "valid", _valid_check(n, X, Y))
 
 
-def _embedded_psd(H: np.ndarray, tol: float) -> bool:
-    Z = sdp.hermitian_to_real_embedding(H)
-    w = np.linalg.eigvalsh(Z)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return float(w[0]) >= -tol * scale
-
-
 def _valid_check(n: int, X: np.ndarray, Y: np.ndarray, tol: float = linalg.TOL_PSD) -> bool:
     sig = linalg.symplectic_form(n)
-    return _embedded_psd(Y + 1j * (sig - X @ sig @ X.T), tol)
+    return linalg.is_psd(Y + 1j * (sig - X @ sig @ X.T), tol)
 
 
 def is_valid(C: GaussianChannel, tol: float = linalg.TOL_PSD) -> bool:
@@ -83,7 +76,7 @@ def is_valid(C: GaussianChannel, tol: float = linalg.TOL_PSD) -> bool:
 def is_cocp(C: GaussianChannel, tol: float = linalg.TOL_PSD) -> bool:
     """Complete copositivity condition Y - i(sigma + X sigma X^T) >= 0."""
     sig = linalg.symplectic_form(C.n)
-    return _embedded_psd(C.Y - 1j * (sig + C.X @ sig @ C.X.T), tol)
+    return linalg.is_psd(C.Y - 1j * (sig + C.X @ sig @ C.X.T), tol)
 
 
 def is_eb(C: GaussianChannel, opts: Optional[dict] = None) -> sdp.SdpResult:
@@ -147,8 +140,8 @@ def ppt2_witness(
     N = (N + N.T) / 2.0
     M = C2.Y
     Xc = C2.X @ C1.X
-    ok_n = _embedded_psd(N - 1j * (Xc @ sig @ Xc.T), tol)
-    ok_m = _embedded_psd(M - 1j * sig, tol)
+    ok_n = linalg.is_psd(N - 1j * (Xc @ sig @ Xc.T), tol)
+    ok_m = linalg.is_psd(M - 1j * sig, tol)
     return N, M, bool(ok_n and ok_m)
 
 

@@ -7,6 +7,7 @@ here is a pure function, dense, and sized for ambient dimensions up to ~81.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -90,6 +91,45 @@ def psd_margin(M) -> float:
     w = np.linalg.eigvalsh(A)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     return float(w[0]) / scale
+
+
+@lru_cache(maxsize=None)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Shared by every caller, hence read-only.
+    iu = np.triu_indices(n, 1)
+    for a in iu:
+        a.setflags(write=False)
+    return iu
+
+
+def hvec(H) -> np.ndarray:
+    """Isometric real coordinates of Hermitian matrices, over (..., n, n) stacks.
+
+    The n^2 coordinates are the diagonal, then sqrt(2) times the real parts
+    and then sqrt(2) times the imaginary parts of the strict upper triangle
+    (row-major), so that hvec(A) @ hvec(B) == tr(A B) for Hermitian A, B.
+    Only the upper triangle is read.
+    """
+    H = np.asarray(H)
+    iu = _triu(H.shape[-1])
+    up = H[..., iu[0], iu[1]]
+    diag = np.diagonal(H, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, np.sqrt(2.0) * up.real, np.sqrt(2.0) * up.imag], axis=-1)
+
+
+def hmat(v, n: int) -> np.ndarray:
+    """Inverse of ``hvec``: Hermitian (..., n, n) matrices from (..., n^2) coordinates."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (n * n,):
+        raise DimMismatch(f"expected {n * n} coordinates, got shape {v.shape}")
+    iu = _triu(n)
+    k = len(iu[0])
+    H = np.zeros(v.shape[:-1] + (n, n), dtype=complex)
+    H[..., np.arange(n), np.arange(n)] = v[..., :n]
+    up = (v[..., n : n + k] + 1j * v[..., n + k :]) / np.sqrt(2.0)
+    H[..., iu[0], iu[1]] = up
+    H[..., iu[1], iu[0]] = up.conj()
+    return H
 
 
 def kron(A, B) -> np.ndarray:

@@ -1,24 +1,20 @@
 """Dense semidefinite feasibility solver and the checks built on it.
 
-Problems are block-diagonal real symmetric SDPs with trace equality
-constraints.  The solver is a homogeneous self-dual interior-point method
-with Nesterov-Todd scaling and a Mehrotra predictor-corrector step; it is
-sized for a few hundred scalar variables, which covers every use in this
-package.  Every verdict is re-checked outside the solver: "feasible" is
-claimed only after the returned blocks pass an independent PSD and residual
-audit, and "infeasible" only with a verified separating functional.
-
-Hermitian problems enter through the standard real embedding
-H -> [[Re H, -Im H], [Im H, Re H]].  Constraints are always written with
-Hermitian coefficient matrices, whose embeddings commute with the embedded
-complex structure; the interior-point iterates then stay in the embedded
-subspace automatically and no structure equalities are needed.
+Problems are block-diagonal SDPs over complex Hermitian PSD matrices with
+trace equality constraints.  The solver is a homogeneous self-dual
+interior-point method with Nesterov-Todd scaling and a Mehrotra
+predictor-corrector step; it is sized for a few hundred scalar variables,
+which covers every use in this package.  Each block is packed into its n^2
+real coordinates with ``linalg.hvec``.  Every verdict is re-checked outside
+the solver: "feasible" is claimed only after the returned blocks pass an
+independent PSD and residual audit, and "infeasible" only with a verified
+separating functional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -36,38 +32,33 @@ FEAS_TOL = 1e-7
 # Relative eigenvalue floor certified on returned PSD blocks.
 PSD_TOL = 1e-9
 
-_SQRT2 = float(np.sqrt(2.0))
-
 
 # ---------------------------------------------------------------------------
 # problem and result types
 
 
-def _clean_symmetric(name: str, M, n: int) -> np.ndarray:
-    A = np.asarray(M, dtype=float)
+def _clean_hermitian(name: str, M, n: int) -> np.ndarray:
+    A = np.asarray(M, dtype=complex)
     if A.shape != (n, n):
         raise DimMismatch(
             f"coefficient for block {name!r} has shape {A.shape}, expected {(n, n)}"
         )
-    if not np.all(np.isfinite(A)):
-        raise ValueError(f"coefficient for block {name!r} has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-    if float(np.max(np.abs(A - A.T))) > 1e-10 * scale:
-        raise NotHermitian(f"coefficient for block {name!r} is not symmetric")
-    S = (A + A.T) / 2.0
-    S.setflags(write=False)
-    return S
+    A = linalg.require_hermitian(A)
+    H = (A + A.conj().T) / 2.0
+    H.setflags(write=False)
+    return H
 
 
 @dataclass(frozen=True)
 class SdpProblem:
     """Feasibility (or minimization) over block-diagonal PSD matrices.
 
-    ``blocks`` is a sequence of ``(name, dim)`` pairs declaring real
-    symmetric PSD variables.  Each equality is ``(coeffs, rhs)`` with
-    ``coeffs`` mapping block names to symmetric coefficient matrices, and
-    constrains ``sum_j tr(coeffs[j] @ X_j) == rhs``.  ``objective``, when
-    present, is minimized with the same coefficient convention.
+    ``blocks`` is a sequence of ``(name, dim)`` pairs declaring complex
+    Hermitian PSD variables.  Each equality is ``(coeffs, rhs)`` with
+    ``coeffs`` mapping block names to Hermitian coefficient matrices (real
+    or complex; NotHermitian beyond a 1e-10 relative defect), and constrains
+    ``sum_j tr(coeffs[j] @ X_j) == rhs``.  ``objective``, when present, is
+    minimized with the same coefficient convention.
     """
 
     blocks: tuple[tuple[str, int], ...]
@@ -91,7 +82,7 @@ class SdpProblem:
             for name, M in coeffs.items():
                 if name not in dims:
                     raise PreconditionFailed(f"unknown block name {name!r}")
-                out[name] = _clean_symmetric(name, M, dims[name])
+                out[name] = _clean_hermitian(name, M, dims[name])
             return out
 
         equalities = tuple(
@@ -115,54 +106,40 @@ class SdpResult:
     """Audited outcome of an SDP solve.
 
     ``status`` is one of "feasible", "infeasible", "inconclusive".  On
-    "feasible", ``primal`` maps block names to PSD matrices satisfying the
-    equalities; on "infeasible", ``dual`` carries the verified separating
-    functional (the Farkas multiplier vector, or a problem-specific witness
-    for the wrappers below).  ``residuals`` holds scalar diagnostics.
+    "feasible", ``primal`` maps block names to Hermitian PSD matrices
+    satisfying the equalities; on "infeasible", ``dual`` carries the verified
+    separating functional (the Farkas multiplier vector, or a
+    problem-specific witness for the wrappers below).  ``residuals`` holds
+    numeric diagnostics; ``reason`` says why a verdict is inconclusive.
     """
 
     status: str
     primal: Optional[dict[str, np.ndarray]]
     dual: Optional[np.ndarray]
     residuals: dict[str, float]
+    reason: str = ""
 
 
 # ---------------------------------------------------------------------------
-# svec packing
-
-# Symmetric matrices are flattened isometrically: diagonal entries first,
-# then sqrt(2)-scaled strict upper entries, so vec(S) . vec(T) = tr(S T).
+# block packing
 
 
 class _BlockOps:
+    """Packs Hermitian blocks, or stacks of them, with ``linalg.hvec``."""
+
     def __init__(self, dims: Sequence[int]):
         self.dims = list(dims)
-        self.triu = [np.triu_indices(n, 1) for n in self.dims]
-        self.sizes = [n * (n + 1) // 2 for n in self.dims]
-        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
+        self.offsets = np.concatenate([[0], np.cumsum([n * n for n in self.dims])])
         self.total = int(self.offsets[-1])
 
-    def svec_block(self, k: int, S: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.diag(S), _SQRT2 * S[self.triu[k]]])
-
-    def smat_block(self, k: int, v: np.ndarray) -> np.ndarray:
-        n = self.dims[k]
-        S = np.zeros((n, n))
-        S[np.diag_indices(n)] = v[:n]
-        S[self.triu[k]] = v[n:] / _SQRT2
-        return S + np.triu(S, 1).T
-
     def pack(self, mats: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([self.svec_block(k, M) for k, M in enumerate(mats)])
+        return np.concatenate([linalg.hvec(M) for M in mats], axis=-1)
 
     def unpack(self, v: np.ndarray) -> list[np.ndarray]:
         return [
-            self.smat_block(k, v[self.offsets[k] : self.offsets[k + 1]])
-            for k in range(len(self.dims))
+            linalg.hmat(v[..., lo:hi], n)
+            for n, lo, hi in zip(self.dims, self.offsets, self.offsets[1:])
         ]
-
-    def identity_vec(self) -> np.ndarray:
-        return self.pack([np.eye(n) for n in self.dims])
 
 
 def _compile(problem: SdpProblem):
@@ -177,13 +154,13 @@ def _compile(problem: SdpProblem):
         for k, name in enumerate(names):
             if name in coeffs:
                 lo, hi = ops.offsets[k], ops.offsets[k + 1]
-                A[i, lo:hi] = ops.svec_block(k, coeffs[name])
+                A[i, lo:hi] = linalg.hvec(coeffs[name])
     c = np.zeros(ops.total)
     if problem.objective is not None:
         for k, name in enumerate(names):
             if name in problem.objective:
                 lo, hi = ops.offsets[k], ops.offsets[k + 1]
-                c[lo:hi] = ops.svec_block(k, problem.objective[name])
+                c[lo:hi] = linalg.hvec(problem.objective[name])
     return names, dims, ops, A, b, c
 
 
@@ -242,9 +219,9 @@ def _max_step(Xs, dXs, Xinvhalfs) -> float:
 
 def _lyap_solve(vw, vq, R):
     """Solve V G + G V = 2 R in the eigenbasis (vw, vq) of V."""
-    Rt = vq.T @ R @ vq
+    Rt = vq.conj().T @ R @ vq
     G = 2.0 * Rt / (vw[:, None] + vw[None, :])
-    return vq @ G @ vq.T
+    return vq @ G @ vq.conj().T
 
 
 def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
@@ -264,10 +241,10 @@ def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
     if m == 0:
         # No equalities: the zero matrix is feasible and objective-minimal
         # over the cone whenever the objective is PSD; callers never hit this.
-        mats = [np.zeros((n, n)) for n in dims]
+        mats = [np.zeros((n, n), dtype=complex) for n in dims]
         return SdpResult(FEASIBLE, dict(zip(names, mats)), np.zeros(0), {"iterations": 0.0})
 
-    x = ops.identity_vec()
+    x = ops.pack([np.eye(n) for n in dims])
     s = x.copy()
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
@@ -331,34 +308,31 @@ def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
 
             # Nesterov-Todd scaling per block.
             Xm, Sm = ops.unpack(x), ops.unpack(s)
-            W12, Wm12, Xih, vws, vqs = [], [], [], [], []
+            Ws, W12, Wm12, Xih, vws, vqs = [], [], [], [], [], []
             for X, S in zip(Xm, Sm):
                 wX, QX = _eigh_pd(X)
-                rootX = (QX * np.sqrt(wX)) @ QX.T
-                Xih.append((QX / np.sqrt(wX)) @ QX.T)
+                QXh = QX.conj().T
+                rootX = (QX * np.sqrt(wX)) @ QXh
+                Xih.append((QX / np.sqrt(wX)) @ QXh)
                 Z = rootX @ S @ rootX
-                wZ, QZ = _eigh_pd((Z + Z.T) / 2.0)
-                W = rootX @ ((QZ / np.sqrt(wZ)) @ QZ.T) @ rootX
-                wW, QW = _eigh_pd((W + W.T) / 2.0)
-                W12.append((QW * np.sqrt(wW)) @ QW.T)
-                Wm12.append((QW / np.sqrt(wW)) @ QW.T)
+                wZ, QZ = _eigh_pd((Z + Z.conj().T) / 2.0)
+                W = rootX @ ((QZ / np.sqrt(wZ)) @ QZ.conj().T) @ rootX
+                wW, QW = _eigh_pd((W + W.conj().T) / 2.0)
+                W12.append((QW * np.sqrt(wW)) @ QW.conj().T)
+                Wm12.append((QW / np.sqrt(wW)) @ QW.conj().T)
+                Ws.append(W12[-1] @ W12[-1])
                 V = Wm12[-1] @ X @ Wm12[-1]
-                vw, vq = _eigh_pd((V + V.T) / 2.0)
+                vw, vq = _eigh_pd((V + V.conj().T) / 2.0)
                 vws.append(vw)
                 vqs.append(vq)
 
             def op_w(u):
-                Ms = ops.unpack(u)
-                return ops.pack(
-                    [W12[k] @ W12[k] @ M @ W12[k] @ W12[k] for k, M in enumerate(Ms)]
-                )
+                # u -> W U W per block; u may be a stack of packed vectors.
+                return ops.pack([W @ M @ W for W, M in zip(Ws, ops.unpack(u))])
 
             # Schur complement M = A W A^T W, factored once per iteration.
             wc = op_w(c)
-            A_rows_w = np.empty_like(A)
-            for i in range(m):
-                A_rows_w[i] = op_w(A[i])
-            Schur = A @ A_rows_w.T
+            Schur = A @ op_w(A).T
             Schur = (Schur + Schur.T) / 2.0
             jitter = 1e-14 * (1.0 + float(np.trace(Schur)) / max(m, 1))
             cho = None
@@ -400,13 +374,13 @@ def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
                 return dx, dy, ds, dtau, dkappa
 
             # Predictor (affine scaling) direction.
-            aff_rhs = [-(vqs[k] * vws[k] ** 2) @ vqs[k].T for k in range(len(dims))]
+            aff_rhs = [-(vq * vw**2) @ vq.conj().T for vw, vq in zip(vws, vqs)]
             dxa, dya, dsa, dta, dka = direction(1.0, aff_rhs, -tau * kappa)
 
             Sih = []
             for S in Sm:
                 wS, QS = _eigh_pd(S)
-                Sih.append((QS / np.sqrt(wS)) @ QS.T)
+                Sih.append((QS / np.sqrt(wS)) @ QS.conj().T)
             a_p = _max_step(Xm, ops.unpack(dxa), Xih)
             a_d = _max_step(Sm, ops.unpack(dsa), Sih)
             a_aff = min(a_p, a_d)
@@ -428,7 +402,7 @@ def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
                 Dx = Wm12[k] @ dXa[k] @ Wm12[k]
                 Ds = W12[k] @ dSa[k] @ W12[k]
                 cross = (Dx @ Ds + Ds @ Dx) / 2.0
-                V2 = (vqs[k] * vws[k] ** 2) @ vqs[k].T
+                V2 = (vqs[k] * vws[k] ** 2) @ vqs[k].conj().T
                 corr_rhs.append(sigma * mu * np.eye(dims[k]) - V2 - cross)
             rtk = sigma * mu - tau * kappa - dta * dka
             dx, dy, ds, dt, dk = direction(1.0 - sigma, corr_rhs, rtk)
@@ -462,62 +436,23 @@ def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
         }
         result = attempt_classify(diag, True)
         if result is None:
-            result = SdpResult(INCONCLUSIVE, None, None, {**diag, "reason": reason})
+            result = SdpResult(INCONCLUSIVE, None, None, diag, reason)
     return result
 
 
 # ---------------------------------------------------------------------------
-# Hermitian embedding
+# Hermitian basis
 
 
-def hermitian_to_real_embedding(M) -> np.ndarray:
-    """Real symmetric embedding [[Re M, -Im M], [Im M, Re M]] of Hermitian M.
+def _hermitian_basis(n: int) -> np.ndarray:
+    """Orthogonal Hermitian basis of M_n as an (n^2, n, n) stack.
 
-    The embedding doubles every eigenvalue's multiplicity and preserves the
-    spectrum, so PSD-ness and minimum eigenvalues transfer exactly.
+    In ``linalg.hvec`` order: E_pp, then E_pq + E_qp, then i E_pq - i E_qp
+    for p < q in row-major order.
     """
-    A = linalg.require_hermitian(M)
-    return np.block([[A.real, -A.imag], [A.imag, A.real]])
-
-
-def embedding_to_hermitian(Z) -> np.ndarray:
-    """Inverse of the real embedding, averaging over the embedded symmetry.
-
-    The average (Z + J^T Z J)/2 with J = [[0,-I],[I,0]] is the nearest
-    embedded-Hermitian matrix; it preserves PSD-ness, so unembedding a PSD
-    block always yields a PSD Hermitian matrix.
-    """
-    Z = np.asarray(Z, dtype=float)
-    n2 = Z.shape[0]
-    if Z.ndim != 2 or Z.shape != (n2, n2) or n2 % 2:
-        raise DimMismatch(f"embedded matrix must be square even-dimensional, got {Z.shape}")
-    n = n2 // 2
-    P = (Z[:n, :n] + Z[n:, n:]) / 2.0
-    Q = (Z[n:, :n] - Z[:n, n:]) / 2.0
-    H = (P + P.T) / 2.0 + 1j * (Q - Q.T) / 2.0
-    return H
-
-
-def _hermitian_basis(n: int) -> Iterator[np.ndarray]:
-    """Orthogonal Hermitian basis of M_n: n^2 matrices, deterministic order."""
-    for p in range(n):
-        E = np.zeros((n, n), dtype=complex)
-        E[p, p] = 1.0
-        yield E
-    for p in range(n):
-        for q in range(p + 1, n):
-            E = np.zeros((n, n), dtype=complex)
-            E[p, q] = E[q, p] = 1.0
-            yield E
-            E = np.zeros((n, n), dtype=complex)
-            E[p, q] = 1j
-            E[q, p] = -1j
-            yield E
-
-
-def _embed_coeff(H: np.ndarray) -> np.ndarray:
-    # tr(E(H)/2 . E(M)) == Re tr(H M) == tr(H M) for Hermitian H, M.
-    return hermitian_to_real_embedding(H) / 2.0
+    scale = np.full(n * n, np.sqrt(2.0))
+    scale[:n] = 1.0
+    return linalg.hmat(np.diag(scale), n)
 
 
 # ---------------------------------------------------------------------------
@@ -535,25 +470,17 @@ def decomposability_check(P: choi.QuantumMap, opts: Optional[dict] = None) -> Sd
     """
     C = linalg.require_hermitian(P.choi)
     D = P.din * P.dout
-    basis = list(_hermitian_basis(D))
-    eqs = []
-    for H in basis:
-        GH = linalg.partial_transpose(H, P.dims, "B")
-        eqs.append(
-            (
-                {"cp_part": _embed_coeff(H), "cocp_part": _embed_coeff(GH)},
-                float(np.real(np.trace(H @ C))),
-            )
-        )
-    prob = SdpProblem(
-        blocks=(("cp_part", 2 * D), ("cocp_part", 2 * D)),
-        equalities=tuple(eqs),
+    basis = _hermitian_basis(D)
+    rhs = np.einsum("kij,ji->k", basis, C).real
+    eqs = tuple(
+        ({"cp_part": H, "cocp_part": linalg.partial_transpose(H, P.dims, "B")}, float(r))
+        for H, r in zip(basis, rhs)
     )
+    prob = SdpProblem(blocks=(("cp_part", D), ("cocp_part", D)), equalities=eqs)
     res = solve(prob, opts)
 
     if res.status == FEASIBLE:
-        C1 = embedding_to_hermitian(res.primal["cp_part"])
-        C2 = embedding_to_hermitian(res.primal["cocp_part"])
+        C1, C2 = res.primal["cp_part"], res.primal["cocp_part"]
         recon = C1 + linalg.partial_transpose(C2, P.dims, "B")
         scale = 1.0 + float(np.max(np.abs(C)))
         err = float(np.max(np.abs(recon - C))) / scale
@@ -570,16 +497,21 @@ def decomposability_check(P: choi.QuantumMap, opts: Optional[dict] = None) -> Sd
                     "cocp_margin": m2,
                 },
             )
-        return SdpResult(INCONCLUSIVE, None, None, {**res.residuals, "unembed_error": err})
+        return SdpResult(
+            INCONCLUSIVE,
+            None,
+            None,
+            {**res.residuals, "reconstruction_error": err},
+            "decomposition fails its re-check",
+        )
 
     if res.status == INFEASIBLE:
-        W = np.zeros((D, D), dtype=complex)
-        for yi, H in zip(res.dual, basis):
-            W += yi * H
-        V = -W
+        V = -np.tensordot(res.dual, basis, axes=1)
         t = float(np.real(np.trace(V)))
         if t <= 0.0:
-            return SdpResult(INCONCLUSIVE, None, None, dict(res.residuals))
+            return SdpResult(
+                INCONCLUSIVE, None, None, dict(res.residuals), "witness has non-positive trace"
+            )
         V = V / t
         overlap = float(np.real(np.trace(V @ C)))
         mV = linalg.psd_margin(V)
@@ -596,7 +528,9 @@ def decomposability_check(P: choi.QuantumMap, opts: Optional[dict] = None) -> Sd
                     "witness_pt_margin": mG,
                 },
             )
-        return SdpResult(INCONCLUSIVE, None, None, dict(res.residuals))
+        return SdpResult(
+            INCONCLUSIVE, None, None, dict(res.residuals), "witness fails its re-check"
+        )
 
     return res
 
@@ -627,31 +561,23 @@ def gaussian_eb_split(Y, X, opts: Optional[dict] = None) -> SdpResult:
     xsx = X @ sig @ X.T
     K = Y - 1j * (sig + xsx)
 
-    eqs = []
-    for H in _hermitian_basis(two_n):
-        coeff = _embed_coeff(H)
-        eqs.append(
-            (
-                {"part_m": coeff, "part_n": coeff},
-                float(np.real(np.trace(H @ K))),
-            )
-        )
-    # Pin the antisymmetric (imaginary) part of the M block to -sigma.
-    for p in range(two_n):
-        for q in range(p + 1, two_n):
-            H = np.zeros((two_n, two_n), dtype=complex)
-            H[p, q] = 1j
-            H[q, p] = -1j
-            eqs.append(({"part_m": _embed_coeff(H)}, -2.0 * float(sig[p, q])))
+    basis = _hermitian_basis(two_n)
+    rhs = np.einsum("kij,ji->k", basis, K).real
+    eqs = [({"part_m": H, "part_n": H}, float(r)) for H, r in zip(basis, rhs)]
+    # Pin the imaginary part of the M block to -sigma: the trailing basis
+    # elements i E_pq - i E_qp (p < q) give tr(H M) = 2 Im M_pq.
+    iu = np.triu_indices(two_n, 1)
+    imag_basis = basis[-len(iu[0]) :]
+    eqs += [({"part_m": H}, -2.0 * float(v)) for H, v in zip(imag_basis, sig[iu])]
 
     prob = SdpProblem(
-        blocks=(("part_m", 2 * two_n), ("part_n", 2 * two_n)),
+        blocks=(("part_m", two_n), ("part_n", two_n)),
         equalities=tuple(eqs),
     )
     res = solve(prob, opts)
 
     if res.status == FEASIBLE:
-        Mt = embedding_to_hermitian(res.primal["part_m"])
+        Mt = res.primal["part_m"]
         M = Mt.real
         M = (M + M.T) / 2.0
         N = Y - M
@@ -670,7 +596,8 @@ def gaussian_eb_split(Y, X, opts: Optional[dict] = None) -> SdpResult:
                 },
             )
         return SdpResult(
-            INCONCLUSIVE, None, None, {**res.residuals, "unembed_error": im_err}
+            INCONCLUSIVE, None, None, {**res.residuals, "im_error": im_err},
+            "split fails its re-check",
         )
     return res
 
@@ -683,19 +610,13 @@ def _seesaw_problem_parts(P: choi.QuantumMap):
     """Fixed blocks and equalities of the inner SDP over PPT inputs T."""
     d = P.din
     D = d * d
-    basis = list(_hermitian_basis(D))
-    eqs = []
-    for H in basis:
-        GH = linalg.partial_transpose(H, (d, d), "B")
-        # tr(GH . C_T) - tr(H . G) == 0 couples G to the partial transpose.
-        eqs.append(
-            (
-                {"choi_t": _embed_coeff(GH), "choi_t_pt": -_embed_coeff(H)},
-                0.0,
-            )
-        )
-    eqs.append(({"choi_t": _embed_coeff(np.eye(D, dtype=complex))}, float(d)))
-    blocks = (("choi_t", 2 * D), ("choi_t_pt", 2 * D))
+    # tr(GH . C_T) - tr(H . G) == 0 couples G to the partial transpose.
+    eqs = [
+        ({"choi_t": linalg.partial_transpose(H, (d, d), "B"), "choi_t_pt": -H}, 0.0)
+        for H in _hermitian_basis(D)
+    ]
+    eqs.append(({"choi_t": np.eye(D)}, float(d)))
+    blocks = (("choi_t", D), ("choi_t_pt", D))
     return blocks, tuple(eqs)
 
 
@@ -743,7 +664,7 @@ def counterexample_search(P: choi.QuantumMap, opts: Optional[dict] = None) -> di
             prob = SdpProblem(
                 blocks=blocks,
                 equalities=eqs,
-                objective={"choi_t": _embed_coeff(F)},
+                objective={"choi_t": F},
             )
             res = solve(prob, solver_opts)
             if res.status != FEASIBLE:
@@ -752,7 +673,7 @@ def counterexample_search(P: choi.QuantumMap, opts: Optional[dict] = None) -> di
                     {"restart": r, "round": k, "status": res.status, "value": None}
                 )
                 break
-            CT = embedding_to_hermitian(res.primal["choi_t"])
+            CT = res.primal["choi_t"]
             T = choi.QuantumMap(d, d, CT)
             comp = choi.compose(P, T).choi
             w, V = linalg.eig_hermitian(comp)
@@ -888,14 +809,14 @@ def problem_from_json(obj: dict) -> SdpProblem:
         blocks=tuple((name, int(dim)) for name, dim in obj["blocks"]),
         equalities=tuple(
             (
-                {name: linalg.matrix_from_json(M).real for name, M in eq["coeffs"].items()},
+                {name: linalg.matrix_from_json(M) for name, M in eq["coeffs"].items()},
                 float(eq["rhs"]),
             )
             for eq in obj["equalities"]
         ),
         objective=None
         if objective is None
-        else {name: linalg.matrix_from_json(M).real for name, M in objective.items()},
+        else {name: linalg.matrix_from_json(M) for name, M in objective.items()},
     )
 
 
@@ -913,5 +834,6 @@ def result_to_json(result: SdpResult) -> dict:
         if result.primal is None
         else {name: linalg.matrix_to_json(M) for name, M in result.primal.items()},
         "dual": dual,
-        "residuals": {k: v for k, v in result.residuals.items()},
+        "residuals": dict(result.residuals),
+        "reason": result.reason,
     }

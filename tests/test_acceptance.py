@@ -133,8 +133,8 @@ def test_criterion_08_gaussian_ppt2_split():
         N, M, ok = gaussian.ppt2_witness(B, A)
         assert ok, (n, seed)
         comp_x = B.X @ A.X
-        m_n = linalg.min_eig(sdp.hermitian_to_real_embedding(N - 1j * (comp_x @ sig @ comp_x.T)))
-        m_m = linalg.min_eig(sdp.hermitian_to_real_embedding(M - 1j * sig))
+        m_n = linalg.min_eig(N - 1j * (comp_x @ sig @ comp_x.T))
+        m_m = linalg.min_eig(M - 1j * sig)
         assert m_n >= -1e-8 and m_m >= -1e-8, (n, seed, m_n, m_m)
 
         # SDP route: independent noise split of the composed channel

@@ -32,6 +32,14 @@ class TestCommands:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
+    def test_inconclusive_split_reports_fail(self, monkeypatch, capsys):
+        is_eb = cli.gaussian.is_eb
+        monkeypatch.setattr(cli.gaussian, "is_eb", lambda C: is_eb(C, {"max_iters": 1}))
+        assert cli.main(["gaussian", "--n", "1", "--seed", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] composition-eb" in out
+        assert "iteration limit reached" in out
+
     def test_domain_error_exits_2(self, capsys):
         assert cli.main(["verify-example", "tau-n", "--d", "3", "--n", "3"]) == 2
         assert "error:" in capsys.readouterr().err

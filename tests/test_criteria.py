@@ -302,6 +302,14 @@ class TestBallCertificate:
         np.testing.assert_array_equal(starts[0], np.eye(d))
         assert len({S.tobytes() for S in starts}) == restarts
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_no_restarts_is_domain_error(self, restarts):
+        T = holevo_werner(3, 0.3)
+        with pytest.raises(DomainError):
+            criteria.deviation_from_depolarizing(T, restarts=restarts)
+        with pytest.raises(DomainError):
+            criteria.two_eb_ball_certificate(T, restarts=restarts)
+
     def test_negative_parameter_accepted_via_fallback(self):
         # deviation is 0.8 > 1/2, but the map is entanglement breaking
         assert criteria.two_eb_ball_certificate(holevo_werner(3, -0.8), samples=200)

@@ -199,6 +199,40 @@ class TestPermuteSystems:
         np.testing.assert_array_equal(linalg.permute_systems(M, [2, 3], [0, 1]), M)
 
 
+class TestHvec:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_round_trip(self, n, rng):
+        H = linalg.random_hermitian(n, rng)
+        v = linalg.hvec(H)
+        assert v.shape == (n * n,) and v.dtype == float
+        np.testing.assert_allclose(linalg.hmat(v, n), H, atol=1e-15)
+        np.testing.assert_array_equal(linalg.hvec(linalg.hmat(v, n)), v)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_inner_product_is_trace(self, seed):
+        rng = np.random.default_rng(seed)
+        A, B = linalg.random_hermitian(4, rng), linalg.random_hermitian(4, rng)
+        assert linalg.hvec(A) @ linalg.hvec(B) == pytest.approx(np.trace(A @ B).real, abs=1e-12)
+
+    def test_layout(self):
+        H = np.array([[1.0, 2.0 + 3.0j], [2.0 - 3.0j, 4.0]])
+        np.testing.assert_allclose(linalg.hvec(H), [1.0, 4.0, 2.0 * np.sqrt(2), 3.0 * np.sqrt(2)])
+
+    def test_stacks(self, rng):
+        Hs = np.stack([[linalg.random_hermitian(3, rng) for _ in range(4)] for _ in range(2)])
+        V = linalg.hvec(Hs)
+        assert V.shape == (2, 4, 9)
+        np.testing.assert_array_equal(V[1, 2], linalg.hvec(Hs[1, 2]))
+        back = linalg.hmat(V, 3)
+        assert back.shape == (2, 4, 3, 3)
+        np.testing.assert_array_equal(back[1, 2], linalg.hmat(V[1, 2], 3))
+        np.testing.assert_allclose(back, Hs, atol=1e-15)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimMismatch):
+            linalg.hmat(np.zeros(5), 2)
+
+
 class TestJson:
     def test_round_trip_bit_exact(self, rng):
         M = linalg.random_hermitian(4, rng)

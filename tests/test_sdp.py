@@ -137,7 +137,8 @@ class TestSolve:
         )
         res = sdp.solve(prob, {"max_iters": 1})
         assert res.status == "inconclusive"
-        assert "reason" in res.residuals
+        assert res.reason
+        assert all(isinstance(v, float) for v in res.residuals.values())
 
     def test_infeasible_needs_verified_certificate(self):
         # Conflicting traces on the same block.
@@ -159,41 +160,53 @@ class TestSolve:
 
 
 class TestHermitianEmbedding:
+    """Complex Hermitian data enters the solver directly, not through a real embedding."""
+
     def test_rejects_non_hermitian(self):
+        # Complex symmetric but not Hermitian: a real-cast check would pass it.
         with pytest.raises(NotHermitian):
-            sdp.hermitian_to_real_embedding(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            sdp.SdpProblem(
+                blocks=(("x", 2),),
+                equalities=(({"x": np.array([[0.0, 1j], [1j, 0.0]])}, 1.0),),
+            )
 
     def test_pauli_y_spectrum(self):
+        # min tr(sigma_y X) over density matrices is the eigenvalue -1.
         sy = np.array([[0.0, -1j], [1j, 0.0]])
-        Z = sdp.hermitian_to_real_embedding(sy)
-        w = np.linalg.eigvalsh(Z)
-        assert np.allclose(w, [-1.0, -1.0, 1.0, 1.0], atol=1e-12)
+        prob = sdp.SdpProblem(
+            blocks=(("x", 2),),
+            equalities=(({"x": np.eye(2)}, 1.0),),
+            objective={"x": sy},
+        )
+        res = sdp.solve(prob)
+        assert res.status == "feasible"
+        assert res.residuals["objective"] == pytest.approx(-1.0, abs=1e-7)
+        X = res.primal["x"]
+        assert linalg.hermiticity_defect(X) <= 1e-12
+        assert linalg.psd_margin(X) >= -1e-9
+        assert np.trace(sy @ X).real == pytest.approx(-1.0, abs=1e-7)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_min_eig_preserved(self, seed):
         H = linalg.random_hermitian(5, rng_for(seed))
-        Z = sdp.hermitian_to_real_embedding(H)
-        assert float(np.linalg.eigvalsh(Z)[0]) == pytest.approx(
-            linalg.min_eig(H), abs=1e-10
+        prob = sdp.SdpProblem(
+            blocks=(("x", 5),), equalities=(({"x": np.eye(5)}, 1.0),), objective={"x": H}
         )
+        res = sdp.solve(prob)
+        assert res.status == "feasible"
+        assert res.residuals["objective"] == pytest.approx(linalg.min_eig(H), abs=1e-7)
 
     def test_round_trip(self, rng):
         H = linalg.random_hermitian(4, rng)
-        back = sdp.embedding_to_hermitian(sdp.hermitian_to_real_embedding(H))
-        assert np.allclose(back, H, atol=1e-12)
-
-    def test_unembedding_preserves_psd(self, rng):
-        # A PSD symmetric matrix that is not in the embedded subspace still
-        # unembeds to a PSD Hermitian matrix, by averaging.
-        Z = linalg.random_psd(6, rng).real
-        Z = (Z + Z.T) / 2
-        H = sdp.embedding_to_hermitian(Z)
-        assert linalg.hermiticity_defect(H) <= 1e-12
-        assert linalg.psd_margin(H) >= -1e-10
-
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(DimMismatch):
-            sdp.embedding_to_hermitian(np.eye(5))
+        prob = sdp.SdpProblem(
+            blocks=(("x", 4),), equalities=(({"x": np.eye(4)}, 1.0),), objective={"x": H}
+        )
+        back = sdp.problem_from_json(json.loads(json.dumps(sdp.problem_to_json(prob))))
+        assert np.array_equal(back.objective["x"], prob.objective["x"])
+        assert np.abs(back.objective["x"].imag).max() > 0.0
+        assert sdp.solve(back).residuals["objective"] == pytest.approx(
+            linalg.min_eig(H), abs=1e-7
+        )
 
 
 class TestDecomposability:
