@@ -3,7 +3,10 @@
 ``ball_seesaw`` and ``kpos_seesaw`` run all restarts as one batch: every
 iteration is a handful of stacked LAPACK calls, and a mask retires each
 restart at its own stopping point, so each restart takes the same steps it
-would take alone.
+would take alone.  ``pursuit_atom`` keeps a per-restart loop, since most of
+its calls are single-start polish steps.  None of them builds an embedding
+matrix: each half step contracts the reshaped four-index operator with the
+passive factor by matmul.
 """
 
 from __future__ import annotations
@@ -93,30 +96,27 @@ def pursuit_atom(R, dA, dB, a_starts, b_starts, iters):
     """Maximize <a (x) b|R|a (x) b> over unit product vectors.
 
     Alternates exact top-eigenvector steps for each factor; R is the current
-    (Hermitian) residual as a dA*dB square matrix.  Returns (value, a, b).
+    (Hermitian) residual as a dA*dB square matrix.  Each restart runs alone
+    until its value changes by at most 1e-13 relative.  Returns the best
+    (value, a, b); the first best restart wins ties.
     """
+    # R4[i, k, j, l] = R[(i k), (j l)], flattened for the two contractions
+    R4 = R.reshape(dA, dB, dA, dB)
+    R_l = R4.reshape(dA * dB * dA, dB)
+    R_j = R4.transpose(0, 1, 3, 2).reshape(dA * dB * dB, dA)
     best_val = -np.inf
     best_a = a_starts[0].copy()
     best_b = b_starts[0].copy()
     for r in range(a_starts.shape[0]):
-        a = a_starts[r].copy()
-        b = b_starts[r].copy()
+        a = a_starts[r]
+        b = b_starts[r]
         val = -np.inf
         for _ in range(iters):
-            Pb = np.zeros((dA * dB, dA), dtype=np.complex128)
-            for i in range(dA):
-                for kk in range(dB):
-                    Pb[i * dB + kk, i] = b[kk]
-            Ma = Pb.conj().T @ R @ Pb
-            wa, Va = np.linalg.eigh(Ma)
-            a = Va[:, dA - 1].copy()
-            Pa = np.zeros((dA * dB, dB), dtype=np.complex128)
-            for i in range(dA):
-                for kk in range(dB):
-                    Pa[i * dB + kk, kk] = a[i]
-            Mb = Pa.conj().T @ R @ Pa
-            wb, Vb = np.linalg.eigh(Mb)
-            b = Vb[:, dB - 1].copy()
+            # Ma[i, j] = sum_kl conj(b[k]) R4[i, k, j, l] b[l]
+            a = np.linalg.eigh(b.conj() @ (R_l @ b).reshape(dA, dB, dA))[1][:, dA - 1]
+            # Mb[k, l] = sum_ij conj(a[i]) R4[i, k, j, l] a[j]
+            wb, Vb = np.linalg.eigh((a.conj() @ (R_j @ a).reshape(dA, dB * dB)).reshape(dB, dB))
+            b = Vb[:, dB - 1]
             new_val = wb[dB - 1]
             if abs(new_val - val) <= 1e-13 * max(1.0, abs(new_val)):
                 val = new_val

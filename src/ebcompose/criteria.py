@@ -388,23 +388,14 @@ def johnston_block_check(rho, X, sigma, tol: float = linalg.TOL_PSD) -> bool:
     return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
 
 
-def two_eb_rank_certificate(
-    T: QuantumMap,
-    rank_tol: float = 1e-8,
-    restarts: int = 32,
-    iters: int = 200,
-    seed: int = 0,
-) -> bool:
+def two_eb_rank_certificate(T: QuantumMap, rank_tol: float = 1e-8) -> bool:
     """Operator-rank certificate: rank <= 3 plus 2-positivity.
 
-    2-positivity is exact when the map is CP; otherwise it is only the
-    absence of a falsifier witness within the budget (heuristic caveat).
+    Only CP maps are certified, since complete positivity proves
+    2-positivity exactly.  A search that finds no 2-positivity witness
+    proves nothing, so False means "not certified", not "not 2-EB".
     """
-    if operator_schmidt_rank(T, rank_tol) > 3:
-        return False
-    if is_cp(T):
-        return True
-    return k_positivity_falsify(T, 2, restarts, iters, seed) is None
+    return operator_schmidt_rank(T, rank_tol) <= 3 and is_cp(T)
 
 
 def two_eb_d3_certificate(T: QuantumMap, restarts: int = 32, iters: int = 200, seed: int = 0) -> EbVerdict:
@@ -537,34 +528,23 @@ def _mub_vectors(d: int) -> list[np.ndarray]:
     return vecs
 
 
-def _seed_atoms(dims: tuple[int, int], rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+def _seed_atoms(dims: tuple[int, int], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Starting atom stacks A (n, dA) and B (n, dB); atom t is A[t] (x) B[t]."""
     dA, dB = dims
-    atoms = []
-    eyeA, eyeB = np.eye(dA, dtype=complex), np.eye(dB, dtype=complex)
-    for i in range(dA):
-        for j in range(dB):
-            atoms.append((eyeA[:, i], eyeB[:, j]))
+    ia, ib = np.divmod(np.arange(dA * dB), dB)
     FA = np.exp(2j * np.pi * np.outer(np.arange(dA), np.arange(dA)) / dA) / np.sqrt(dA)
     FB = np.exp(2j * np.pi * np.outer(np.arange(dB), np.arange(dB)) / dB) / np.sqrt(dB)
-    for i in range(dA):
-        for j in range(dB):
-            atoms.append((FA[:, i], FB[:, j].conj()))
+    A = [np.eye(dA, dtype=complex)[ia], FA.T[ia]]
+    B = [np.eye(dB, dtype=complex)[ib], FB.T[ib].conj()]
     if dA == dB:
         # both pairings: (v, conj v) spans isotropic-type targets, (v, v)
         # symmetric-projector-type ones (each family is a 2-design sum)
-        if dA in (2, 3, 4, 5):
-            for v in _mub_vectors(dA):
-                atoms.append((v, v.conj()))
-                atoms.append((v, v))
-        for _ in range(4 * dA * dA):
-            w = linalg.random_pure_state(dA, rng)
-            atoms.append((w, w.conj()))
-            atoms.append((w, w))
-    return atoms
-
-
-def _atom_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
+        vecs = _mub_vectors(dA) if dA in (2, 3, 4, 5) else []
+        vecs += [linalg.random_pure_state(dA, rng) for _ in range(4 * dA * dA)]
+        W = np.array(vecs)
+        A.append(np.repeat(W, 2, axis=0))
+        B.append(np.stack([W.conj(), W], axis=1).reshape(-1, dB))
+    return np.concatenate(A), np.concatenate(B)
 
 
 def heuristic_sep_certify(
@@ -576,6 +556,11 @@ def heuristic_sep_certify(
 ) -> Optional[SepDecomposition]:
     """Randomized greedy product-state pursuit with NNLS refits.
 
+    The atoms are held as two stacks, A of shape (n, dA) and B of shape
+    (n, dB); atom t is the product vector v_t = A[t] (x) B[t].  NNLS fits
+    weights w over the projectors v_t v_t^dagger, and the residual is
+    X - sum_t w_t v_t v_t^dagger, updated by rank-one terms between refits.
+
     Returns a verified separable decomposition with relative residual below
     ``target_rel`` (operator norm), or None; absence is inconclusive, not a
     verdict.
@@ -586,43 +571,35 @@ def heuristic_sep_certify(
         return SepDecomposition((), 0.0, 0)
     target = target_rel * scale
     rng = np.random.default_rng(seed)
-
-    atoms: list[tuple[np.ndarray, np.ndarray]] = list(_seed_atoms(X.dims, rng))
     x_target = linalg.hvec(X.mat)
 
-    def refit_prune() -> np.ndarray:
-        nonlocal atoms
-        cols = np.column_stack([linalg.hvec(_atom_matrix(a, b)) for a, b in atoms])
-        w, _ = nnls(cols, x_target)
+    def refit(A, B):
+        # NNLS over all atoms; atoms with zero weight are dropped
+        V = (A[:, :, None] * B[:, None, :]).reshape(len(A), dA * dB)
+        w, _ = nnls(linalg.hvec(V[:, :, None] * V[:, None, :].conj()).T, x_target)
         keep = w > 0.0
-        atoms = [at for at, k in zip(atoms, keep) if k]
-        return w[keep]
+        V, w = V[keep], w[keep]
+        return A[keep], B[keep], w, X.mat - (V.T * w) @ V.conj()
 
-    def residual_from(w: np.ndarray) -> np.ndarray:
-        R = np.array(X.mat, dtype=complex)
-        for wt, (a, b) in zip(w, atoms):
-            R -= wt * _atom_matrix(a, b)
-        return R
-
-    def polish_pass(weights: np.ndarray, R: np.ndarray) -> np.ndarray:
+    def polish(A, B, w, R):
         # coordinate descent: each step re-fits one atom against the residual
         # with itself added back; the seesaw is warm-started at the old atom,
-        # so the Frobenius error never increases
-        for t in range(len(atoms)):
-            a, b = atoms[t]
-            Rt = R + weights[t] * _atom_matrix(a, b)
-            val, a2, b2 = _kernels.pursuit_atom(
-                np.ascontiguousarray(Rt), dA, dB,
-                np.ascontiguousarray(a[None, :]).astype(np.complex128),
-                np.ascontiguousarray(b[None, :]).astype(np.complex128), 10,
-            )
-            atoms[t] = (a2, b2)
-            weights[t] = max(0.0, float(val))
-            R = Rt - weights[t] * _atom_matrix(a2, b2)
-        return R
+        # so the Frobenius error never increases.  Updates A, B, w and R in
+        # place.
+        for t in range(len(w)):
+            v = np.outer(A[t], B[t]).ravel()
+            R += w[t] * np.outer(v, v.conj())
+            val, A[t], B[t] = _kernels.pursuit_atom(R, dA, dB, A[t:t + 1], B[t:t + 1], 10)
+            w[t] = max(0.0, float(val))
+            v = np.outer(A[t], B[t]).ravel()
+            R -= w[t] * np.outer(v, v.conj())
 
-    weights = refit_prune()
-    R = residual_from(weights)
+    def refit_polish_refit(A, B):
+        A, B, w, R = refit(A, B)
+        polish(A, B, w, R)
+        return refit(A, B)
+
+    A, B, w, R = refit(*_seed_atoms(X.dims, rng))
     searched = 0
     stalls = 0
     while searched < budget and linalg.operator_norm(R) > target:
@@ -634,49 +611,31 @@ def heuristic_sep_certify(
         for _ in range(4):
             a_starts.append(linalg.random_pure_state(dA, rng))
             b_starts.append(linalg.random_pure_state(dB, rng))
-        val, a, b = _kernels.pursuit_atom(
-            np.ascontiguousarray(R),
-            dA,
-            dB,
-            np.ascontiguousarray(np.stack(a_starts)).astype(np.complex128),
-            np.ascontiguousarray(np.stack(b_starts)).astype(np.complex128),
-            12,
-        )
+        val, a, b = _kernels.pursuit_atom(R, dA, dB, np.stack(a_starts), np.stack(b_starts), 12)
         searched += 1
-        if val <= 1e-12 * scale:
+        if val > 1e-12 * scale:
+            stalls = 0
+            A, B = np.vstack([A, a]), np.vstack([B, b])
+            w = np.append(w, float(val))
+            v = np.outer(a, b).ravel()
+            R -= w[-1] * np.outer(v, v.conj())
+            if len(w) % refit_every != 0:
+                continue
+        else:
             # the greedy weights have gone stale: after an exact refit a
             # separable target always exposes a positive product direction,
             # so only repeated post-refit stalls mean the search is done
-            weights = refit_prune()
-            R = polish_pass(weights, residual_from(weights))
-            weights = refit_prune()
-            R = residual_from(weights)
             stalls += 1
-            if stalls >= 3:
-                break
-            continue
-        stalls = 0
-        atoms.append((a, b))
-        weights = np.append(weights, max(0.0, float(val)))
-        R -= weights[-1] * _atom_matrix(a, b)
-        if len(atoms) % refit_every == 0:
-            weights = refit_prune()
-            R = polish_pass(weights, residual_from(weights))
-            weights = refit_prune()
-            R = residual_from(weights)
-
-    weights = refit_prune()
-    for _ in range(3):
-        R = polish_pass(weights, residual_from(weights))
-        weights = refit_prune()
-        R = residual_from(weights)
-        if linalg.operator_norm(R) <= target:
+        A, B, w, R = refit_polish_refit(A, B)
+        if stalls >= 3:
             break
-    resid = linalg.operator_norm(R)
-    if resid <= target:
-        terms = tuple(
-            (wt * np.outer(a, a.conj()), np.outer(b, b.conj()))
-            for wt, (a, b) in zip(weights, atoms)
-        )
-        return SepDecomposition(terms, float(resid), searched)
+
+    for _ in range(3):
+        A, B, w, R = refit_polish_refit(A, B)
+        resid = linalg.operator_norm(R)
+        if resid <= target:
+            terms = tuple(
+                (wt * np.outer(a, a.conj()), np.outer(b, b.conj())) for wt, a, b in zip(w, A, B)
+            )
+            return SepDecomposition(terms, resid, searched)
     return None

@@ -239,10 +239,13 @@ def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
     m, N = A.shape
     has_obj = bool(np.any(c))
     if m == 0:
-        # No equalities: the zero matrix is feasible and objective-minimal
-        # over the cone whenever the objective is PSD; callers never hit this.
-        mats = [np.zeros((n, n), dtype=complex) for n in dims]
-        return SdpResult(FEASIBLE, dict(zip(names, mats)), np.zeros(0), {"iterations": 0.0})
+        # No equalities: with a PSD objective the zero matrix is feasible and
+        # minimal; a negative direction of the objective is unbounded below.
+        if min((linalg.psd_margin(C) for C in ops.unpack(c)), default=0.0) < -PSD_TOL:
+            return SdpResult(INCONCLUSIVE, None, None, {"iterations": 0.0},
+                             "objective unbounded below over the PSD cone")
+        _, mats, info = _verify_feasible(A, b, ops, np.zeros(N), obj=c if has_obj else None)
+        return SdpResult(FEASIBLE, dict(zip(names, mats)), np.zeros(0), {"iterations": 0.0, **info})
 
     x = ops.pack([np.eye(n) for n in dims])
     s = x.copy()

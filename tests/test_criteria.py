@@ -389,6 +389,12 @@ class TestTwoEbRankCertificate:
         assert choi.operator_schmidt_rank(T) == 1
         assert not criteria.two_eb_rank_certificate(T)
 
+    def test_missed_witness_does_not_certify(self, monkeypatch):
+        # a 2-positivity search that misses the witness proves nothing
+        monkeypatch.setattr(criteria, "k_positivity_falsify", lambda *args, **kwargs: None)
+        T = choi.choi_from_action(lambda X: (np.trace(X) - 2 * X[0, 0]) * np.eye(3), 3, 3)
+        assert not criteria.two_eb_rank_certificate(T)
+
 
 class TestTwoEbD3Certificate:
     def test_cp_cocp_certified(self):
@@ -499,12 +505,20 @@ class TestTrimmingConsistency:
             assert criteria.sn_lower_fidelity(X) <= 2
 
 
+def assert_residual_matches_terms(dec, X):
+    # the residual is tracked on stacked product vectors; it must equal the
+    # miss of the kron-built terms the decomposition hands out
+    miss = linalg.operator_norm(dec.reconstruct() - X)
+    assert dec.residual == pytest.approx(miss, abs=1e-12 * linalg.operator_norm(X))
+
+
 class TestHeuristicSepCertify:
     def test_identity_found_exactly(self):
         dec = criteria.heuristic_sep_certify(state((2, 2), np.eye(4)), budget=10)
         assert dec is not None
         assert dec.residual <= 1e-7 * 1.0
         assert np.allclose(dec.reconstruct(), np.eye(4), atol=1e-7)
+        assert_residual_matches_terms(dec, np.eye(4))
 
     def test_max_entangled_not_found(self):
         dec = criteria.heuristic_sep_certify(
@@ -521,6 +535,7 @@ class TestHeuristicSepCertify:
         assert dec is not None
         scale = linalg.operator_norm(X.mat)
         assert linalg.operator_norm(dec.reconstruct() - X.mat) <= 1e-7 * scale
+        assert_residual_matches_terms(dec, X.mat)
         for A, B in dec.terms:
             assert linalg.is_psd(A) and linalg.is_psd(B)
 
@@ -536,6 +551,7 @@ class TestHeuristicSepCertify:
             dec = criteria.heuristic_sep_certify(state((3, 3), M), budget=600, seed=5)
             assert dec is not None
             assert linalg.operator_norm(dec.reconstruct() - M) <= 1e-7 * linalg.operator_norm(M)
+            assert_residual_matches_terms(dec, M)
 
 
 class TestReportFormat:

@@ -58,6 +58,21 @@ def _kpos_reference(C, d1, d2, k, A, B, iters):
     return (psi.conj() @ C @ psi).real
 
 
+def _pursuit_reference(R, dA, dB, a, b, iters):
+    """One restart of the product-vector pursuit with explicit embeddings."""
+    val = -np.inf
+    for _ in range(iters):
+        Pb = np.kron(np.eye(dA), b[:, None])   # a (x) b = Pb @ a
+        a = np.linalg.eigh(Pb.conj().T @ R @ Pb)[1][:, -1]
+        Pa = np.kron(a[:, None], np.eye(dB))   # a (x) b = Pa @ b
+        w, V = np.linalg.eigh(Pa.conj().T @ R @ Pa)
+        b = V[:, -1]
+        if abs(w[-1] - val) <= 1e-13 * max(1.0, abs(w[-1])):
+            return w[-1], a, b
+        val = w[-1]
+    return val, a, b
+
+
 # the whole batch and every pair: each restart that beats another one wins
 # some call, so its masked trajectory is checked
 SUBSETS = [list(range(6))] + [list(pair) for pair in itertools.combinations(range(6), 2)]
@@ -131,6 +146,31 @@ class TestPathsAgree:
         ref = min(_kpos_reference(C, d1, d2, k, a[r], b[r], 200) for r in range(6))
         assert v == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
         assert (psi.conj() @ C @ psi).real == pytest.approx(v, abs=1e-12 * max(1.0, abs(v)))
+
+    @pytest.mark.parametrize("dA,dB", [(3, 3), (2, 4), (4, 3)])
+    def test_pursuit_atom_matches_per_restart_loop(self, dA, dB):
+        rng = np.random.default_rng(10 * dA + dB)
+        R = linalg.random_hermitian(dA * dB, rng)
+        a = np.stack([linalg.random_pure_state(dA, rng) for _ in range(6)])
+        b = np.stack([linalg.random_pure_state(dB, rng) for _ in range(6)])
+        v, aj, bj = _kernels.pursuit_atom(R, dA, dB, a, b, 200)
+        refs = [_pursuit_reference(R, dA, dB, a[r], b[r], 200) for r in range(6)]
+        ref_v, ref_a, ref_b = refs[int(np.argmax([rv for rv, _, _ in refs]))]
+        assert v == pytest.approx(ref_v, abs=1e-12 * max(1.0, abs(ref_v)))
+        prod, ref_prod = np.kron(aj, bj), np.kron(ref_a, ref_b)
+        assert (prod.conj() @ R @ prod).real == pytest.approx(v, abs=1e-12 * max(1.0, abs(v)))
+        assert abs(ref_prod.conj() @ prod) == pytest.approx(1.0, abs=1e-8)
+
+    def test_pursuit_atom_first_best_restart_wins_ties(self):
+        # |00> and |11> both reach the maximum 1 exactly; the first start's
+        # product vector is returned
+        R = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
+        e = np.eye(2, dtype=complex)
+        for first, second in ((0, 1), (1, 0)):
+            starts = np.stack([e[first], e[second]])
+            v, a, b = _kernels.pursuit_atom(R, 2, 2, starts, starts, 10)
+            assert v == 1.0
+            assert abs(a[first]) == pytest.approx(1.0) and abs(b[first]) == pytest.approx(1.0)
 
     def test_ball_seesaw_batch_is_best_single_start(self):
         # a non-positive map with several local maxima, reached after

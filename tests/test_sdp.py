@@ -92,6 +92,24 @@ class TestSolve:
         assert res.status == "feasible"
         assert res.residuals["objective"] == pytest.approx(1.0, abs=1e-7)
 
+    def test_no_equalities_psd_objective_feasible_at_zero(self):
+        prob = sdp.SdpProblem(
+            blocks=(("x", 2), ("y", 3)), equalities=(),
+            objective={"x": np.diag([1.0, 0.0]), "y": np.eye(3)},
+        )
+        res = sdp.solve(prob)
+        assert res.status == "feasible"
+        assert res.residuals["objective"] == 0.0
+        assert np.array_equal(res.primal["y"], np.zeros((3, 3)))
+
+    def test_no_equalities_unbounded_objective_inconclusive(self):
+        # tr(-X) has no minimum over X >= 0
+        prob = sdp.SdpProblem(blocks=(("x", 2),), equalities=(), objective={"x": -np.eye(2)})
+        res = sdp.solve(prob)
+        assert res.status == "inconclusive"
+        assert res.primal is None
+        assert "unbounded" in res.reason
+
     def test_two_blocks_coupled(self):
         # tr(X) - tr(Y) = 1 and tr(X) + tr(Y) = 3: X, Y exist with traces 2, 1.
         prob = sdp.SdpProblem(
