@@ -576,7 +576,7 @@ def heuristic_sep_certify(
     def refit(A, B):
         # NNLS over all atoms; atoms with zero weight are dropped
         V = (A[:, :, None] * B[:, None, :]).reshape(len(A), dA * dB)
-        w, _ = nnls(linalg.hvec(V[:, :, None] * V[:, None, :].conj()).T, x_target)
+        w, _ = nnls(linalg.hvec_projectors(V).T, x_target)
         keep = w > 0.0
         V, w = V[keep], w[keep]
         return A[keep], B[keep], w, X.mat - (V.T * w) @ V.conj()
@@ -602,9 +602,11 @@ def heuristic_sep_certify(
     A, B, w, R = refit(*_seed_atoms(X.dims, rng))
     searched = 0
     stalls = 0
-    while searched < budget and linalg.operator_norm(R) > target:
-        # warm start from the Schmidt split of the residual's top eigenvector
+    while searched < budget:
         wR, VR = np.linalg.eigh((R + R.conj().T) / 2.0)
+        if max(-wR[0], wR[-1]) <= target:
+            break
+        # warm start from the Schmidt split of the residual's top eigenvector
         Uw, sw, Vhw = np.linalg.svd(VR[:, -1].reshape(dA, dB))
         a_starts = [Uw[:, 0]]
         b_starts = [Vhw[0, :].conj()]

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, sdp
-from .errors import DimMismatch, ModeMismatch, NotHermitian, PreconditionFailed
+from .errors import DimMismatch, DomainError, ModeMismatch, NotHermitian, PreconditionFailed
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class GaussianChannel:
                 f"X, Y must be {(2 * n, 2 * n)} matrices, got {X.shape} and {Y.shape}"
             )
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-            raise ValueError("channel matrices must be finite")
+            raise DomainError("channel matrices must be finite")
         if float(np.max(np.abs(Y - Y.T))) > 1e-12 * max(1.0, float(np.max(np.abs(Y)))):
             raise NotHermitian("Y must be symmetric")
         Y = (Y + Y.T) / 2.0

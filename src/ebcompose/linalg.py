@@ -21,19 +21,20 @@ TOL_PSD = 1e-9
 TOL_HERM = 1e-10
 
 
-def _as_matrix(M) -> np.ndarray:
+def _as_matrix(M, stack: bool = False) -> np.ndarray:
+    # A matrix, or with ``stack`` a (..., rows, cols) stack of them.
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2:
+    if A.ndim < 2 or (A.ndim > 2 and not stack):
         raise DimMismatch(f"expected a matrix, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A.view(float))):
-        raise ValueError("matrix entries must be finite")
+    if not np.all(np.isfinite(A)):
+        raise DomainError("matrix entries must be finite")
     return A
 
 
 def _check_square(A: np.ndarray) -> int:
-    if A.shape[0] != A.shape[1]:
+    if A.shape[-2] != A.shape[-1]:
         raise DimMismatch(f"expected square matrix, got shape {A.shape}")
-    return A.shape[0]
+    return A.shape[-1]
 
 
 def _check_bipartite(A: np.ndarray, dims: Sequence[int]) -> tuple[int, int]:
@@ -117,6 +118,30 @@ def hvec(H) -> np.ndarray:
     return np.concatenate([diag, np.sqrt(2.0) * up.real, np.sqrt(2.0) * up.imag], axis=-1)
 
 
+def hvec_projectors(V) -> np.ndarray:
+    """``hvec`` of the rank-one stack v v^dagger for each row v of V.
+
+    The stack is never formed: the coordinates are |v_p|^2, then sqrt(2) Re
+    and sqrt(2) Im of v_p conj(v_q) for p < q.  Each row p of v v^dagger is
+    formed whole, as in the outer product, so the result equals ``hvec`` of
+    the stack bit for bit while holding one row per vector at a time.
+    """
+    V = np.asarray(V)
+    n = V.shape[-1]
+    Vc = V.conj()
+    k = n * (n - 1) // 2
+    out = np.empty(V.shape[:-1] + (n * n,))
+    lo = n
+    for p in range(n):
+        row = V[..., p, None] * Vc
+        hi = lo + n - 1 - p
+        out[..., p] = row[..., p].real
+        out[..., lo:hi] = np.sqrt(2.0) * row[..., p + 1 :].real
+        out[..., lo + k : hi + k] = np.sqrt(2.0) * row[..., p + 1 :].imag
+        lo = hi
+    return out
+
+
 def hmat(v, n: int) -> np.ndarray:
     """Inverse of ``hvec``: Hermitian (..., n, n) matrices from (..., n^2) coordinates."""
     v = np.asarray(v, dtype=float)
@@ -177,17 +202,20 @@ def symplectic_form(n: int) -> np.ndarray:
 
 
 def partial_transpose(M, dims: Sequence[int], which: str = "A") -> np.ndarray:
-    """Transpose one tensor factor of a square bipartite matrix."""
-    A = _as_matrix(M)
+    """Transpose one tensor factor of a square bipartite matrix, or of each
+    matrix in a (..., n, n) stack."""
+    A = _as_matrix(M, stack=True)
     dA, dB = _check_bipartite(A, dims)
-    T = A.reshape(dA, dB, dA, dB)
+    lead = A.shape[:-2]
+    T = A.reshape(lead + (dA, dB, dA, dB))
+    k = len(lead)
     if which == "A":
-        T = T.transpose(2, 1, 0, 3)
+        T = np.swapaxes(T, k, k + 2)
     elif which == "B":
-        T = T.transpose(0, 3, 2, 1)
+        T = np.swapaxes(T, k + 1, k + 3)
     else:
         raise ValueError("which must be 'A' or 'B'")
-    return T.reshape(dA * dB, dA * dB).copy()
+    return T.reshape(lead + (dA * dB, dA * dB)).copy()
 
 
 def partial_trace(M, dims: Sequence[int], which: str = "B") -> np.ndarray:

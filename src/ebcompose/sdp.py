@@ -1,26 +1,34 @@
-"""Dense semidefinite feasibility solver and the checks built on it.
+"""Semidefinite feasibility solver and the checks built on it.
 
 Problems are block-diagonal SDPs over complex Hermitian PSD matrices with
 trace equality constraints.  The solver is a homogeneous self-dual
-interior-point method with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector step; it is sized for a few hundred scalar variables,
-which covers every use in this package.  Each block is packed into its n^2
-real coordinates with ``linalg.hvec``.  Every verdict is re-checked outside
-the solver: "feasible" is claimed only after the returned blocks pass an
-independent PSD and residual audit, and "infeasible" only with a verified
-separating functional.
+interior-point method with Nesterov-Todd scaling (Todd, Toh and Tutuncu,
+SIAM J. Optim. 8, 1998) and a Mehrotra predictor-corrector step.  Each block
+is packed into its n^2 real coordinates with ``linalg.hvec``.  The equality
+matrix A is sparse: every constraint family used here (Hermitian basis
+elements, their partial transposes, single-entry pins, the identity) has
+O(1) nonzeros per row.  Per iteration each block's scaling X -> W X W is one
+real n^2 x n^2 matrix, W (x) conj(W) in ``hvec`` coordinates, built in
+O(n^4); the Schur complement A W A^T is assembled from it and the sparse A
+(Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), so a decomposability
+check on D x D blocks costs O(D^4) outside the Cholesky factorization.
+Every verdict is re-checked outside the solver: "feasible" is claimed only
+after the returned blocks pass an independent PSD and residual audit, and
+"infeasible" only with a verified separating functional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import choi, linalg
-from .errors import DimMismatch, NotHermitian, PreconditionFailed
+from .errors import DimMismatch, DomainError, NotHermitian, PreconditionFailed
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -37,14 +45,36 @@ PSD_TOL = 1e-9
 # problem and result types
 
 
-def _clean_hermitian(name: str, M, n: int) -> np.ndarray:
-    A = np.asarray(M, dtype=complex)
-    if A.shape != (n, n):
-        raise DimMismatch(
-            f"coefficient for block {name!r} has shape {A.shape}, expected {(n, n)}"
+def _clean_stack(name: str, mats: list, n: int) -> np.ndarray:
+    """Validate one block's coefficients as a read-only (k, n, n) stack.
+
+    Per matrix, in this order: shape (DimMismatch), finite entries
+    (DomainError), Hermitian within ``linalg.TOL_HERM`` relative to its
+    largest entry (NotHermitian); then each is replaced by its Hermitian part.
+    """
+    try:
+        S = np.asarray(mats, dtype=complex)
+    except ValueError:
+        S = None
+    if S is None or S.shape[1:] != (n, n):
+        for M in mats:
+            shape = np.asarray(M, dtype=complex).shape
+            if shape != (n, n):
+                raise DimMismatch(
+                    f"coefficient for block {name!r} has shape {shape}, expected {(n, n)}"
+                )
+    if not np.all(np.isfinite(S)):
+        raise DomainError(f"coefficients for block {name!r} must be finite")
+    Sh = S.conj().swapaxes(-1, -2)
+    defect = np.max(np.abs(S - Sh), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(S), axis=(-2, -1)))
+    bad = np.flatnonzero(defect > linalg.TOL_HERM * scale)
+    if bad.size:
+        raise NotHermitian(
+            f"coefficient for block {name!r}: hermiticity defect "
+            f"{defect[bad[0]]:.3e} exceeds tolerance"
         )
-    A = linalg.require_hermitian(A)
-    H = (A + A.conj().T) / 2.0
+    H = (S + Sh) / 2.0
     H.setflags(write=False)
     return H
 
@@ -58,7 +88,9 @@ class SdpProblem:
     ``coeffs`` mapping block names to Hermitian coefficient matrices (real
     or complex; NotHermitian beyond a 1e-10 relative defect), and constrains
     ``sum_j tr(coeffs[j] @ X_j) == rhs``.  ``objective``, when present, is
-    minimized with the same coefficient convention.
+    minimized with the same coefficient convention.  Non-finite data raises
+    DomainError.  The stored coefficients are read-only views into one
+    validated stack per block.
     """
 
     blocks: tuple[tuple[str, int], ...]
@@ -77,24 +109,43 @@ class SdpProblem:
             if dim < 1:
                 raise DimMismatch(f"block {name!r} has non-positive dimension {dim}")
 
-        def clean_coeffs(coeffs: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray]:
-            out = {}
+        # Gather each block's coefficients, remembering where each one goes.
+        rows = {name: [] for name in names}
+        mats = {name: [] for name in names}
+        slots = []
+        for i, (coeffs, _) in enumerate(self.equalities):
+            slot = []
             for name, M in coeffs.items():
                 if name not in dims:
                     raise PreconditionFailed(f"unknown block name {name!r}")
-                out[name] = _clean_hermitian(name, M, dims[name])
-            return out
-
+                slot.append((name, len(rows[name])))
+                rows[name].append(i)
+                mats[name].append(M)
+            slots.append(slot)
+        stacks = {
+            name: (np.array(rows[name], dtype=np.intp), _clean_stack(name, mats[name], dims[name]))
+            for name in names
+            if mats[name]
+        }
+        rhs = np.array([float(r) for _, r in self.equalities])
+        if not np.all(np.isfinite(rhs)):
+            raise DomainError("equality right-hand side must be finite")
         equalities = tuple(
-            (clean_coeffs(coeffs), float(rhs)) for coeffs, rhs in self.equalities
+            ({name: stacks[name][1][j] for name, j in slot}, float(r))
+            for slot, r in zip(slots, rhs)
         )
-        for _, rhs in equalities:
-            if not np.isfinite(rhs):
-                raise ValueError("equality right-hand side must be finite")
-        objective = None if self.objective is None else clean_coeffs(self.objective)
+
+        objective = None
+        if self.objective is not None:
+            objective = {}
+            for name, M in self.objective.items():
+                if name not in dims:
+                    raise PreconditionFailed(f"unknown block name {name!r}")
+                objective[name] = _clean_stack(name, [M], dims[name])[0]
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "equalities", equalities)
         object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "_stacks", stacks)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -143,23 +194,36 @@ class _BlockOps:
 
 
 def _compile(problem: SdpProblem):
+    """Packed data of a problem: the sparse equality matrix A, b and c.
+
+    Row i of A holds the ``hvec`` coordinates of equality i's coefficients,
+    one column range per block.  Each block's coefficient stack is packed
+    with one ``hvec`` call; every caller's constraints (Hermitian basis
+    elements, their partial transposes, single-entry pins, the identity) have
+    O(1) nonzeros per row, so A is kept as a CSR matrix.
+    """
     names = list(problem.names)
     dims = [dim for _, dim in problem.blocks]
     ops = _BlockOps(dims)
     m = len(problem.equalities)
-    A = np.zeros((m, ops.total))
-    b = np.zeros(m)
-    for i, (coeffs, rhs) in enumerate(problem.equalities):
-        b[i] = rhs
-        for k, name in enumerate(names):
-            if name in coeffs:
-                lo, hi = ops.offsets[k], ops.offsets[k + 1]
-                A[i, lo:hi] = linalg.hvec(coeffs[name])
+    b = np.array([rhs for _, rhs in problem.equalities], dtype=float)
+    rows, cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for name, lo in zip(names, ops.offsets):
+        if name in problem._stacks:
+            eq_rows, H = problem._stacks[name]
+            coords = linalg.hvec(H)
+            r, j = np.nonzero(coords)
+            rows.append(eq_rows[r])
+            cols.append(j + lo)
+            vals.append(coords[r, j])
+    A = scipy.sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, ops.total),
+    )
     c = np.zeros(ops.total)
     if problem.objective is not None:
-        for k, name in enumerate(names):
+        for name, lo, hi in zip(names, ops.offsets, ops.offsets[1:]):
             if name in problem.objective:
-                lo, hi = ops.offsets[k], ops.offsets[k + 1]
                 c[lo:hi] = linalg.hvec(problem.objective[name])
     return names, dims, ops, A, b, c
 
@@ -224,6 +288,64 @@ def _lyap_solve(vw, vq, R):
     return vq @ G @ vq.conj().T
 
 
+@lru_cache(maxsize=None)
+def _hvec_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Entries (x, y) that ``linalg.hvec`` reads: the diagonal, then the strict
+    # upper triangle in row-major order.
+    iu = np.triu_indices(n, 1)
+    x = np.concatenate([np.arange(n), iu[0]])
+    y = np.concatenate([np.arange(n), iu[1]])
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return x, y
+
+
+def _kron_operator(W: np.ndarray) -> np.ndarray:
+    """Real n^2 x n^2 matrix of u -> hvec(W hmat(u) W), built in O(n^4).
+
+    This is W (x) conj(W) in ``hvec`` coordinates.  Column j is W B_j W for
+    the j-th ``hvec`` basis element B_j, read at the entries ``hvec`` reads.
+    Index both the basis elements and the read entries by positions (x, y),
+    x <= y.  Since (W E_rs W)_xy = W_xr W_sy, the products T1 = W_xr W_sy
+    and T2 = W_xs W_ry give every entry: E_rr yields T1, (E_rs + E_sr)/sqrt2
+    yields (T1 + T2)/sqrt2 and i(E_rs - E_sr)/sqrt2 yields i(T1 - T2)/sqrt2.
+    The diagonal rows keep the real part, the upper rows sqrt2 times the real
+    and the imaginary part.
+    """
+    n = W.shape[0]
+    k = n * (n - 1) // 2
+    x, y = _hvec_positions(n)
+    Wx, Wy = W[x], W.T[y]
+    T1 = Wx[:, x] * Wy[:, y]
+    T2 = Wx[:, y[n:]] * Wy[:, x[n:]]  # upper columns only; T2 = T1 at r = s
+    T1u = T1[:, n:]
+    r2 = np.sqrt(2.0)
+    d, re, im = slice(0, n), slice(n, n + k), slice(n + k, None)
+    out = np.empty((n * n, n * n))
+    out[d, d] = T1[:n, :n].real
+    out[re, d] = r2 * T1[n:, :n].real
+    out[im, d] = r2 * T1[n:, :n].imag
+    np.add(T1u.real, T2.real, out=out[: n + k, re])
+    np.subtract(T2.imag, T1u.imag, out=out[: n + k, im])
+    np.add(T1u[n:].imag, T2[n:].imag, out=out[im, re])
+    np.subtract(T1u[n:].real, T2[n:].real, out=out[im, im])
+    out[d, n:] /= r2
+    return out
+
+
+def _schur(A_blocks, Wops) -> np.ndarray:
+    """Schur complement M_ij = sum_k tr(A_ik W_k A_jk W_k), symmetrized.
+
+    ``A_blocks`` are the sparse column blocks of A, ``Wops`` the matching
+    ``_kron_operator`` matrices; each block costs O(nnz(A_k) n_k^2).
+    """
+    m = A_blocks[0].shape[0]
+    M = np.zeros((m, m))
+    for Ak, Wk in zip(A_blocks, Wops):
+        M += Ak @ (Ak @ Wk).T
+    return (M + M.T) / 2.0
+
+
 def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
     """Solve a block SDP, returning only audited verdicts.
 
@@ -246,6 +368,11 @@ def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
                              "objective unbounded below over the PSD cone")
         _, mats, info = _verify_feasible(A, b, ops, np.zeros(N), obj=c if has_obj else None)
         return SdpResult(FEASIBLE, dict(zip(names, mats)), np.zeros(0), {"iterations": 0.0, **info})
+
+    # A's transpose and column blocks, made once for every iteration.
+    AT = A.T
+    spans = list(zip(ops.offsets, ops.offsets[1:]))
+    A_blocks = [A[:, lo:hi] for lo, hi in spans]
 
     x = ops.pack([np.eye(n) for n in dims])
     s = x.copy()
@@ -289,7 +416,7 @@ def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
         for it in range(1, max_iters + 1):
             mu = (float(x @ s) + tau * kappa) / nu
             Rp = A @ x - b * tau
-            Rd = -(A.T @ y) + c * tau - s
+            Rd = -(AT @ y) + c * tau - s
             Rg = float(b @ y - c @ x - kappa)
             diag = {
                 "iterations": float(it - 1),
@@ -311,7 +438,7 @@ def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
 
             # Nesterov-Todd scaling per block.
             Xm, Sm = ops.unpack(x), ops.unpack(s)
-            Ws, W12, Wm12, Xih, vws, vqs = [], [], [], [], [], []
+            Wops, W12, Wm12, Xih, vws, vqs = [], [], [], [], [], []
             for X, S in zip(Xm, Sm):
                 wX, QX = _eigh_pd(X)
                 QXh = QX.conj().T
@@ -323,20 +450,19 @@ def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
                 wW, QW = _eigh_pd((W + W.conj().T) / 2.0)
                 W12.append((QW * np.sqrt(wW)) @ QW.conj().T)
                 Wm12.append((QW / np.sqrt(wW)) @ QW.conj().T)
-                Ws.append(W12[-1] @ W12[-1])
+                Wops.append(_kron_operator(W12[-1] @ W12[-1]))
                 V = Wm12[-1] @ X @ Wm12[-1]
                 vw, vq = _eigh_pd((V + V.conj().T) / 2.0)
                 vws.append(vw)
                 vqs.append(vq)
 
-            def op_w(u):
-                # u -> W U W per block; u may be a stack of packed vectors.
-                return ops.pack([W @ M @ W for W, M in zip(Ws, ops.unpack(u))])
+            def apply_w(u):
+                # u -> hvec(W hmat(u) W) per block.
+                return np.concatenate([Wk @ u[lo:hi] for Wk, (lo, hi) in zip(Wops, spans)])
 
-            # Schur complement M = A W A^T W, factored once per iteration.
-            wc = op_w(c)
-            Schur = A @ op_w(A).T
-            Schur = (Schur + Schur.T) / 2.0
+            # Schur complement, factored once per iteration.
+            wc = apply_w(c)
+            Schur = _schur(A_blocks, Wops)
             jitter = 1e-14 * (1.0 + float(np.trace(Schur)) / max(m, 1))
             cho = None
             for _ in range(8):
@@ -364,15 +490,15 @@ def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
                     for k in range(len(dims))
                 ]
                 ghat = ops.pack([W12[k] @ G[k] @ W12[k] for k in range(len(dims))])
-                wr2 = op_w(r2)
+                wr2 = apply_w(r2)
                 rhs1 = r1 - A @ ghat - A @ wr2
                 dy1 = scipy.linalg.cho_solve(cho, rhs1, check_finite=False)
                 rhs3 = r3 + float(c @ ghat) + float(c @ wr2) + rtk / tau
                 denom = float(bw @ dy2) + alpha_g
                 dtau = (rhs3 - float(bw @ dy1)) / denom
                 dy = dy1 + dtau * dy2
-                ds = -(r2) - (A.T @ dy) + c * dtau
-                dx = ghat - op_w(ds)
+                ds = -(r2) - (AT @ dy) + c * dtau
+                dx = ghat - apply_w(ds)
                 dkappa = (rtk - kappa * dtau) / tau
                 return dx, dy, ds, dtau, dkappa
 
@@ -475,9 +601,9 @@ def decomposability_check(P: choi.QuantumMap, opts: Optional[dict] = None) -> Sd
     D = P.din * P.dout
     basis = _hermitian_basis(D)
     rhs = np.einsum("kij,ji->k", basis, C).real
+    basis_pt = linalg.partial_transpose(basis, P.dims, "B")
     eqs = tuple(
-        ({"cp_part": H, "cocp_part": linalg.partial_transpose(H, P.dims, "B")}, float(r))
-        for H, r in zip(basis, rhs)
+        ({"cp_part": H, "cocp_part": G}, float(r)) for H, G, r in zip(basis, basis_pt, rhs)
     )
     prob = SdpProblem(blocks=(("cp_part", D), ("cocp_part", D)), equalities=eqs)
     res = solve(prob, opts)
@@ -614,10 +740,9 @@ def _seesaw_problem_parts(P: choi.QuantumMap):
     d = P.din
     D = d * d
     # tr(GH . C_T) - tr(H . G) == 0 couples G to the partial transpose.
-    eqs = [
-        ({"choi_t": linalg.partial_transpose(H, (d, d), "B"), "choi_t_pt": -H}, 0.0)
-        for H in _hermitian_basis(D)
-    ]
+    basis = _hermitian_basis(D)
+    basis_pt = linalg.partial_transpose(basis, (d, d), "B")
+    eqs = [({"choi_t": G, "choi_t_pt": H}, 0.0) for H, G in zip(-basis, basis_pt)]
     eqs.append(({"choi_t": np.eye(D)}, float(d)))
     blocks = (("choi_t", D), ("choi_t_pt", D))
     return blocks, tuple(eqs)

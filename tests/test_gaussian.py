@@ -8,6 +8,7 @@ import pytest
 from ebcompose import gaussian, linalg
 from ebcompose.errors import (
     DimMismatch,
+    DomainError,
     ModeMismatch,
     NotHermitian,
     PreconditionFailed,
@@ -40,6 +41,10 @@ class TestTypes:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimMismatch):
             gaussian.GaussianChannel(2, np.eye(2), np.eye(2))
+
+    def test_non_finite_is_domain_error(self):
+        with pytest.raises(DomainError):
+            chan(I2, np.diag([1.0, np.inf]))
 
     def test_validity_recorded_not_enforced(self):
         assert chan(I2, Z2).valid is True

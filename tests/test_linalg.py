@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebcompose import linalg
-from ebcompose.errors import DimMismatch, NotHermitian
+from ebcompose.errors import DimMismatch, DomainError, NotHermitian
 
 
 class TestEigHermitian:
@@ -124,6 +124,21 @@ class TestPartialTranspose:
         with pytest.raises(DimMismatch):
             linalg.partial_transpose(np.eye(6), (4, 2), "A")
 
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_stack_matches_each_matrix(self, which, rng):
+        Ms = rng.normal(size=(2, 3, 6, 6)) + 1j * rng.normal(size=(2, 3, 6, 6))
+        out = linalg.partial_transpose(Ms, (2, 3), which)
+        assert out.shape == Ms.shape
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(out[i, j], linalg.partial_transpose(Ms[i, j], (2, 3), which))
+
+    def test_non_finite_is_domain_error(self):
+        M = np.eye(4)
+        M[1, 2] = np.nan
+        with pytest.raises(DomainError):
+            linalg.partial_transpose(M, (2, 2), "B")
+
 
 class TestPartialTrace:
     def test_product(self, rng):
@@ -231,6 +246,14 @@ class TestHvec:
     def test_wrong_length_rejected(self):
         with pytest.raises(DimMismatch):
             linalg.hmat(np.zeros(5), 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 16, 25])
+    def test_projectors_bit_identical_to_stack(self, n):
+        rng = np.random.default_rng(n)
+        V = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
+        stack = V[:, :, None] * V[:, None, :].conj()
+        np.testing.assert_array_equal(linalg.hvec_projectors(V), linalg.hvec(stack))
+        np.testing.assert_array_equal(linalg.hvec_projectors(V[3]), linalg.hvec(stack[3]))
 
 
 class TestJson:

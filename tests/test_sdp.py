@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from ebcompose import choi, linalg, sdp
-from ebcompose.errors import DimMismatch, NotHermitian, PreconditionFailed
+from ebcompose import choi, gaussian, linalg, sdp
+from ebcompose.errors import DimMismatch, DomainError, NotHermitian, PreconditionFailed
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -27,6 +27,25 @@ def choi_map() -> choi.QuantumMap:
         )
 
     return choi.choi_from_action(action, 3, 3)
+
+
+def random_pd(n: int, rng: np.random.Generator) -> np.ndarray:
+    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return G @ G.conj().T + 0.1 * np.eye(n)
+
+
+def problem_passed_to_solve(monkeypatch, call) -> sdp.SdpProblem:
+    """The problem a wrapper hands to ``sdp.solve``."""
+    seen = []
+    solve = sdp.solve
+
+    def spy(problem, opts=None):
+        seen.append(problem)
+        return solve(problem, opts)
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    call()
+    return seen[0]
 
 
 class TestProblemValidation:
@@ -56,6 +75,53 @@ class TestProblemValidation:
     def test_no_blocks(self):
         with pytest.raises(PreconditionFailed):
             sdp.SdpProblem(blocks=(), equalities=())
+
+    def test_nan_coefficient_is_domain_error(self):
+        M = np.eye(2)
+        M[0, 1] = M[1, 0] = np.nan
+        with pytest.raises(DomainError):
+            sdp.SdpProblem(blocks=(("x", 2),), equalities=(({"x": M}, 1.0),))
+
+    def test_nan_rhs_is_domain_error(self):
+        with pytest.raises(DomainError):
+            sdp.SdpProblem(blocks=(("x", 2),), equalities=(({"x": np.eye(2)}, np.nan),))
+
+    def test_inf_objective_is_domain_error(self):
+        with pytest.raises(DomainError):
+            sdp.SdpProblem(
+                blocks=(("x", 2),),
+                equalities=(({"x": np.eye(2)}, 1.0),),
+                objective={"x": np.diag([1.0, np.inf])},
+            )
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.eye(3), DimMismatch),
+            (np.ones(4), DimMismatch),
+            (np.triu(np.ones((4, 4))), NotHermitian),
+            (np.diag([1.0, 1.0, np.nan, 1.0]), DomainError),
+            (np.diag([1.0, -np.inf, 1.0, 1.0]), DomainError),
+        ],
+    )
+    def test_one_bad_coefficient_in_a_batch(self, bad, error):
+        eqs = [({"x": H, "y": H}, 0.0) for H in sdp._hermitian_basis(4)]
+        eqs[11] = ({"x": eqs[11][0]["x"], "y": bad}, 0.0)
+        with pytest.raises(error):
+            sdp.SdpProblem(blocks=(("x", 4), ("y", 4)), equalities=tuple(eqs))
+
+    def test_stored_coefficients_keep_their_form(self):
+        A = np.array([[1.0, 2.0 + 1e-12], [2.0, 3.0]])
+        prob = sdp.SdpProblem(
+            blocks=(("x", 2), ("y", 1)),
+            equalities=(({"y": [[1.0]], "x": A}, 1.0), ({"x": np.eye(2)}, 2)),
+        )
+        (c0, r0), (c1, r1) = prob.equalities
+        assert list(c0) == ["y", "x"] and list(c1) == ["x"]
+        assert (r0, r1) == (1.0, 2.0) and isinstance(r1, float)
+        np.testing.assert_array_equal(c0["x"], (A + A.T) / 2.0)
+        assert c0["x"].shape == (2, 2) and c0["x"].dtype == complex
+        assert not c0["x"].flags.writeable
 
 
 class TestSolve:
@@ -177,6 +243,49 @@ class TestSolve:
         assert linalg.psd_margin(slack) >= -1e-9
 
 
+class TestKronOperator:
+    """The Schur complement from one Kronecker-form operator per block."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_per_column_reference(self, n):
+        W = random_pd(n, rng_for(n))
+        ref = np.stack(
+            [linalg.hvec(W @ linalg.hmat(e, n) @ W) for e in np.eye(n * n)], axis=1
+        )
+        got = sdp._kron_operator(W)
+        assert got.shape == (n * n, n * n) and got.dtype == float
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", ["decomposability", "gaussian-split", "counterexample"])
+    def test_schur_matches_dense_reference(self, case, monkeypatch):
+        if case == "decomposability":
+            P = choi.random_cp_cocp_map(3, 4)
+            problem = problem_passed_to_solve(
+                monkeypatch, lambda: sdp.decomposability_check(P)
+            )
+        elif case == "gaussian-split":
+            C = gaussian.random_cocp_channel(2, 4)
+            problem = problem_passed_to_solve(
+                monkeypatch, lambda: sdp.gaussian_eb_split(C.Y, C.X)
+            )
+        else:
+            blocks, eqs = sdp._seesaw_problem_parts(choi.random_cp_cocp_map(3, 4))
+            F = linalg.random_hermitian(9, rng_for(4))
+            problem = sdp.SdpProblem(blocks=blocks, equalities=eqs, objective={"choi_t": F})
+        names, dims, ops, A, b, c = sdp._compile(problem)
+        # every constraint family has O(1) nonzeros per row
+        assert A.nnz <= 2 * A.shape[0] + max(dims)
+        rng = rng_for(11)
+        Ws = [random_pd(n, rng) for n in dims]
+        A_blocks = [A[:, lo:hi] for lo, hi in zip(ops.offsets, ops.offsets[1:])]
+        got = sdp._schur(A_blocks, [sdp._kron_operator(W) for W in Ws])
+        Ad = A.toarray()
+        op_w_A = ops.pack([W @ M @ W for W, M in zip(Ws, ops.unpack(Ad))])
+        ref = Ad @ op_w_A.T
+        ref = (ref + ref.T) / 2.0
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestHermitianEmbedding:
     """Complex Hermitian data enters the solver directly, not through a real embedding."""
 
@@ -258,6 +367,17 @@ class TestDecomposability:
         assert linalg.psd_margin(linalg.partial_transpose(V, (3, 3), "B")) >= -1e-9
         assert np.trace(V).real == pytest.approx(1.0, abs=1e-9)
         assert float(np.real(np.trace(V @ P.choi))) < 0.0
+
+    def test_random_cp_cocp_map_at_d6_decomposable(self):
+        P = choi.random_cp_cocp_map(6, 3)
+        res = sdp.decomposability_check(P)
+        assert res.status == "feasible"
+        C1, C2 = res.primal["cp_part"], res.primal["cocp_part"]
+        assert linalg.psd_margin(C1) >= -1e-9
+        assert linalg.psd_margin(C2) >= -1e-9
+        recon = C1 + linalg.partial_transpose(C2, P.dims, "B")
+        err = np.max(np.abs(recon - P.choi)) / (1.0 + np.max(np.abs(P.choi)))
+        assert err <= sdp.FEAS_TOL
 
     def test_cp_plus_cocp_sum_decomposable(self, rng):
         A = linalg.random_psd(9, rng)
