@@ -7,8 +7,9 @@ Submodules:
   sdp       small dense SDP solver plus decomposability and EB-split checks
   gaussian  Gaussian channels on covariance data
   catalog   named example maps with exact printed constants
+  report    the Report type and the package's one JSON codec
 """
 
 __version__ = "0.1.0"
 
-__all__ = ["linalg", "choi", "criteria", "sdp", "gaussian", "catalog", "errors"]
+__all__ = ["linalg", "choi", "criteria", "sdp", "gaussian", "catalog", "report", "errors"]

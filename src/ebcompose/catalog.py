@@ -261,15 +261,3 @@ def build(
             f"catalog entry {name!r} needs parameter {exc.args[0]!r}"
         ) from exc
 
-
-def named_map_to_json(nm: NamedMap) -> dict:
-    return {
-        "name": nm.name,
-        "params": [[key, value] for key, value in nm.params],
-        "map": choi.map_to_json(nm.map),
-    }
-
-
-def named_map_from_json(obj: dict) -> NamedMap:
-    params = tuple((str(k), v) for k, v in obj["params"])
-    return NamedMap(str(obj["name"]), params, choi.map_from_json(obj["map"]))

@@ -235,26 +235,3 @@ def random_cp_cocp_map(d: int, seed: int) -> QuantumMap:
     C *= d / np.trace(C).real
     return QuantumMap(d, d, C)
 
-
-def map_to_json(T: QuantumMap) -> dict:
-    return {
-        "kind": "choi",
-        "din": T.din,
-        "dout": T.dout,
-        "choi": linalg.matrix_to_json(T.choi),
-    }
-
-
-def map_from_json(obj: dict) -> QuantumMap:
-    kind = obj.get("kind", "choi")
-    if kind == "choi":
-        return QuantumMap(int(obj["din"]), int(obj["dout"]), linalg.matrix_from_json(obj["choi"]))
-    if kind == "kraus":
-        ops = [linalg.matrix_from_json(m) for m in obj["ops"]]
-        if not ops:
-            raise DimMismatch("kraus map JSON needs at least one operator")
-        dout, din = ops[0].shape
-        din = int(obj.get("din", din))
-        dout = int(obj.get("dout", dout))
-        return choi_from_kraus(ops, din, dout)
-    raise ValueError(f"unknown map kind {kind!r}")

@@ -4,7 +4,8 @@
 catalog entry (plus the switch construction) and exits 0 only when every
 check passes; ``ebcompose gaussian`` does the same for a seeded random
 completely copositive Gaussian channel.  ``--json-out PATH`` additionally
-writes the standard report payload with the full evidence list.
+writes the run as a ``report.Report`` (one evidence entry per check),
+encoded with ``report.to_json``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import catalog, choi, criteria, gaussian, linalg, sdp
+from .report import Report, to_json
 
 BOUNDARY_GAP = 1e-6
 BALL_EXCLUSION = 1e-3
@@ -235,19 +237,14 @@ def _run(op: str, suite: Callable, args) -> int:
     passed = all(c["passed"] for c in checks)
     for c in checks:
         tag = "SKIP" if c["data"].get("skipped") else ("PASS" if c["passed"] else "FAIL")
-        detail = json.dumps(c["data"]) if c["data"] else ""
+        detail = json.dumps(to_json(c["data"])) if c["data"] else ""
         print(f"[{tag}] {c['name']} {detail}".rstrip())
     print(f"{op}: {'all checks passed' if passed else 'CHECKS FAILED'}")
     if args.json_out:
-        report = criteria.make_report(
-            op=op,
-            verdict="pass" if passed else "fail",
-            evidence=checks,
-            seed=args.seed,
-            tolerances={"tol_psd": args.tol_psd},
-        )
+        report = Report(op, "pass" if passed else "fail", checks, args.seed,
+                        {"tol_psd": args.tol_psd})
         with open(args.json_out, "w") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(to_json(report), fh, indent=2)
     return 0 if passed else 1
 
 

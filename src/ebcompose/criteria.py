@@ -7,8 +7,8 @@ bounds (fidelity witness, trimming, iteration, sub-blocks, PT-invariance),
 heuristic k-positivity falsification, and heuristic separability
 certification by product-state pursuit.
 
-Verdicts carry named evidence so "unknown" is always distinguishable from a
-certified answer.
+Verdicts are :class:`~ebcompose.report.Report` objects carrying named
+evidence, so "unknown" is always distinguishable from a certified answer.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     IndexOutOfRange,
     NotPSD,
 )
+from .report import Report
 
 
 @dataclass(frozen=True)
@@ -64,34 +65,10 @@ class SnVerdict:
             raise DomainError(f"inconsistent bracket [{self.lower}, {self.upper}]")
 
 
+# Report statuses of the entanglement-breaking decisions below.
 EB_CERTIFIED = "EB-certified"
 NOT_EB_CERTIFIED = "notEB-certified"
 UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class EbVerdict:
-    status: str
-    evidence: tuple = ()
-
-    def __post_init__(self):
-        if self.status not in (EB_CERTIFIED, NOT_EB_CERTIFIED, UNKNOWN):
-            raise DomainError(f"unknown verdict status {self.status!r}")
-
-
-def _ev(name: str, data) -> dict:
-    return {"name": name, "data": data}
-
-
-def make_report(op: str, verdict, evidence: Sequence[dict], seed=None, tolerances=None) -> dict:
-    """Assemble the standard report payload for serialization."""
-    return {
-        "op": op,
-        "verdict": verdict,
-        "evidence": list(evidence),
-        "seed": seed,
-        "tolerances": dict(tolerances or {}),
-    }
 
 
 def schmidt_rank(psi, dims: Sequence[int], tol: float = 1e-10) -> int:
@@ -109,7 +86,7 @@ def is_ppt_state(X: BipartiteState, tol: float = linalg.TOL_PSD) -> bool:
     return linalg.is_psd(linalg.partial_transpose(X.mat, X.dims, "A"), tol)
 
 
-def sep_decision_low_dim(X: BipartiteState) -> EbVerdict:
+def sep_decision_low_dim(X: BipartiteState) -> Report:
     """Exact separability decision in the 2x2 / 2x3 PPT regime."""
     if X.dims not in ((2, 2), (2, 3), (3, 2)):
         raise DimOutOfRange(f"exact PPT decision only at 2x2/2x3, got {X.dims}")
@@ -117,16 +94,13 @@ def sep_decision_low_dim(X: BipartiteState) -> EbVerdict:
     w, V = linalg.eig_hermitian(pt)
     scale = max(1.0, float(np.max(np.abs(w))))
     if w[0] >= -linalg.TOL_PSD * scale:
-        return EbVerdict(
-            EB_CERTIFIED,
-            (_ev("exact-regime", {"rule": "PPT is separability at these dimensions"}),
-             _ev("pt-min-eig", float(w[0]))),
-        )
-    return EbVerdict(
-        NOT_EB_CERTIFIED,
-        (_ev("npt-witness", {"pt_min_eig": float(w[0]),
-                             "eigvec": [complex(z) for z in V[:, 0]]}),),
-    )
+        return Report("sep_decision_low_dim", EB_CERTIFIED, (
+            {"name": "exact-regime", "data": {"rule": "PPT is separability at these dimensions"}},
+            {"name": "pt-min-eig", "data": float(w[0])},
+        ))
+    return Report("sep_decision_low_dim", NOT_EB_CERTIFIED, (
+        {"name": "npt-witness", "data": {"pt_min_eig": float(w[0]), "eigvec": V[:, 0]}},
+    ))
 
 
 def realignment_criterion(X: BipartiteState) -> bool:
@@ -174,14 +148,14 @@ def sn_verdict(X: BipartiteState, tol: float = 1e-9) -> SnVerdict:
     lower = 1
     if dA == dB:
         lower = sn_lower_fidelity(X)
-        certificates.append(_ev("fidelity-lower", lower))
+        certificates.append({"name": "fidelity-lower", "data": lower})
     upper = min(dA, dB)
-    certificates.append(_ev("dimension-upper", upper))
+    certificates.append({"name": "dimension-upper", "data": upper})
     if dA <= dB:
         pt_bound = sn_upper_pt_invariant(X, tol)
         if pt_bound is not None:
             upper = min(upper, max(1, pt_bound))
-            certificates.append(_ev("pt-invariant-upper", pt_bound))
+            certificates.append({"name": "pt-invariant-upper", "data": pt_bound})
     return SnVerdict(lower, upper, tuple(certificates))
 
 
@@ -398,41 +372,28 @@ def two_eb_rank_certificate(T: QuantumMap, rank_tol: float = 1e-8) -> bool:
     return operator_schmidt_rank(T, rank_tol) <= 3 and is_cp(T)
 
 
-def two_eb_d3_certificate(T: QuantumMap, restarts: int = 32, iters: int = 200, seed: int = 0) -> EbVerdict:
+def two_eb_d3_certificate(T: QuantumMap, restarts: int = 32, iters: int = 200, seed: int = 0) -> Report:
     """2-EB decision for maps on M_3: 2-positive and 2-copositive iff 2-EB."""
     if T.din != 3 or T.dout != 3:
         raise DimOutOfRange("the exact characterization applies to maps on M_3")
-    witness = k_positivity_falsify(T, 2, restarts, iters, seed)
+
+    def report(status, name, data):
+        sense = {"name": "sense", "data": "2-EB"}
+        return Report("two_eb_d3_certificate", status, (sense, {"name": name, "data": data}))
+
+    M, name = T, "two-positivity-witness"
+    witness = k_positivity_falsify(M, 2, restarts, iters, seed)
+    if witness is None:
+        M, name = compose(transposition_map(3), T), "two-copositivity-witness"
+        witness = k_positivity_falsify(M, 2, restarts, iters, seed + 1)
     if witness is not None:
-        value = float((witness.conj() @ (T.choi @ witness)).real)
-        return EbVerdict(
-            NOT_EB_CERTIFIED,
-            (_ev("sense", "2-EB"),
-             _ev("two-positivity-witness", {"value": value,
-                                            "vector": [complex(z) for z in witness]}),),
-        )
-    co = compose(transposition_map(3), T)
-    witness = k_positivity_falsify(co, 2, restarts, iters, seed + 1)
-    if witness is not None:
-        value = float((witness.conj() @ (co.choi @ witness)).real)
-        return EbVerdict(
-            NOT_EB_CERTIFIED,
-            (_ev("sense", "2-EB"),
-             _ev("two-copositivity-witness", {"value": value,
-                                              "vector": [complex(z) for z in witness]}),),
-        )
+        value = float((witness.conj() @ (M.choi @ witness)).real)
+        return report(NOT_EB_CERTIFIED, name, {"value": value, "vector": witness})
     if is_cp(T) and is_cocp(T):
-        return EbVerdict(
-            EB_CERTIFIED,
-            (_ev("sense", "2-EB"),
-             _ev("exact-regime", {"rule": "CP and coCP imply 2-positive and 2-copositive",
-                                  "choi_min_eig": linalg.min_eig(T.choi)}),),
-        )
-    return EbVerdict(
-        UNKNOWN,
-        (_ev("sense", "2-EB"),
-         _ev("no-witness-within-budget", {"restarts": restarts, "iters": iters}),),
-    )
+        return report(EB_CERTIFIED, "exact-regime",
+                      {"rule": "CP and coCP imply 2-positive and 2-copositive",
+                       "choi_min_eig": linalg.min_eig(T.choi)})
+    return report(UNKNOWN, "no-witness-within-budget", {"restarts": restarts, "iters": iters})
 
 
 def d4_ptinv_2eb_certificate(S: QuantumMap, T: QuantumMap, tol: float = 1e-9) -> bool:

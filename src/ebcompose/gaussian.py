@@ -9,9 +9,7 @@ directly as complex Hermitian PSD conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
+from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg, sdp
@@ -79,34 +77,27 @@ def is_cocp(C: GaussianChannel, tol: float = linalg.TOL_PSD) -> bool:
     return linalg.is_psd(C.Y - 1j * (sig + C.X @ sig @ C.X.T), tol)
 
 
-def is_eb(C: GaussianChannel, opts: Optional[dict] = None) -> sdp.SdpResult:
+def is_eb(C: GaussianChannel) -> sdp.SdpResult:
     """Entanglement-breaking test via the noise-splitting SDP.
 
     Feasible results carry the explicit witness pair (N, M) and are
     re-audited here: adding the two split inequalities must recover both the
     validity and the complete-copositivity conditions.
     """
-    res = sdp.gaussian_eb_split(C.Y, C.X, opts)
+    res = sdp.gaussian_eb_split(C.Y, C.X)
     if res.status != sdp.FEASIBLE:
         return res
     sig = linalg.symplectic_form(C.n)
     xsx = C.X @ sig @ C.X.T
-    M, N = res.primal["M"], res.primal["N"]
-    cocp_margin = linalg.psd_margin(C.Y - 1j * (sig + xsx))
-    valid_margin = linalg.psd_margin(C.Y + 1j * (sig - xsx))
-    if min(cocp_margin, valid_margin) < -1e-8:
-        return sdp.SdpResult(
-            sdp.INCONCLUSIVE,
-            None,
-            None,
-            {**res.residuals, "cocp_margin": cocp_margin, "valid_margin": valid_margin},
-        )
-    return sdp.SdpResult(
-        res.status,
-        {"M": M, "N": N},
-        res.dual,
-        {**res.residuals, "cocp_margin": cocp_margin, "valid_margin": valid_margin},
-    )
+    residuals = {
+        **res.residuals,
+        "cocp_margin": linalg.psd_margin(C.Y - 1j * (sig + xsx)),
+        "valid_margin": linalg.psd_margin(C.Y + 1j * (sig - xsx)),
+    }
+    if min(residuals["cocp_margin"], residuals["valid_margin"]) < -1e-8:
+        return sdp.SdpResult(sdp.INCONCLUSIVE, None, None, residuals,
+                             "channel fails the validity or coCP re-audit of the split")
+    return replace(res, residuals=residuals)
 
 
 def compose(C2: GaussianChannel, C1: GaussianChannel) -> GaussianChannel:
@@ -168,17 +159,3 @@ def random_cocp_channel(n: int, seed: int) -> GaussianChannel:
     lam = max(0.0, 0.01 - floor)
     return GaussianChannel(n, X, Y0 + lam * np.eye(two_n))
 
-
-def channel_to_json(C: GaussianChannel) -> dict:
-    return {
-        "n": C.n,
-        "X": [[float(v) for v in row] for row in C.X],
-        "Y": [[float(v) for v in row] for row in C.Y],
-    }
-
-
-def channel_from_json(obj: dict) -> GaussianChannel:
-    n = int(obj["n"])
-    X = np.array(obj["X"], dtype=float)
-    Y = np.array(obj["Y"], dtype=float)
-    return GaussianChannel(n, X, Y)

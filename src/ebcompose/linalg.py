@@ -293,40 +293,3 @@ def random_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)
 
-
-def _entry_to_float(x) -> float:
-    # JSON entries may arrive as numbers or exact decimal strings.
-    if isinstance(x, str):
-        return float(x)
-    return float(x)
-
-
-def matrix_to_json(M) -> dict:
-    """Serialize to {"rows","cols","re","im"} with round-trippable floats."""
-    A = _as_matrix(M)
-    return {
-        "rows": int(A.shape[0]),
-        "cols": int(A.shape[1]),
-        "re": [[float(x) for x in row] for row in A.real],
-        "im": [[float(x) for x in row] for row in A.imag],
-    }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    re = obj["re"]
-    im = obj.get("im")
-
-    def grid(raw) -> np.ndarray:
-        if len(raw) != rows or any(len(row) != cols for row in raw):
-            raise DimMismatch("matrix JSON shape mismatch")
-        out = np.zeros((rows, cols))
-        for i, row in enumerate(raw):
-            for j, x in enumerate(row):
-                out[i, j] = _entry_to_float(x)
-        return out
-
-    A = grid(re).astype(complex)
-    if im is not None:
-        A = A + 1j * grid(im)
-    return A

@@ -29,6 +29,7 @@ import scipy.sparse
 
 from . import choi, linalg
 from .errors import DimMismatch, DomainError, NotHermitian, PreconditionFailed
+from .report import Report
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -39,6 +40,15 @@ FEAS_TOL = 1e-7
 
 # Relative eigenvalue floor certified on returned PSD blocks.
 PSD_TOL = 1e-9
+
+# Relative duality measure mu/mu0 at which the solver enters its endgame.
+GAP_TOL = 1e-9
+
+# Counterexample search: an eigenvalue below SEARCH_VALUE_TOL is a violation;
+# a restart ends after SEARCH_PATIENCE rounds improving by < SEARCH_IMPROVE_TOL.
+SEARCH_VALUE_TOL = -1e-6
+SEARCH_IMPROVE_TOL = 1e-10
+SEARCH_PATIENCE = 5
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +356,12 @@ def _schur(A_blocks, Wops) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
+def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
     """Solve a block SDP, returning only audited verdicts.
 
-    ``opts`` may override ``max_iters`` (default 200) and ``gap_tol``
-    (default 1e-9).  Numerical breakdown is reported as "inconclusive" with
-    diagnostics; it never raises.
+    At most ``max_iters`` interior-point iterations are taken.  Numerical
+    breakdown is reported as "inconclusive" with diagnostics; it never raises.
     """
-    opts = dict(opts or {})
-    max_iters = int(opts.get("max_iters", 200))
-    gap_tol = float(opts.get("gap_tol", 1e-9))
-
     names, dims, ops, A, b, c = _compile(problem)
     m, N = A.shape
     has_obj = bool(np.any(c))
@@ -427,12 +432,12 @@ def solve(problem: SdpProblem, opts: Optional[dict] = None) -> SdpResult:
                 "dual_infeas": float(np.linalg.norm(Rd)),
             }
 
-            endgame = mu <= gap_tol * mu0 or it > max_iters - 5
+            endgame = mu <= GAP_TOL * mu0 or it > max_iters - 5
             if mu <= 0.5e-2 * mu0 or endgame:
                 result = attempt_classify(diag, endgame)
                 if result is not None:
                     break
-            if mu <= gap_tol * mu0 * 1e-4:
+            if mu <= GAP_TOL * mu0 * 1e-4:
                 reason = "gap closed without a certifiable verdict"
                 break
 
@@ -588,7 +593,7 @@ def _hermitian_basis(n: int) -> np.ndarray:
 # decomposability
 
 
-def decomposability_check(P: choi.QuantumMap, opts: Optional[dict] = None) -> SdpResult:
+def decomposability_check(P: choi.QuantumMap) -> SdpResult:
     """Decide whether P splits as CP plus (CP composed with transposition).
 
     Feasible: ``primal`` holds Hermitian PSD Choi matrices ``cp_part`` and
@@ -606,7 +611,7 @@ def decomposability_check(P: choi.QuantumMap, opts: Optional[dict] = None) -> Sd
         ({"cp_part": H, "cocp_part": G}, float(r)) for H, G, r in zip(basis, basis_pt, rhs)
     )
     prob = SdpProblem(blocks=(("cp_part", D), ("cocp_part", D)), equalities=eqs)
-    res = solve(prob, opts)
+    res = solve(prob)
 
     if res.status == FEASIBLE:
         C1, C2 = res.primal["cp_part"], res.primal["cocp_part"]
@@ -668,7 +673,7 @@ def decomposability_check(P: choi.QuantumMap, opts: Optional[dict] = None) -> Sd
 # Gaussian split
 
 
-def gaussian_eb_split(Y, X, opts: Optional[dict] = None) -> SdpResult:
+def gaussian_eb_split(Y, X) -> SdpResult:
     """Split Y = N + M with M - i*sigma >= 0 and N - i*X sigma X^T >= 0.
 
     Existence of such a split certifies entanglement breaking for the
@@ -703,7 +708,7 @@ def gaussian_eb_split(Y, X, opts: Optional[dict] = None) -> SdpResult:
         blocks=(("part_m", two_n), ("part_n", two_n)),
         equalities=tuple(eqs),
     )
-    res = solve(prob, opts)
+    res = solve(prob)
 
     if res.status == FEASIBLE:
         Mt = res.primal["part_m"]
@@ -748,27 +753,20 @@ def _seesaw_problem_parts(P: choi.QuantumMap):
     return blocks, tuple(eqs)
 
 
-def counterexample_search(P: choi.QuantumMap, opts: Optional[dict] = None) -> dict:
+def counterexample_search(
+    P: choi.QuantumMap, restarts: int = 16, max_rounds: int = 40, seed: int = 0
+) -> Report:
     """Seesaw hunt for a PPT input T making P compose T non-decomposable.
 
     Alternates an SDP over PPT Choi matrices C_T minimizing
-    <psi| (id (x) P)(C_T) |psi> with an exact eigenvector update of psi.
+    <psi| (id (x) P)(C_T) |psi> with an exact eigenvector update of psi, for
+    up to ``max_rounds`` rounds in each of ``restarts`` seeded restarts.
     The objective is non-increasing across rounds.  On finding a negative
     value the composition P after T is handed to ``decomposability_check``
     and its verdict, with verified evidence, enters the report.  Never
     raises; solver breakdowns are reported in the trace.
     """
-    opts = dict(opts or {})
-    restarts = int(opts.get("restarts", 16))
-    max_rounds = int(opts.get("max_rounds", 40))
-    seed = int(opts.get("seed", 0))
-    value_tol = float(opts.get("value_tol", -1e-6))
-    improve_tol = float(opts.get("improve_tol", 1e-10))
-    patience = int(opts.get("patience", 5))
-    solver_opts = opts.get("solver", None)
-
     d, dp = P.din, P.dout
-    D = d * d
     blocks, eqs = _seesaw_problem_parts(P)
     id_in = choi.identity_map(d)
     adjP = choi.adjoint(P)
@@ -794,7 +792,7 @@ def counterexample_search(P: choi.QuantumMap, opts: Optional[dict] = None) -> di
                 equalities=eqs,
                 objective={"choi_t": F},
             )
-            res = solve(prob, solver_opts)
+            res = solve(prob)
             if res.status != FEASIBLE:
                 sdp_failures += 1
                 trace.append(
@@ -818,150 +816,48 @@ def counterexample_search(P: choi.QuantumMap, opts: Optional[dict] = None) -> di
             )
             if value < best["value"]:
                 best = {"value": value, "choi_t": CT, "psi": psi, "restart": r}
-            if value < value_tol:
+            if value < SEARCH_VALUE_TOL:
                 break
-            if prev - value < improve_tol:
+            if prev - value < SEARCH_IMPROVE_TOL:
                 stall += 1
-                if stall >= patience:
+                if stall >= SEARCH_PATIENCE:
                     break
             else:
                 stall = 0
             prev = value
-        if best["value"] < value_tol:
+        if best["value"] < SEARCH_VALUE_TOL:
             break
 
-    tolerances = {
-        "success_value": value_tol,
-        "improve_tol": improve_tol,
-        "psd_tol": PSD_TOL,
-        "equality_tol": FEAS_TOL,
-    }
+    CT = best["choi_t"]
     evidence = [
-        {
-            "name": "best-objective",
-            "data": None if best["choi_t"] is None else float(best["value"]),
-        },
+        {"name": "best-objective", "data": None if CT is None else float(best["value"])},
         {"name": "sdp-failures", "data": sdp_failures},
     ]
-    if best["choi_t"] is None:
-        return {
-            "op": "counterexample_search",
-            "verdict": "inconclusive",
-            "evidence": evidence,
-            "seed": seed,
-            "tolerances": tolerances,
-            "trace": trace,
-        }
+    tolerances = {"success_value": SEARCH_VALUE_TOL, "improve_tol": SEARCH_IMPROVE_TOL,
+                  "psd_tol": PSD_TOL, "equality_tol": FEAS_TOL}
 
-    evidence.append({"name": "input-choi", "data": linalg.matrix_to_json(best["choi_t"])})
-    evidence.append(
-        {
-            "name": "probe-state",
-            "data": {
-                "re": [float(v) for v in best["psi"].real],
-                "im": [float(v) for v in best["psi"].imag],
-            },
-        }
-    )
-    # Audit the returned input map: PSD, PPT, normalized trace.
-    evidence.append(
-        {
-            "name": "input-ppt-margins",
-            "data": {
-                "psd": linalg.psd_margin(best["choi_t"]),
-                "pt": linalg.psd_margin(
-                    linalg.partial_transpose(best["choi_t"], (d, d), "B")
-                ),
-                "trace_error": abs(float(np.real(np.trace(best["choi_t"]))) - d),
-            },
-        }
-    )
+    def report(status):
+        return Report("counterexample_search", status, evidence, seed, tolerances, trace)
 
-    if best["value"] >= value_tol:
-        verdict = "no-violation-found"
-    else:
-        T = choi.QuantumMap(d, d, best["choi_t"])
-        dec = decomposability_check(choi.compose(P, T))
-        evidence.append(
-            {
-                "name": "composition-decomposability",
-                "data": {"status": dec.status, "residuals": dec.residuals},
-            }
-        )
-        if dec.status == FEASIBLE:
-            verdict = "composition-decomposable"
-        elif dec.status == INFEASIBLE:
-            verdict = "composition-not-decomposable"
-            evidence.append(
-                {
-                    "name": "non-decomposability-witness",
-                    "data": linalg.matrix_to_json(dec.dual),
-                }
-            )
-        else:
-            verdict = "decomposability-unresolved"
-
-    return {
-        "op": "counterexample_search",
-        "verdict": verdict,
-        "evidence": evidence,
-        "seed": seed,
-        "tolerances": tolerances,
-        "trace": trace,
+    if CT is None:
+        return report("inconclusive")
+    # The returned input map with its audit: PSD, PPT, normalized trace.
+    margins = {
+        "psd": linalg.psd_margin(CT),
+        "pt": linalg.psd_margin(linalg.partial_transpose(CT, (d, d), "B")),
+        "trace_error": abs(float(np.real(np.trace(CT))) - d),
     }
+    evidence += [{"name": "input-choi", "data": CT}, {"name": "probe-state", "data": best["psi"]},
+                 {"name": "input-ppt-margins", "data": margins}]
+    if best["value"] >= SEARCH_VALUE_TOL:
+        return report("no-violation-found")
 
-
-# ---------------------------------------------------------------------------
-# JSON round-tripping
-
-
-def problem_to_json(problem: SdpProblem) -> dict:
-    return {
-        "blocks": [[name, dim] for name, dim in problem.blocks],
-        "equalities": [
-            {
-                "coeffs": {name: linalg.matrix_to_json(M) for name, M in coeffs.items()},
-                "rhs": rhs,
-            }
-            for coeffs, rhs in problem.equalities
-        ],
-        "objective": None
-        if problem.objective is None
-        else {name: linalg.matrix_to_json(M) for name, M in problem.objective.items()},
-    }
-
-
-def problem_from_json(obj: dict) -> SdpProblem:
-    objective = obj.get("objective")
-    return SdpProblem(
-        blocks=tuple((name, int(dim)) for name, dim in obj["blocks"]),
-        equalities=tuple(
-            (
-                {name: linalg.matrix_from_json(M) for name, M in eq["coeffs"].items()},
-                float(eq["rhs"]),
-            )
-            for eq in obj["equalities"]
-        ),
-        objective=None
-        if objective is None
-        else {name: linalg.matrix_from_json(M) for name, M in objective.items()},
-    )
-
-
-def result_to_json(result: SdpResult) -> dict:
-    dual = result.dual
-    if dual is not None:
-        dual = (
-            linalg.matrix_to_json(dual)
-            if np.asarray(dual).ndim == 2
-            else [float(v) for v in np.asarray(dual, dtype=float)]
-        )
-    return {
-        "status": result.status,
-        "primal": None
-        if result.primal is None
-        else {name: linalg.matrix_to_json(M) for name, M in result.primal.items()},
-        "dual": dual,
-        "residuals": dict(result.residuals),
-        "reason": result.reason,
-    }
+    dec = decomposability_check(choi.compose(P, choi.QuantumMap(d, d, CT)))
+    evidence.append({"name": "composition-decomposability",
+                     "data": {"status": dec.status, "residuals": dec.residuals}})
+    if dec.status == FEASIBLE:
+        return report("composition-decomposable")
+    if dec.status == INFEASIBLE:
+        evidence.append({"name": "non-decomposability-witness", "data": dec.dual})
+        return report("composition-not-decomposable")
+    return report("decomposability-unresolved")

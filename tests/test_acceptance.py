@@ -12,6 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from ebcompose import catalog, choi, criteria, gaussian, linalg, sdp
+from ebcompose.report import to_json
 
 FINE_GRID = np.linspace(-1.0, 1.0, 201)
 COARSE_GRID = np.linspace(-1.0, 1.0, 21)
@@ -173,7 +174,7 @@ def test_criterion_10_annihilation_identity_random_cp_pairs():
 
 def test_criterion_11_counterexample_search_pipeline():
     T = catalog.choi_map_witness().map
-    report = sdp.counterexample_search(T)
+    report = to_json(sdp.counterexample_search(T))
 
     # completes with a full, well-formed trace
     assert report["trace"], "empty search trace"
@@ -198,7 +199,7 @@ def test_criterion_11_counterexample_search_pipeline():
         assert quad < -1e-6
 
     # never "not decomposable" without a verified dual certificate
-    if report["verdict"] == "composition-not-decomposable":
+    if report["status"] == "composition-not-decomposable":
         W = decode_matrix(evidence["non-decomposability-witness"])
         comp = choi.compose(T, P).choi
         assert linalg.is_psd(W)
@@ -206,7 +207,7 @@ def test_criterion_11_counterexample_search_pipeline():
         assert abs(np.trace(W).real - 1.0) <= 1e-7
         assert float(np.real(np.trace(W @ comp))) < 0.0
 
-    assert report["verdict"] == "composition-decomposable"
+    assert report["status"] == "composition-decomposable"
 
 
 def test_criterion_12_tau_family_suite():

@@ -7,6 +7,7 @@ import pytest
 
 from ebcompose import catalog, choi, criteria, linalg, sdp
 from ebcompose.errors import DimMismatch, DomainError
+from ebcompose.report import from_json, to_json
 
 
 def rng_for(seed):
@@ -326,8 +327,8 @@ class TestJson:
     @pytest.mark.parametrize("name,params", REGISTRY_CASES)
     def test_round_trip_bit_exact(self, name, params):
         nm = catalog.build(name, params)
-        packed = json.dumps(catalog.named_map_to_json(nm))
-        back = catalog.named_map_from_json(json.loads(packed))
+        packed = json.dumps(to_json(nm))
+        back = from_json(json.loads(packed))
         assert back.name == nm.name
         assert back.params == nm.params
         assert np.array_equal(back.map.choi, nm.map.choi)
@@ -335,6 +336,6 @@ class TestJson:
     @pytest.mark.parametrize("name,params", REGISTRY_CASES)
     def test_rebuild_from_serialized_params(self, name, params):
         nm = catalog.build(name, params)
-        packed = json.loads(json.dumps(catalog.named_map_to_json(nm)))
+        packed = json.loads(json.dumps(to_json(nm)))
         rebuilt = catalog.build(packed["name"], [tuple(p) for p in packed["params"]])
         assert np.array_equal(rebuilt.map.choi, nm.map.choi)

@@ -5,6 +5,7 @@ import pytest
 
 from ebcompose import choi, linalg
 from ebcompose.errors import DimMismatch, LinearityViolation, NotPSD
+from ebcompose.report import from_json, to_json
 
 
 def hw_action(d, p):
@@ -283,14 +284,14 @@ class TestRandomPptChoi:
 class TestJson:
     def test_choi_round_trip(self, rng):
         T = random_hp_map(2, 3, rng)
-        again = choi.map_from_json(choi.map_to_json(T))
+        again = from_json(to_json(T))
         assert again.dims == T.dims
         assert np.array_equal(again.choi, T.choi)
 
     def test_kraus_kind(self):
         K = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        obj = {"kind": "kraus", "ops": [linalg.matrix_to_json(K)]}
-        T = choi.map_from_json(obj)
+        obj = {"kind": "kraus", "ops": [to_json(K)]}
+        T = from_json(obj)
         assert T.dims == (2, 2)
         X = np.diag([1.0, 2.0]).astype(complex)
         np.testing.assert_allclose(choi.apply(T, X), K @ X @ K, atol=1e-14)

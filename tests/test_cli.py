@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from ebcompose import cli
+from ebcompose.report import Report, from_json
 
 FAST_COMMANDS = [
     ["verify-example", "rank3"],
@@ -33,8 +34,8 @@ class TestCommands:
         assert "FAIL" not in out
 
     def test_inconclusive_split_reports_fail(self, monkeypatch, capsys):
-        is_eb = cli.gaussian.is_eb
-        monkeypatch.setattr(cli.gaussian, "is_eb", lambda C: is_eb(C, {"max_iters": 1}))
+        solve = cli.sdp.solve
+        monkeypatch.setattr(cli.sdp, "solve", lambda problem: solve(problem, max_iters=1))
         assert cli.main(["gaussian", "--n", "1", "--seed", "4"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] composition-eb" in out
@@ -68,18 +69,22 @@ class TestJsonReport:
         assert cli.main(["verify-example", "rank3", "--json-out", str(out)]) == 0
         capsys.readouterr()
         report = json.loads(out.read_text())
+        assert report["kind"] == "Report"
         assert report["op"] == "verify-example:rank3"
-        assert report["verdict"] == "pass"
+        assert report["status"] == "pass"
         assert report["tolerances"] == {"tol_psd": 1e-9}
         assert len(report["evidence"]) == 4
         assert all({"name", "passed", "data"} <= set(c) for c in report["evidence"])
+        back = from_json(report)
+        assert isinstance(back, Report)
+        assert back.status == "pass" and back.seed == 0
 
     def test_failing_suite_reports_fail(self, tmp_path, capsys):
         args = argparse.Namespace(json_out=str(tmp_path / "bad.json"), seed=0, tol_psd=1e-9)
         code = cli._run("demo", lambda a: [{"name": "x", "passed": False, "data": {}}], args)
         assert code == 1
         assert "CHECKS FAILED" in capsys.readouterr().out
-        assert json.loads((tmp_path / "bad.json").read_text())["verdict"] == "fail"
+        assert from_json(json.loads((tmp_path / "bad.json").read_text())).status == "fail"
 
 
 class TestEntryPoint:

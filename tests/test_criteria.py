@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ebcompose import choi, criteria, linalg
 from ebcompose.criteria import BipartiteState
+from ebcompose.report import Report, to_json
 from ebcompose.errors import (
     DimMismatch,
     DimOutOfRange,
@@ -556,10 +557,10 @@ class TestHeuristicSepCertify:
 
 class TestReportFormat:
     def test_report_payload_shape(self):
-        rep = criteria.make_report(
+        rep = to_json(Report(
             "sep_decision_low_dim", "EB-certified",
             [{"name": "pt-min-eig", "data": 0.25}], seed=3,
             tolerances={"tol_psd": 1e-9},
-        )
-        assert set(rep) == {"op", "verdict", "evidence", "seed", "tolerances"}
+        ))
+        assert set(rep) == {"kind", "op", "status", "evidence", "seed", "tolerances", "trace"}
         assert rep["evidence"][0]["name"] == "pt-min-eig"

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ebcompose import gaussian, linalg
+from ebcompose import gaussian, linalg, sdp
 from ebcompose.errors import (
     DimMismatch,
     DomainError,
@@ -13,6 +13,7 @@ from ebcompose.errors import (
     NotHermitian,
     PreconditionFailed,
 )
+from ebcompose.report import from_json, to_json
 
 
 def chan(X, Y, n=1):
@@ -111,6 +112,17 @@ class TestIsEb:
             assert eb in ("feasible", "infeasible")
             assert (eb == "feasible") == gaussian.is_cocp(C)
             assert (eb == "feasible") == (y >= 2.0 - 1e-12)
+
+    def test_failed_channel_re_audit_gives_a_reason(self, monkeypatch):
+        # The identity channel is valid but not coCP, so a split the solver
+        # calls feasible must fail the channel re-audit.
+        C = chan(I2, Z2)
+        fake = sdp.SdpResult(sdp.FEASIBLE, {"M": C.Y, "N": C.Y}, None, {"iterations": 1.0})
+        monkeypatch.setattr(gaussian.sdp, "gaussian_eb_split", lambda Y, X: fake)
+        res = gaussian.is_eb(C)
+        assert res.status == sdp.INCONCLUSIVE
+        assert "re-audit" in res.reason
+        assert res.residuals["cocp_margin"] < 0.0
 
 
 class TestCompose:
@@ -227,12 +239,12 @@ class TestRandomCocpChannel:
 class TestJson:
     def test_round_trip(self):
         C = gaussian.random_cocp_channel(2, 11)
-        obj = json.loads(json.dumps(gaussian.channel_to_json(C)))
-        back = gaussian.channel_from_json(obj)
+        obj = json.loads(json.dumps(to_json(C)))
+        back = from_json(obj)
         assert back.n == C.n
         assert np.allclose(back.X, C.X, atol=1e-15)
         assert np.allclose(back.Y, C.Y, atol=1e-15)
 
     def test_shape_checked_on_load(self):
         with pytest.raises(DimMismatch):
-            gaussian.channel_from_json({"n": 2, "X": [[1.0]], "Y": [[1.0]]})
+            from_json({"kind": "GaussianChannel", "n": 2, "X": [[1.0]], "Y": [[1.0]]})

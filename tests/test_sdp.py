@@ -7,6 +7,7 @@ import pytest
 
 from ebcompose import choi, gaussian, linalg, sdp
 from ebcompose.errors import DimMismatch, DomainError, NotHermitian, PreconditionFailed
+from ebcompose.report import Report, from_json, to_json
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -39,9 +40,9 @@ def problem_passed_to_solve(monkeypatch, call) -> sdp.SdpProblem:
     seen = []
     solve = sdp.solve
 
-    def spy(problem, opts=None):
+    def spy(problem, **kwargs):
         seen.append(problem)
-        return solve(problem, opts)
+        return solve(problem, **kwargs)
 
     monkeypatch.setattr(sdp, "solve", spy)
     call()
@@ -219,7 +220,7 @@ class TestSolve:
         prob = sdp.SdpProblem(
             blocks=(("x", 4),), equalities=(({"x": np.eye(4)}, 1.0),)
         )
-        res = sdp.solve(prob, {"max_iters": 1})
+        res = sdp.solve(prob, max_iters=1)
         assert res.status == "inconclusive"
         assert res.reason
         assert all(isinstance(v, float) for v in res.residuals.values())
@@ -328,7 +329,7 @@ class TestHermitianEmbedding:
         prob = sdp.SdpProblem(
             blocks=(("x", 4),), equalities=(({"x": np.eye(4)}, 1.0),), objective={"x": H}
         )
-        back = sdp.problem_from_json(json.loads(json.dumps(sdp.problem_to_json(prob))))
+        back = from_json(json.loads(json.dumps(to_json(prob))))
         assert np.array_equal(back.objective["x"], prob.objective["x"])
         assert np.abs(back.objective["x"].imag).max() > 0.0
         assert sdp.solve(back).residuals["objective"] == pytest.approx(
@@ -439,51 +440,45 @@ class TestGaussianSplit:
 
 class TestCounterexampleSearch:
     def test_choi_map_composition_stays_decomposable(self):
-        rep = sdp.counterexample_search(
-            choi_map(), {"restarts": 2, "max_rounds": 10, "seed": 5}
-        )
-        assert rep["op"] == "counterexample_search"
-        assert rep["verdict"] == "composition-decomposable"
-        names = [e["name"] for e in rep["evidence"]]
+        rep = sdp.counterexample_search(choi_map(), restarts=2, max_rounds=10, seed=5)
+        assert rep.op == "counterexample_search"
+        assert rep.status == "composition-decomposable"
+        names = [e["name"] for e in rep.evidence]
         assert "composition-decomposability" in names
         assert "input-ppt-margins" in names
-        margins = next(e for e in rep["evidence"] if e["name"] == "input-ppt-margins")
+        margins = next(e for e in rep.evidence if e["name"] == "input-ppt-margins")
         assert margins["data"]["psd"] >= -1e-8
         assert margins["data"]["pt"] >= -1e-8
         assert margins["data"]["trace_error"] <= 1e-6
         # The returned input really produces a negative composition direction.
-        CT = linalg.matrix_from_json(
-            next(e for e in rep["evidence"] if e["name"] == "input-choi")["data"]
-        )
+        CT = next(e for e in rep.evidence if e["name"] == "input-choi")["data"]
         T = choi.QuantumMap(3, 3, (CT + CT.conj().T) / 2)
         comp = choi.compose(choi_map(), T).choi
         assert linalg.min_eig(comp) < -1e-6
 
     def test_transposition_finds_no_violation(self):
         rep = sdp.counterexample_search(
-            choi.transposition_map(3), {"restarts": 2, "max_rounds": 5, "seed": 1}
+            choi.transposition_map(3), restarts=2, max_rounds=5, seed=1
         )
-        assert rep["verdict"] == "no-violation-found"
-        for row in rep["trace"]:
+        assert rep.status == "no-violation-found"
+        for row in rep.trace:
             if row["value"] is not None:
                 assert row["value"] >= -1e-9
 
     def test_objective_non_increasing_within_restart(self):
         rep = sdp.counterexample_search(
-            choi.transposition_map(3), {"restarts": 1, "max_rounds": 6, "seed": 3}
+            choi.transposition_map(3), restarts=1, max_rounds=6, seed=3
         )
-        vals = [r["value"] for r in rep["trace"] if r["value"] is not None]
+        vals = [r["value"] for r in rep.trace if r["value"] is not None]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-7
 
     def test_report_serializes(self):
-        rep = sdp.counterexample_search(
-            choi_map(), {"restarts": 1, "max_rounds": 4, "seed": 0}
-        )
-        text = json.dumps(rep)
-        back = json.loads(text)
-        assert back["verdict"] == rep["verdict"]
-        assert back["seed"] == 0
+        rep = sdp.counterexample_search(choi_map(), restarts=1, max_rounds=4, seed=0)
+        back = from_json(json.loads(json.dumps(to_json(rep))))
+        assert isinstance(back, Report)
+        assert back.status == rep.status
+        assert back.seed == 0
 
 
 class TestJson:
@@ -496,7 +491,7 @@ class TestJson:
             ),
             objective={"y": np.diag([1.0, 2.0])},
         )
-        back = sdp.problem_from_json(json.loads(json.dumps(sdp.problem_to_json(prob))))
+        back = from_json(json.loads(json.dumps(to_json(prob))))
         assert back.blocks == prob.blocks
         assert len(back.equalities) == len(prob.equalities)
         r1, r2 = sdp.solve(prob), sdp.solve(back)
@@ -510,9 +505,9 @@ class TestJson:
             blocks=(("x", 2),), equalities=(({"x": np.eye(2)}, 1.0),)
         )
         res = sdp.solve(prob)
-        obj = json.loads(json.dumps(sdp.result_to_json(res)))
+        obj = json.loads(json.dumps(to_json(res)))
         assert obj["status"] == "feasible"
-        X = linalg.matrix_from_json(obj["primal"]["x"])
+        X = from_json(obj["primal"]["x"])
         assert np.allclose(X, res.primal["x"], atol=1e-12)
 
     def test_infeasible_result_serializes(self):
@@ -520,7 +515,6 @@ class TestJson:
             blocks=(("x", 2),), equalities=(({"x": np.eye(2)}, -1.0),)
         )
         res = sdp.solve(prob)
-        obj = sdp.result_to_json(res)
+        obj = json.loads(json.dumps(to_json(res)))
         assert obj["status"] == "infeasible"
-        assert isinstance(obj["dual"], list)
-        json.dumps(obj)
+        np.testing.assert_array_equal(from_json(obj["dual"]), res.dual)
