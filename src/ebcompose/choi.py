@@ -7,6 +7,7 @@ entry convention is C[(i,a),(j,b)] = L(|i><j|)[a,b].
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -18,13 +19,23 @@ from .errors import DimMismatch, LinearityViolation, NotPSD
 
 @dataclass(frozen=True)
 class QuantumMap:
-    """Linear map M_din -> M_dout held as an immutable Choi matrix."""
+    """Linear map M_din -> M_dout held as an immutable Choi matrix.
+
+    ``din`` and ``dout`` must be positive integers (DimMismatch otherwise).
+    """
 
     din: int
     dout: int
     choi: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        for k in (self.din, self.dout):
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+                raise DimMismatch(
+                    f"map dimensions must be positive integers, got ({self.din!r}, {self.dout!r})"
+                )
+        object.__setattr__(self, "din", int(self.din))
+        object.__setattr__(self, "dout", int(self.dout))
         C = np.array(self.choi, dtype=complex)
         n = self.din * self.dout
         if C.shape != (n, n):

@@ -35,11 +35,3 @@ class LinearityViolation(ValueError):
 
 class PreconditionFailed(ValueError):
     """A documented operation precondition does not hold."""
-
-
-class NumericalFailure(RuntimeError):
-    """Solver could not reach a trustworthy conclusion."""
-
-
-class ConvergenceFailure(RuntimeError):
-    """Iterative search stopped without meeting its convergence target."""

@@ -17,19 +17,6 @@ from .errors import DimMismatch, DomainError, ModeMismatch, NotHermitian, Precon
 
 
 @dataclass(frozen=True)
-class SymplecticForm:
-    """The canonical symplectic form on n modes."""
-
-    n: int
-    matrix: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        J = linalg.symplectic_form(self.n)
-        J.setflags(write=False)
-        object.__setattr__(self, "matrix", J)
-
-
-@dataclass(frozen=True)
 class GaussianChannel:
     """Gaussian channel (X, Y) on n modes; validity is recorded, not enforced."""
 

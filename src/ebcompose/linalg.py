@@ -56,8 +56,9 @@ def require_hermitian(M, tol: float = TOL_HERM) -> np.ndarray:
     """Return M as an array, raising NotHermitian beyond relative tolerance."""
     A = _as_matrix(M)
     scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-    if hermiticity_defect(A) > tol * scale:
-        raise NotHermitian(f"hermiticity defect {hermiticity_defect(A):.3e} exceeds tolerance")
+    defect = hermiticity_defect(A)
+    if defect > tol * scale:
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance")
     return A
 
 

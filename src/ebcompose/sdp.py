@@ -7,9 +7,13 @@ SIAM J. Optim. 8, 1998) and a Mehrotra predictor-corrector step.  Each block
 is packed into its n^2 real coordinates with ``linalg.hvec``.  The equality
 matrix A is sparse: every constraint family used here (Hermitian basis
 elements, their partial transposes, single-entry pins, the identity) has
-O(1) nonzeros per row.  Per iteration each block's scaling X -> W X W is one
-real n^2 x n^2 matrix, W (x) conj(W) in ``hvec`` coordinates, built in
-O(n^4); the Schur complement A W A^T is assembled from it and the sparse A
+O(1) nonzeros per row.  Per iteration each block's scaling takes two
+Cholesky factors and one SVD, X = L L^H, S = R R^H and R^H L = U diag(d) Vh,
+and no eigendecomposition: F = L Vh^H d^-1/2 and F^-1 = d^-1/2 U^H R^H give
+the scaled point F^-1 X F^-H = F^H S F = diag(d), so the Lyapunov solve is
+elementwise.  The scaling X -> W X W, W = F F^H, is one real n^2 x n^2
+matrix, W (x) conj(W) in ``hvec`` coordinates, built in O(n^4); the Schur
+complement A W A^T is assembled from it and the sparse A
 (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), so a decomposability
 check on D x D blocks costs O(D^4) outside the Cholesky factorization.
 Every verdict is re-checked outside the solver: "feasible" is claimed only
@@ -273,29 +277,16 @@ def _verify_farkas(A, b, ops, y):
 # homogeneous self-dual interior-point core
 
 
-def _eigh_pd(M: np.ndarray):
-    """Eigendecomposition that insists on strict positive definiteness."""
-    w, Q = np.linalg.eigh(M)
-    if w[0] <= 0.0:
+def _nt_scaling(X: np.ndarray, S: np.ndarray):
+    """Nesterov-Todd factor ``(F, F_inv, d)`` of one block, as in the module
+    docstring.  Raises LinAlgError unless X and S are positive definite."""
+    L = np.linalg.cholesky(X)
+    R = np.linalg.cholesky(S)
+    U, d, Vh = np.linalg.svd(R.conj().T @ L)
+    if not d[-1] > 0.0:
         raise np.linalg.LinAlgError("iterate left the interior of the cone")
-    return w, Q
-
-
-def _max_step(Xs, dXs, Xinvhalfs) -> float:
-    """Largest alpha with X + alpha dX staying PSD, per block, capped at 1."""
-    alpha = 1.0
-    for dX, R in zip(dXs, Xinvhalfs):
-        lam = float(np.linalg.eigvalsh(R @ dX @ R)[0])
-        if lam < 0:
-            alpha = min(alpha, -1.0 / lam)
-    return alpha
-
-
-def _lyap_solve(vw, vq, R):
-    """Solve V G + G V = 2 R in the eigenbasis (vw, vq) of V."""
-    Rt = vq.conj().T @ R @ vq
-    G = 2.0 * Rt / (vw[:, None] + vw[None, :])
-    return vq @ G @ vq.conj().T
+    r = 1.0 / np.sqrt(d)
+    return (L @ Vh.conj().T) * r, r[:, None] * (U.conj().T @ R.conj().T), d
 
 
 @lru_cache(maxsize=None)
@@ -441,25 +432,13 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
                 reason = "gap closed without a certifiable verdict"
                 break
 
-            # Nesterov-Todd scaling per block.
-            Xm, Sm = ops.unpack(x), ops.unpack(s)
-            Wops, W12, Wm12, Xih, vws, vqs = [], [], [], [], [], []
-            for X, S in zip(Xm, Sm):
-                wX, QX = _eigh_pd(X)
-                QXh = QX.conj().T
-                rootX = (QX * np.sqrt(wX)) @ QXh
-                Xih.append((QX / np.sqrt(wX)) @ QXh)
-                Z = rootX @ S @ rootX
-                wZ, QZ = _eigh_pd((Z + Z.conj().T) / 2.0)
-                W = rootX @ ((QZ / np.sqrt(wZ)) @ QZ.conj().T) @ rootX
-                wW, QW = _eigh_pd((W + W.conj().T) / 2.0)
-                W12.append((QW * np.sqrt(wW)) @ QW.conj().T)
-                Wm12.append((QW / np.sqrt(wW)) @ QW.conj().T)
-                Wops.append(_kron_operator(W12[-1] @ W12[-1]))
-                V = Wm12[-1] @ X @ Wm12[-1]
-                vw, vq = _eigh_pd((V + V.conj().T) / 2.0)
-                vws.append(vw)
-                vqs.append(vq)
+            # Nesterov-Todd scaling per block, in the frame where the scaled
+            # point F^-1 X F^-H = F^H S F = diag(d) is diagonal.
+            Fs, Finvs, dls = zip(*map(_nt_scaling, ops.unpack(x), ops.unpack(s)))
+            Wops = [_kron_operator(F @ F.conj().T) for F in Fs]
+            # K X K^H = I for K in Kx, K S K^H = I for K in Ks.
+            Kx = [Fi / np.sqrt(d)[:, None] for Fi, d in zip(Finvs, dls)]
+            Ks = [F.conj().T / np.sqrt(d)[:, None] for F, d in zip(Fs, dls)]
 
             def apply_w(u):
                 # u -> hvec(W hmat(u) W) per block.
@@ -487,14 +466,14 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
             alpha_g = float(c @ wc) + kappa / tau
 
             def direction(eta, rhs_blocks, rtk):
+                # diag(d) G + G diag(d) = 2 R per scaled-frame block R.
                 r1 = -eta * Rp
                 r2 = -eta * Rd
                 r3 = -eta * Rg
-                G = [
-                    _lyap_solve(vws[k], vqs[k], rhs_blocks[k])
-                    for k in range(len(dims))
-                ]
-                ghat = ops.pack([W12[k] @ G[k] @ W12[k] for k in range(len(dims))])
+                ghat = ops.pack([
+                    F @ (2.0 * Rk / (d[:, None] + d[None, :])) @ F.conj().T
+                    for F, d, Rk in zip(Fs, dls, rhs_blocks)
+                ])
                 wr2 = apply_w(r2)
                 rhs1 = r1 - A @ ghat - A @ wr2
                 dy1 = scipy.linalg.cho_solve(cho, rhs1, check_finite=False)
@@ -507,21 +486,22 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
                 dkappa = (rtk - kappa * dtau) / tau
                 return dx, dy, ds, dtau, dkappa
 
-            # Predictor (affine scaling) direction.
-            aff_rhs = [-(vq * vw**2) @ vq.conj().T for vw, vq in zip(vws, vqs)]
-            dxa, dya, dsa, dta, dka = direction(1.0, aff_rhs, -tau * kappa)
+            def max_step(dx, ds, dt, dk):
+                # Largest alpha <= 1 keeping X, S, tau and kappa nonnegative.
+                alpha = 1.0
+                for K, dM in zip(Kx + Ks, ops.unpack(dx) + ops.unpack(ds)):
+                    lam = float(np.linalg.eigvalsh(K @ dM @ K.conj().T)[0])
+                    if lam < 0:
+                        alpha = min(alpha, -1.0 / lam)
+                for v, dv in ((tau, dt), (kappa, dk)):
+                    if dv < 0:
+                        alpha = min(alpha, -v / dv)
+                return alpha
 
-            Sih = []
-            for S in Sm:
-                wS, QS = _eigh_pd(S)
-                Sih.append((QS / np.sqrt(wS)) @ QS.conj().T)
-            a_p = _max_step(Xm, ops.unpack(dxa), Xih)
-            a_d = _max_step(Sm, ops.unpack(dsa), Sih)
-            a_aff = min(a_p, a_d)
-            if dta < 0:
-                a_aff = min(a_aff, -tau / dta)
-            if dka < 0:
-                a_aff = min(a_aff, -kappa / dka)
+            # Predictor (affine scaling) direction.
+            aff_rhs = [-np.diag(d**2) for d in dls]
+            dxa, dya, dsa, dta, dka = direction(1.0, aff_rhs, -tau * kappa)
+            a_aff = max_step(dxa, dsa, dta, dka)
 
             mu_aff = (
                 float((x + a_aff * dxa) @ (s + a_aff * dsa))
@@ -529,26 +509,15 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
             ) / nu
             sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0 - 1e-8))
 
-            # Corrector with Mehrotra second-order term in the scaled space.
-            dXa, dSa = ops.unpack(dxa), ops.unpack(dsa)
+            # Corrector with Mehrotra second-order term in the scaled frame.
             corr_rhs = []
-            for k in range(len(dims)):
-                Dx = Wm12[k] @ dXa[k] @ Wm12[k]
-                Ds = W12[k] @ dSa[k] @ W12[k]
-                cross = (Dx @ Ds + Ds @ Dx) / 2.0
-                V2 = (vqs[k] * vws[k] ** 2) @ vqs[k].conj().T
-                corr_rhs.append(sigma * mu * np.eye(dims[k]) - V2 - cross)
+            for F, Fi, d, dX, dS in zip(Fs, Finvs, dls, ops.unpack(dxa), ops.unpack(dsa)):
+                Dx = Fi @ dX @ Fi.conj().T
+                Ds = F.conj().T @ dS @ F
+                corr_rhs.append(np.diag(sigma * mu - d**2) - (Dx @ Ds + Ds @ Dx) / 2.0)
             rtk = sigma * mu - tau * kappa - dta * dka
             dx, dy, ds, dt, dk = direction(1.0 - sigma, corr_rhs, rtk)
-
-            a_p = _max_step(Xm, ops.unpack(dx), Xih)
-            a_d = _max_step(Sm, ops.unpack(ds), Sih)
-            alpha = min(a_p, a_d)
-            if dt < 0:
-                alpha = min(alpha, -tau / dt)
-            if dk < 0:
-                alpha = min(alpha, -kappa / dk)
-            alpha *= 0.98
+            alpha = 0.98 * max_step(dx, ds, dt, dk)
 
             x = x + alpha * dx
             s = s + alpha * ds

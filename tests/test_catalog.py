@@ -1,13 +1,10 @@
 """Tests for the named-map catalog and the annihilation identity check."""
 
-import json
-
 import numpy as np
 import pytest
 
 from ebcompose import catalog, choi, criteria, linalg, sdp
 from ebcompose.errors import DimMismatch, DomainError
-from ebcompose.report import from_json, to_json
 
 
 def rng_for(seed):
@@ -321,21 +318,3 @@ class TestAnnihilationIdentity:
         T = choi.identity_map(2)
         with pytest.raises(DomainError):
             catalog.annihilation_identity_check(T, T, trials=0)
-
-
-class TestJson:
-    @pytest.mark.parametrize("name,params", REGISTRY_CASES)
-    def test_round_trip_bit_exact(self, name, params):
-        nm = catalog.build(name, params)
-        packed = json.dumps(to_json(nm))
-        back = from_json(json.loads(packed))
-        assert back.name == nm.name
-        assert back.params == nm.params
-        assert np.array_equal(back.map.choi, nm.map.choi)
-
-    @pytest.mark.parametrize("name,params", REGISTRY_CASES)
-    def test_rebuild_from_serialized_params(self, name, params):
-        nm = catalog.build(name, params)
-        packed = json.loads(json.dumps(to_json(nm)))
-        rebuilt = catalog.build(packed["name"], [tuple(p) for p in packed["params"]])
-        assert np.array_equal(rebuilt.map.choi, nm.map.choi)

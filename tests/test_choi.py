@@ -5,7 +5,6 @@ import pytest
 
 from ebcompose import choi, linalg
 from ebcompose.errors import DimMismatch, LinearityViolation, NotPSD
-from ebcompose.report import from_json, to_json
 
 
 def hw_action(d, p):
@@ -20,6 +19,20 @@ def random_hp_map(din, dout, rng):
 
 def random_cp_map(din, dout, rng):
     return choi.QuantumMap(din, dout, linalg.random_psd(din * dout, rng))
+
+
+class TestQuantumMap:
+    @pytest.mark.parametrize(
+        "din,dout,n", [(2.5, 2, 5), (True, 2, 2), (2, 0, 0), (-1, -2, 2)],
+        ids=["fractional", "bool", "zero", "negative"],
+    )
+    def test_dims_must_be_positive_integers(self, din, dout, n):
+        with pytest.raises(DimMismatch):
+            choi.QuantumMap(din, dout, np.eye(n))
+
+    def test_numpy_integer_dims_become_int(self):
+        T = choi.QuantumMap(np.int64(2), np.int32(3), np.eye(6))
+        assert T.dims == (2, 3) and all(type(k) is int for k in T.dims)
 
 
 class TestChoiFromAction:
@@ -279,22 +292,6 @@ class TestRandomPptChoi:
         A = choi.random_cp_cocp_map(3, 42)
         B = choi.random_cp_cocp_map(3, 42)
         assert np.array_equal(A.choi, B.choi)
-
-
-class TestJson:
-    def test_choi_round_trip(self, rng):
-        T = random_hp_map(2, 3, rng)
-        again = from_json(to_json(T))
-        assert again.dims == T.dims
-        assert np.array_equal(again.choi, T.choi)
-
-    def test_kraus_kind(self):
-        K = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        obj = {"kind": "kraus", "ops": [to_json(K)]}
-        T = from_json(obj)
-        assert T.dims == (2, 2)
-        X = np.diag([1.0, 2.0]).astype(complex)
-        np.testing.assert_allclose(choi.apply(T, X), K @ X @ K, atol=1e-14)
 
 
 class TestMaxEntangledLemma:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ebcompose import choi, criteria, linalg
 from ebcompose.criteria import BipartiteState
-from ebcompose.report import Report, to_json
 from ebcompose.errors import (
     DimMismatch,
     DimOutOfRange,
@@ -553,14 +552,3 @@ class TestHeuristicSepCertify:
             assert dec is not None
             assert linalg.operator_norm(dec.reconstruct() - M) <= 1e-7 * linalg.operator_norm(M)
             assert_residual_matches_terms(dec, M)
-
-
-class TestReportFormat:
-    def test_report_payload_shape(self):
-        rep = to_json(Report(
-            "sep_decision_low_dim", "EB-certified",
-            [{"name": "pt-min-eig", "data": 0.25}], seed=3,
-            tolerances={"tol_psd": 1e-9},
-        ))
-        assert set(rep) == {"kind", "op", "status", "evidence", "seed", "tolerances", "trace"}
-        assert rep["evidence"][0]["name"] == "pt-min-eig"

@@ -1,7 +1,5 @@
 """Tests for Gaussian channel predicates, composition, and the PPT^2 split."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from ebcompose.errors import (
     NotHermitian,
     PreconditionFailed,
 )
-from ebcompose.report import from_json, to_json
 
 
 def chan(X, Y, n=1):
@@ -27,13 +24,13 @@ Z2 = np.zeros((2, 2))
 class TestTypes:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_symplectic_form_invariants(self, n):
-        J = gaussian.SymplecticForm(n).matrix
+        J = linalg.symplectic_form(n)
         assert np.allclose(J, -J.T)
         assert np.allclose(J @ J, -np.eye(2 * n))
 
     def test_symplectic_rejects_zero_modes(self):
-        with pytest.raises(Exception):
-            gaussian.SymplecticForm(0)
+        with pytest.raises(DomainError):
+            linalg.symplectic_form(0)
 
     def test_asymmetric_y_rejected(self):
         with pytest.raises(NotHermitian):
@@ -234,17 +231,3 @@ class TestRandomCocpChannel:
     def test_self_composition_is_eb(self):
         C = gaussian.random_cocp_channel(1, 3)
         assert gaussian.is_eb(gaussian.compose(C, C)).status == "feasible"
-
-
-class TestJson:
-    def test_round_trip(self):
-        C = gaussian.random_cocp_channel(2, 11)
-        obj = json.loads(json.dumps(to_json(C)))
-        back = from_json(obj)
-        assert back.n == C.n
-        assert np.allclose(back.X, C.X, atol=1e-15)
-        assert np.allclose(back.Y, C.Y, atol=1e-15)
-
-    def test_shape_checked_on_load(self):
-        with pytest.raises(DimMismatch):
-            from_json({"kind": "GaussianChannel", "n": 2, "X": [[1.0]], "Y": [[1.0]]})

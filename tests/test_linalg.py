@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ebcompose import linalg
 from ebcompose.errors import DimMismatch, DomainError, NotHermitian
-from ebcompose.report import from_json, to_json
 
 
 class TestEigHermitian:
@@ -255,27 +254,6 @@ class TestHvec:
         stack = V[:, :, None] * V[:, None, :].conj()
         np.testing.assert_array_equal(linalg.hvec_projectors(V), linalg.hvec(stack))
         np.testing.assert_array_equal(linalg.hvec_projectors(V[3]), linalg.hvec(stack[3]))
-
-
-class TestJson:
-    def test_round_trip_bit_exact(self, rng):
-        M = linalg.random_hermitian(4, rng)
-        again = from_json(to_json(M))
-        assert np.array_equal(M, again)
-
-    def test_decimal_strings(self):
-        obj = {"rows": 2, "cols": 2, "re": [["2.4", "-5.3"], ["-5.3", "26.7"]]}
-        M = from_json(obj)
-        np.testing.assert_array_equal(M, np.array([[2.4, -5.3], [-5.3, 26.7]]))
-        assert M.dtype == float
-        obj["im"] = [["0", "1.5"], ["-1.5", "0"]]
-        M = from_json(obj)
-        assert M.dtype == complex
-        assert M[0, 1] == complex("-5.3+1.5j")
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimMismatch):
-            from_json({"rows": 2, "cols": 2, "re": [[1.0]]})
 
 
 class TestRandomHelpers:

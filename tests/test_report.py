@@ -135,6 +135,19 @@ class TestRoundTrip:
         assert back.evidence == ({"name": "a", "data": (1, 2)},)
         assert back.trace == ({"k": 1},)
 
+    def test_kraus_kind(self):
+        T = pauli_x_kraus()
+        assert T.dims == (2, 2)
+        X = np.diag([1.0, 2.0]).astype(complex)
+        np.testing.assert_allclose(choi.apply(T, X), np.diag([2.0, 1.0]), atol=1e-14)
+
+    @pytest.mark.parametrize("name,params", REGISTRY_CASES)
+    def test_rebuild_from_serialized_params(self, name, params):
+        nm = catalog.build(name, params)
+        packed = json.loads(json.dumps(to_json(nm)))
+        rebuilt = catalog.build(packed["name"], [tuple(p) for p in packed["params"]])
+        assert np.array_equal(rebuilt.map.choi, nm.map.choi)
+
 
 class TestRefutationEvidence:
     """Witness vectors survive the codec and re-verify from the decoded data."""
@@ -173,6 +186,7 @@ MALFORMED = {
     "complex-missing-im": ({"re": 1.0}, DomainError),
     "ragged-rows": ({"rows": 2, "cols": 2, "re": [[1.0, 2.0], [3.0]]}, DimMismatch),
     "too-few-rows": ({"rows": 2, "cols": 2, "re": [[1.0, 2.0]]}, DimMismatch),
+    "short-row": ({"rows": 2, "cols": 2, "re": [[1.0]]}, DimMismatch),
     "nested-entries": ({"rows": 1, "cols": 2, "re": [[[1.0], [2.0]]]}, DimMismatch),
     "negative-size": ({"rows": -1, "cols": 2, "re": []}, DimMismatch),
     "im-shape": ({"re": [1.0, 2.0], "im": [1.0]}, DimMismatch),
@@ -185,6 +199,19 @@ MALFORMED = {
          "choi": {"rows": 1, "cols": 1, "re": [[1.0]]}},
         DimMismatch,
     ),
+    "choi-fractional-dims": (
+        {"kind": "QuantumMap", "din": 2.5, "dout": 2, "choi": to_json(np.eye(5))},
+        DimMismatch,
+    ),
+    "choi-bool-dims": (
+        {"kind": "QuantumMap", "din": True, "dout": 2, "choi": to_json(np.eye(2))},
+        DimMismatch,
+    ),
+    "gaussian-wrong-shape": (
+        {"kind": "GaussianChannel", "n": 2, "X": [[1.0]], "Y": [[1.0]]}, DimMismatch
+    ),
+    # Not a decodable kind; n = 1 keeps a regression from allocating 2n x 2n.
+    "symplectic-form": ({"kind": "SymplecticForm", "n": 1}, DomainError),
     "kraus-no-ops": ({"kind": "kraus", "ops": []}, DimMismatch),
     # Checked before the (din dout)^2 Choi matrix is allocated.
     "kraus-declared-dims": (
@@ -211,6 +238,16 @@ class TestMalformedInput:
     def test_decimal_strings_in_vectors(self):
         v = from_json({"re": ["1.5", "-2"], "im": ["0", "0.25"]})
         np.testing.assert_array_equal(v, np.array([1.5, -2.0 + 0.25j]))
+
+    def test_decimal_strings_in_matrices(self):
+        obj = {"rows": 2, "cols": 2, "re": [["2.4", "-5.3"], ["-5.3", "26.7"]]}
+        M = from_json(obj)
+        np.testing.assert_array_equal(M, np.array([[2.4, -5.3], [-5.3, 26.7]]))
+        assert M.dtype == float
+        obj["im"] = [["0", "1.5"], ["-1.5", "0"]]
+        M = from_json(obj)
+        assert M.dtype == complex
+        assert M[0, 1] == complex("-5.3+1.5j")
 
     @pytest.mark.parametrize(
         "obj", [{"re": 1}, {"kind": "x"}, {1: 2}, np.zeros((2, 2, 2)), object()],

@@ -244,6 +244,41 @@ class TestSolve:
         assert linalg.psd_margin(slack) >= -1e-9
 
 
+def reference_nt_point(X, S):
+    """W = X^1/2 (X^1/2 S X^1/2)^-1/2 X^1/2, the point with W S W = X, by eigh."""
+
+    def power(M, t):
+        w, Q = np.linalg.eigh(M)
+        return (Q * w**t) @ Q.conj().T
+
+    root = power(X, 0.5)
+    return root @ power(root @ S @ root, -0.5) @ root
+
+
+class TestNtScaling:
+    """One Nesterov-Todd factor per block from two Choleskys and one SVD."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_factor_identities(self, n):
+        rng = rng_for(100 + n)
+        X, S = random_pd(n, rng), random_pd(n, rng)
+        F, F_inv, d = sdp._nt_scaling(X, S)
+        assert d.shape == (n,) and np.all(d > 0)
+        np.testing.assert_allclose(F @ F_inv, np.eye(n), atol=1e-10)
+        tol = 1e-10 * np.max(d)
+        np.testing.assert_allclose(F_inv @ X @ F_inv.conj().T, np.diag(d), atol=tol)
+        np.testing.assert_allclose(F.conj().T @ S @ F, np.diag(d), atol=tol)
+        W = reference_nt_point(X, S)
+        assert np.linalg.norm(F @ F.conj().T - W) <= 1e-10 * np.linalg.norm(W)
+
+    @pytest.mark.parametrize("which", ["X", "S"])
+    def test_non_pd_block_raises(self, which):
+        good, bad = np.eye(3), np.diag([1.0, -1e-3, 2.0]).astype(complex)
+        X, S = (bad, good) if which == "X" else (good, bad)
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._nt_scaling(X, S)
+
+
 class TestKronOperator:
     """The Schur complement from one Kronecker-form operator per block."""
 
@@ -479,42 +514,3 @@ class TestCounterexampleSearch:
         assert isinstance(back, Report)
         assert back.status == rep.status
         assert back.seed == 0
-
-
-class TestJson:
-    def test_problem_round_trip(self):
-        prob = sdp.SdpProblem(
-            blocks=(("x", 3), ("y", 2)),
-            equalities=(
-                ({"x": np.eye(3)}, 1.0),
-                ({"x": np.diag([1.0, 0.0, -1.0]), "y": np.eye(2)}, 0.5),
-            ),
-            objective={"y": np.diag([1.0, 2.0])},
-        )
-        back = from_json(json.loads(json.dumps(to_json(prob))))
-        assert back.blocks == prob.blocks
-        assert len(back.equalities) == len(prob.equalities)
-        r1, r2 = sdp.solve(prob), sdp.solve(back)
-        assert r1.status == r2.status == "feasible"
-        assert r1.residuals["objective"] == pytest.approx(
-            r2.residuals["objective"], abs=1e-8
-        )
-
-    def test_result_round_trip(self):
-        prob = sdp.SdpProblem(
-            blocks=(("x", 2),), equalities=(({"x": np.eye(2)}, 1.0),)
-        )
-        res = sdp.solve(prob)
-        obj = json.loads(json.dumps(to_json(res)))
-        assert obj["status"] == "feasible"
-        X = from_json(obj["primal"]["x"])
-        assert np.allclose(X, res.primal["x"], atol=1e-12)
-
-    def test_infeasible_result_serializes(self):
-        prob = sdp.SdpProblem(
-            blocks=(("x", 2),), equalities=(({"x": np.eye(2)}, -1.0),)
-        )
-        res = sdp.solve(prob)
-        obj = json.loads(json.dumps(to_json(res)))
-        assert obj["status"] == "infeasible"
-        np.testing.assert_array_equal(from_json(obj["dual"]), res.dual)
