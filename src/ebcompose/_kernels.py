@@ -3,8 +3,9 @@
 ``ball_seesaw`` and ``kpos_seesaw`` run all restarts as one batch: every
 iteration is a handful of stacked LAPACK calls, and a mask retires each
 restart at its own stopping point, so each restart takes the same steps it
-would take alone.  ``pursuit_atom`` keeps a per-restart loop, since most of
-its calls are single-start polish steps.  None of them builds an embedding
+would take alone.  ``pursuit_atom`` does the same and returns every
+restart's result, so one call also polishes a whole stack of atoms, each
+against its own residual.  None of them builds an embedding
 matrix: each half step contracts the reshaped four-index operator with the
 passive factor by matmul.
 """
@@ -93,37 +94,33 @@ def kpos_seesaw(C, d1, d2, k, a_starts, b_starts, iters):
 
 
 def pursuit_atom(R, dA, dB, a_starts, b_starts, iters):
-    """Maximize <a (x) b|R|a (x) b> over unit product vectors.
+    """Maximize <a (x) b|R_r|a (x) b> over unit product vectors, per restart.
 
-    Alternates exact top-eigenvector steps for each factor; R is the current
-    (Hermitian) residual as a dA*dB square matrix.  Each restart runs alone
-    until its value changes by at most 1e-13 relative.  Returns the best
-    (value, a, b); the first best restart wins ties.
+    Alternates exact top-eigenvector steps for each factor.  R is one
+    Hermitian dA*dB square matrix shared by every restart, or a stack with
+    one per restart.  Each restart stops once its value changes by at most
+    1e-13 relative.  Returns per-restart (values, a, b).
     """
-    # R4[i, k, j, l] = R[(i k), (j l)], flattened for the two contractions
-    R4 = R.reshape(dA, dB, dA, dB)
-    R_l = R4.reshape(dA * dB * dA, dB)
-    R_j = R4.transpose(0, 1, 3, 2).reshape(dA * dB * dB, dA)
-    best_val = -np.inf
-    best_a = a_starts[0].copy()
-    best_b = b_starts[0].copy()
-    for r in range(a_starts.shape[0]):
-        a = a_starts[r]
-        b = b_starts[r]
-        val = -np.inf
-        for _ in range(iters):
-            # Ma[i, j] = sum_kl conj(b[k]) R4[i, k, j, l] b[l]
-            a = np.linalg.eigh(b.conj() @ (R_l @ b).reshape(dA, dB, dA))[1][:, dA - 1]
-            # Mb[k, l] = sum_ij conj(a[i]) R4[i, k, j, l] a[j]
-            wb, Vb = np.linalg.eigh((a.conj() @ (R_j @ a).reshape(dA, dB * dB)).reshape(dB, dB))
-            b = Vb[:, dB - 1]
-            new_val = wb[dB - 1]
-            if abs(new_val - val) <= 1e-13 * max(1.0, abs(new_val)):
-                val = new_val
-                break
-            val = new_val
-        if val > best_val:
-            best_val = val
-            best_a = a.copy()
-            best_b = b.copy()
-    return best_val, best_a, best_b
+    # R4[r, i, k, j, l] = R_r[(i k), (j l)], flattened for the two contractions
+    R4 = np.broadcast_to(R.reshape(-1, dA, dB, dA, dB), (len(a_starts), dA, dB, dA, dB))
+    R_l = R4.reshape(-1, dA * dB * dA, dB)
+    R_j = R4.transpose(0, 1, 2, 4, 3).reshape(-1, dA * dB * dB, dA)
+    a = a_starts.astype(np.complex128)
+    b = b_starts.astype(np.complex128)
+    val = np.full(a.shape[0], -np.inf)
+    live = np.arange(a.shape[0])
+    for _ in range(iters):
+        if live.size == 0:
+            break
+        # Ma[r, i, j] = sum_kl conj(b[k]) R4[r, i, k, j, l] b[l]
+        bl = b[live]
+        Ma = bl.conj()[:, None, None, :] @ (R_l[live] @ bl[:, :, None]).reshape(-1, dA, dB, dA)
+        al = np.linalg.eigh(Ma[:, :, 0, :])[1][:, :, dA - 1]
+        # Mb[k, l] = sum_ij conj(a[i]) R4[r, i, k, j, l] a[j]
+        Mb = al.conj()[:, None, :] @ (R_j[live] @ al[:, :, None]).reshape(-1, dA, dB * dB)
+        wb, Vb = np.linalg.eigh(Mb.reshape(-1, dB, dB))
+        new_val = wb[:, dB - 1]
+        done = np.abs(new_val - val[live]) <= 1e-13 * np.maximum(1.0, np.abs(new_val))
+        a[live], b[live], val[live] = al, Vb[:, :, dB - 1], new_val
+        live = live[~done]
+    return val, a, b

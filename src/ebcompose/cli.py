@@ -124,7 +124,7 @@ def _suite_antisym(args) -> list[dict]:
                 "sym-separable",
                 dec is not None and dec.residual <= 1e-7,
                 residual=None if dec is None else float(dec.residual),
-                terms=None if dec is None else len(dec.terms),
+                terms=None if dec is None else len(dec.weights),
             )
         )
     else:

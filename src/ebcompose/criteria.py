@@ -213,10 +213,6 @@ def subblock_sn_audit(X: BipartiteState, l: int, tol: float = linalg.TOL_PSD) ->
     return report
 
 
-def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
-
-
 def k_positivity_falsify(
     T: QuantumMap,
     k: int,
@@ -241,7 +237,8 @@ def k_positivity_falsify(
     U0, s0, Vh0 = np.linalg.svd(V[:, 0].reshape(d1, d2))
     a_list = [U0[:, :k] * np.sqrt(s0[:k])]
     b_list = [(np.sqrt(s0[:k])[:, None]) * Vh0[:k, :]]
-    for gen in _spawn_rngs(seed, max(0, restarts - 1)):
+    for s in np.random.SeedSequence(seed).spawn(max(0, restarts - 1)):
+        gen = np.random.default_rng(s)
         a_list.append(gen.normal(size=(d1, k)) + 1j * gen.normal(size=(d1, k)))
         b_list.append(gen.normal(size=(k, d2)) + 1j * gen.normal(size=(k, d2)))
     a_starts = np.ascontiguousarray(np.stack(a_list)).astype(np.complex128)
@@ -445,14 +442,29 @@ def alt_iteration_bound(d: int, k: int) -> AltIterationBound:
 
 @dataclass(frozen=True)
 class SepDecomposition:
-    """Explicit separable decomposition: X ~= sum_i A_i (x) B_i, all PSD."""
+    """X ~= sum_t weights[t] a[t] a[t]^dag (x) b[t] b[t]^dag, with a (n, dA) and b (n, dB)."""
 
-    terms: tuple
+    weights: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     residual: float
     atoms_searched: int
 
+    def __post_init__(self):
+        shapes = [np.shape(x) for x in (self.weights, self.a, self.b)]
+        if [len(s) for s in shapes] != [1, 2, 2] or len({s[0] for s in shapes}) != 1:
+            raise DimMismatch(f"separable factors need (n,), (n, dA), (n, dB), got {shapes}")
+
+    @property
+    def terms(self) -> tuple:
+        """The PSD product terms (A_t, B_t), with X ~= sum_t kron(A_t, B_t)."""
+        return tuple((w * np.outer(a, a.conj()), np.outer(b, b.conj()))
+                     for w, a, b in zip(self.weights, self.a, self.b))
+
     def reconstruct(self) -> np.ndarray:
-        return sum(np.kron(A, B) for A, B in self.terms)
+        dA, dB = self.a.shape[1], self.b.shape[1]
+        V = (self.a[:, :, None] * self.b[:, None, :]).reshape(-1, dA * dB)
+        return (V.T * self.weights) @ V.conj()
 
 
 def _mub_vectors(d: int) -> list[np.ndarray]:
@@ -508,6 +520,27 @@ def _seed_atoms(dims: tuple[int, int], rng: np.random.Generator) -> tuple[np.nda
     return np.concatenate(A), np.concatenate(B)
 
 
+def _refit(X, A, B):
+    """NNLS over the atoms' projectors: kept atoms, their weights and the residual."""
+    V = (A[:, :, None] * B[:, None, :]).reshape(len(A), A.shape[1] * B.shape[1])
+    w, _ = nnls(linalg.hvec_projectors(V).T, linalg.hvec(X))
+    keep = w > 0.0
+    V, w = V[keep], w[keep]
+    return A[keep], B[keep], w, X - (V.T * w) @ V.conj()
+
+
+def _polish_refit(X, A, B):
+    """Refit, then a Jacobi polish: in one stacked seesaw, atom t re-fits against
+    the residual with its own term added back, warm-started at itself.  The last
+    refit keeps the old atoms beside the new, so the Frobenius error never rises.
+    """
+    A, B, w, R = _refit(X, A, B)
+    V = (A[:, :, None] * B[:, None, :]).reshape(len(A), A.shape[1] * B.shape[1])
+    R_t = R + (w[:, None, None] * V[:, :, None]) * V.conj()[:, None, :]
+    _, A2, B2 = _kernels.pursuit_atom(R_t, A.shape[1], B.shape[1], A, B, 10)
+    return _refit(X, np.vstack([A, A2]), np.vstack([B, B2]))
+
+
 def heuristic_sep_certify(
     X: BipartiteState,
     budget: int = 5000,
@@ -517,64 +550,37 @@ def heuristic_sep_certify(
 ) -> Optional[SepDecomposition]:
     """Randomized greedy product-state pursuit with NNLS refits.
 
-    The atoms are held as two stacks, A of shape (n, dA) and B of shape
-    (n, dB); atom t is the product vector v_t = A[t] (x) B[t].  NNLS fits
-    weights w over the projectors v_t v_t^dagger, and the residual is
-    X - sum_t w_t v_t v_t^dagger, updated by rank-one terms between refits.
+    Atom t is the product vector v_t = A[t] (x) B[t] of two stacks.  NNLS
+    fits weights w over the projectors v_t v_t^dagger; between refits the
+    residual X - sum_t w_t v_t v_t^dagger is updated by rank-one terms.
 
     Returns a verified separable decomposition with relative residual below
     ``target_rel`` (operator norm), or None; absence is inconclusive, not a
     verdict.
     """
+    if budget < 0 or refit_every < 1 or not (math.isfinite(target_rel) and target_rel > 0):
+        raise DomainError(f"need budget >= 0, refit_every >= 1 and finite target_rel > 0, "
+                          f"got {budget}, {refit_every}, {target_rel}")
     dA, dB = X.dims
     scale = linalg.operator_norm(X.mat)
     if scale == 0.0:
-        return SepDecomposition((), 0.0, 0)
+        return SepDecomposition(np.zeros(0), np.zeros((0, dA)), np.zeros((0, dB)), 0.0, 0)
     target = target_rel * scale
     rng = np.random.default_rng(seed)
-    x_target = linalg.hvec(X.mat)
-
-    def refit(A, B):
-        # NNLS over all atoms; atoms with zero weight are dropped
-        V = (A[:, :, None] * B[:, None, :]).reshape(len(A), dA * dB)
-        w, _ = nnls(linalg.hvec_projectors(V).T, x_target)
-        keep = w > 0.0
-        V, w = V[keep], w[keep]
-        return A[keep], B[keep], w, X.mat - (V.T * w) @ V.conj()
-
-    def polish(A, B, w, R):
-        # coordinate descent: each step re-fits one atom against the residual
-        # with itself added back; the seesaw is warm-started at the old atom,
-        # so the Frobenius error never increases.  Updates A, B, w and R in
-        # place.
-        for t in range(len(w)):
-            v = np.outer(A[t], B[t]).ravel()
-            R += w[t] * np.outer(v, v.conj())
-            val, A[t], B[t] = _kernels.pursuit_atom(R, dA, dB, A[t:t + 1], B[t:t + 1], 10)
-            w[t] = max(0.0, float(val))
-            v = np.outer(A[t], B[t]).ravel()
-            R -= w[t] * np.outer(v, v.conj())
-
-    def refit_polish_refit(A, B):
-        A, B, w, R = refit(A, B)
-        polish(A, B, w, R)
-        return refit(A, B)
-
-    A, B, w, R = refit(*_seed_atoms(X.dims, rng))
-    searched = 0
-    stalls = 0
+    A, B, w, R = _refit(X.mat, *_seed_atoms(X.dims, rng))
+    searched = stalls = 0
     while searched < budget:
         wR, VR = np.linalg.eigh((R + R.conj().T) / 2.0)
         if max(-wR[0], wR[-1]) <= target:
             break
         # warm start from the Schmidt split of the residual's top eigenvector
         Uw, sw, Vhw = np.linalg.svd(VR[:, -1].reshape(dA, dB))
-        a_starts = [Uw[:, 0]]
-        b_starts = [Vhw[0, :].conj()]
-        for _ in range(4):
-            a_starts.append(linalg.random_pure_state(dA, rng))
-            b_starts.append(linalg.random_pure_state(dB, rng))
-        val, a, b = _kernels.pursuit_atom(R, dA, dB, np.stack(a_starts), np.stack(b_starts), 12)
+        rand = [(linalg.random_pure_state(dA, rng), linalg.random_pure_state(dB, rng))
+                for _ in range(4)]
+        a_starts, b_starts = map(np.stack, zip((Uw[:, 0], Vhw[0, :].conj()), *rand))
+        vals, a, b = _kernels.pursuit_atom(R, dA, dB, a_starts, b_starts, 12)
+        best = int(np.argmax(vals))
+        val, a, b = vals[best], a[best], b[best]
         searched += 1
         if val > 1e-12 * scale:
             stalls = 0
@@ -589,16 +595,13 @@ def heuristic_sep_certify(
             # separable target always exposes a positive product direction,
             # so only repeated post-refit stalls mean the search is done
             stalls += 1
-        A, B, w, R = refit_polish_refit(A, B)
+        A, B, w, R = _polish_refit(X.mat, A, B)
         if stalls >= 3:
             break
 
     for _ in range(3):
-        A, B, w, R = refit_polish_refit(A, B)
+        A, B, w, R = _polish_refit(X.mat, A, B)
         resid = linalg.operator_norm(R)
         if resid <= target:
-            terms = tuple(
-                (wt * np.outer(a, a.conj()), np.outer(b, b.conj())) for wt, a, b in zip(w, A, B)
-            )
-            return SepDecomposition(terms, resid, searched)
+            return SepDecomposition(w, A, B, resid, searched)
     return None

@@ -79,6 +79,16 @@ class TestJsonReport:
         assert isinstance(back, Report)
         assert back.status == "pass" and back.seed == 0
 
+    def test_sym_separable_reports_term_count(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert cli.main(["verify-example", "antisym", "--d", "2", "--json-out", str(out)]) == 0
+        capsys.readouterr()
+        checks = {c["name"]: c for c in from_json(json.loads(out.read_text())).evidence}
+        data = checks["sym-separable"]["data"]
+        assert checks["sym-separable"]["passed"]
+        assert isinstance(data["terms"], int) and data["terms"] > 0
+        assert data["residual"] <= 1e-7
+
     def test_failing_suite_reports_fail(self, tmp_path, capsys):
         args = argparse.Namespace(json_out=str(tmp_path / "bad.json"), seed=0, tol_psd=1e-9)
         code = cli._run("demo", lambda a: [{"name": "x", "passed": False, "data": {}}], args)

@@ -552,3 +552,93 @@ class TestHeuristicSepCertify:
             assert dec is not None
             assert linalg.operator_norm(dec.reconstruct() - M) <= 1e-7 * linalg.operator_norm(M)
             assert_residual_matches_terms(dec, M)
+
+
+def criterion_05_state(seed: int) -> BipartiteState:
+    """The normalized Choi state of a composition swept by acceptance criterion 05."""
+    comp = choi.compose(choi.random_cp_cocp_map(3, 1000 + seed), choi.random_cp_cocp_map(3, seed))
+    return state((3, 3), comp.choi / np.trace(comp.choi).real)
+
+
+class TestStackedPolish:
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_polish_and_union_refit_never_raise_frobenius_error(self, seed):
+        # the union refit keeps every old atom as a candidate, so each
+        # stacked polish can only lower the Frobenius error of the refit
+        # before it; the first one must lower it strictly
+        X = criterion_05_state(seed)
+        A, B, w, R = criteria._refit(X.mat, *criteria._seed_atoms(X.dims, np.random.default_rng(0)))
+        errors = [np.linalg.norm(R)]
+        for _ in range(4):
+            A, B, w, R = criteria._polish_refit(X.mat, A, B)
+            errors.append(np.linalg.norm(R))
+        assert errors[1] < 0.999 * errors[0]
+        for before, after in zip(errors, errors[1:]):
+            assert after <= before * (1.0 + 1e-12)
+
+    def test_polish_refit_residual_matches_atoms(self):
+        X = criterion_05_state(3)
+        A, B, w, R = criteria._polish_refit(
+            X.mat, *criteria._seed_atoms(X.dims, np.random.default_rng(1)))
+        dec = criteria.SepDecomposition(w, A, B, 0.0, 0)
+        assert np.all(w > 0.0) and len(w) == len(A) == len(B)
+        np.testing.assert_allclose(X.mat - dec.reconstruct(), R, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_reconstruct_is_sum_of_kron_terms(self, seed):
+        X = criterion_05_state(seed)
+        dec = criteria.heuristic_sep_certify(X)
+        assert dec is not None
+        assert len(dec.terms) == len(dec.weights) > 0
+        kron_sum = sum(np.kron(A, B) for A, B in dec.terms)
+        np.testing.assert_allclose(dec.reconstruct(), kron_sum, atol=1e-14)
+        assert_residual_matches_terms(dec, X.mat)
+
+    def test_zero_state_has_no_terms(self):
+        dec = criteria.heuristic_sep_certify(state((2, 3), np.zeros((6, 6))))
+        assert dec.weights.shape == (0,) and dec.a.shape == (0, 2) and dec.b.shape == (0, 3)
+        assert dec.terms == ()
+        np.testing.assert_array_equal(dec.reconstruct(), np.zeros((6, 6)))
+
+    @pytest.mark.parametrize(
+        "weights,a,b",
+        [
+            (np.ones(2), np.ones((3, 2)), np.ones((2, 2))),
+            (np.ones(2), np.ones((2, 2)), np.ones((3, 2))),
+            (np.ones((2, 1)), np.ones((2, 2)), np.ones((2, 2))),
+            (np.ones(2), np.ones(2), np.ones((2, 2))),
+            (1.0, np.ones((1, 2)), np.ones((1, 2))),
+        ],
+        ids=["a-rows", "b-rows", "weights-2d", "a-1d", "weights-scalar"],
+    )
+    def test_mismatched_factors_raise(self, weights, a, b):
+        with pytest.raises(DimMismatch):
+            criteria.SepDecomposition(weights, a, b, 0.0, 0)
+
+
+class TestHeuristicSepCertifyArguments:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"refit_every": 0},
+            {"refit_every": -3},
+            {"budget": -5},
+            {"target_rel": float("nan")},
+            {"target_rel": float("inf")},
+            {"target_rel": 0.0},
+            {"target_rel": -1e-7},
+        ],
+        ids=["refit-every-zero", "refit-every-negative", "budget-negative", "target-nan",
+             "target-inf", "target-zero", "target-negative"],
+    )
+    def test_out_of_domain_raises(self, kwargs):
+        with pytest.raises(DomainError):
+            criteria.heuristic_sep_certify(criterion_05_state(0), **kwargs)
+
+    def test_zero_budget_still_refits_the_seed_atoms(self):
+        # no greedy search runs, but the product basis among the seed atoms
+        # fits a product state exactly
+        X = state((2, 3), np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+        dec = criteria.heuristic_sep_certify(X, budget=0)
+        assert dec is not None and dec.atoms_searched == 0
+        assert_residual_matches_terms(dec, X.mat)

@@ -123,9 +123,10 @@ class TestPathsAgree:
         R = linalg.random_psd(9, rng)
         a = np.stack([linalg.random_pure_state(3, rng) for _ in range(3)]).astype(np.complex128)
         b = np.stack([linalg.random_pure_state(3, rng) for _ in range(3)]).astype(np.complex128)
-        v, aj, bj = _kernels.pursuit_atom(np.ascontiguousarray(R), 3, 3, a, b, 30)
-        prod = np.kron(aj, bj)
-        assert (prod.conj() @ R @ prod).real == pytest.approx(v, abs=1e-10)
+        vs, aj, bj = _kernels.pursuit_atom(np.ascontiguousarray(R), 3, 3, a, b, 30)
+        best = int(np.argmax(vs))
+        prod = np.kron(aj[best], bj[best])
+        assert (prod.conj() @ R @ prod).real == pytest.approx(vs[best], abs=1e-10)
 
     @pytest.mark.parametrize("d,p", [(3, 0.6), (4, -0.8), (5, 0.3)])
     def test_ball_seesaw_matches_per_restart_loop(self, d, p):
@@ -153,22 +154,48 @@ class TestPathsAgree:
         R = linalg.random_hermitian(dA * dB, rng)
         a = np.stack([linalg.random_pure_state(dA, rng) for _ in range(6)])
         b = np.stack([linalg.random_pure_state(dB, rng) for _ in range(6)])
-        v, aj, bj = _kernels.pursuit_atom(R, dA, dB, a, b, 200)
+        vs, aj, bj = _kernels.pursuit_atom(R, dA, dB, a, b, 200)
+        best = int(np.argmax(vs))
+        v = vs[best]
         refs = [_pursuit_reference(R, dA, dB, a[r], b[r], 200) for r in range(6)]
         ref_v, ref_a, ref_b = refs[int(np.argmax([rv for rv, _, _ in refs]))]
         assert v == pytest.approx(ref_v, abs=1e-12 * max(1.0, abs(ref_v)))
-        prod, ref_prod = np.kron(aj, bj), np.kron(ref_a, ref_b)
+        prod, ref_prod = np.kron(aj[best], bj[best]), np.kron(ref_a, ref_b)
         assert (prod.conj() @ R @ prod).real == pytest.approx(v, abs=1e-12 * max(1.0, abs(v)))
         assert abs(ref_prod.conj() @ prod) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("shared", [False, True], ids=["stacked", "shared"])
+    @pytest.mark.parametrize("dA,dB", [(3, 3), (2, 4), (4, 3)])
+    def test_pursuit_atom_each_restart_matches_per_restart_loop(self, dA, dB, shared):
+        # with one residual per restart, as in the stacked polish, or one
+        # shared residual: every restart ends where the per-restart loop
+        # ends on its own residual
+        rng = np.random.default_rng(100 + 10 * dA + dB)
+        R = np.stack([linalg.random_hermitian(dA * dB, rng) for _ in range(6)])
+        if shared:
+            R = np.broadcast_to(R[0], R.shape)
+        a = np.stack([linalg.random_pure_state(dA, rng) for _ in range(6)])
+        b = np.stack([linalg.random_pure_state(dB, rng) for _ in range(6)])
+        vs, aj, bj = _kernels.pursuit_atom(R[0] if shared else R, dA, dB, a, b, 200)
+        assert vs.shape == (6,) and aj.shape == (6, dA) and bj.shape == (6, dB)
+        for r in range(6):
+            ref_v, ref_a, ref_b = _pursuit_reference(R[r], dA, dB, a[r], b[r], 200)
+            tol = 1e-12 * max(1.0, abs(ref_v))
+            assert vs[r] == pytest.approx(ref_v, abs=tol)
+            prod, ref_prod = np.kron(aj[r], bj[r]), np.kron(ref_a, ref_b)
+            assert (prod.conj() @ R[r] @ prod).real == pytest.approx(vs[r], abs=tol)
+            assert abs(ref_prod.conj() @ prod) == pytest.approx(1.0, abs=1e-8)
+
     def test_pursuit_atom_first_best_restart_wins_ties(self):
-        # |00> and |11> both reach the maximum 1 exactly; the first start's
-        # product vector is returned
+        # |00> and |11> both reach the maximum 1 exactly; the argmax takes
+        # the first start's product vector
         R = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
         e = np.eye(2, dtype=complex)
         for first, second in ((0, 1), (1, 0)):
             starts = np.stack([e[first], e[second]])
-            v, a, b = _kernels.pursuit_atom(R, 2, 2, starts, starts, 10)
+            vs, a, b = _kernels.pursuit_atom(R, 2, 2, starts, starts, 10)
+            best = int(np.argmax(vs))
+            v, a, b = vs[best], a[best], b[best]
             assert v == 1.0
             assert abs(a[first]) == pytest.approx(1.0) and abs(b[first]) == pytest.approx(1.0)
 
@@ -209,6 +236,28 @@ class TestPathsAgree:
             v, psi = _kernels.kpos_seesaw(C, 4, 4, 1, a[subset], b[subset], 300)
             assert v == pytest.approx(min(singles[r] for r in subset), abs=1e-12)
             assert (psi.conj() @ C @ psi).real == pytest.approx(v, abs=1e-12)
+
+    def test_pursuit_atom_batch_is_each_single_start(self):
+        # restarts that stop after different numbers of iterations, at
+        # different local maxima; each keeps its single-start result
+        rng = np.random.default_rng(4)
+        R = linalg.random_hermitian(16, rng)
+        a = np.stack([linalg.random_pure_state(4, rng) for _ in range(6)])
+        b = np.stack([linalg.random_pure_state(4, rng) for _ in range(6)])
+
+        def single(r, iters):
+            return _kernels.pursuit_atom(R, 4, 4, a[r:r + 1], b[r:r + 1], iters)
+
+        singles = [single(r, 300) for r in range(6)]
+        assert np.ptp([v[0] for v, _, _ in singles]) > 0.1
+        assert len(set(_stopping_iterations(single, 6, 300))) > 1
+        for subset in SUBSETS:
+            vs, aj, bj = _kernels.pursuit_atom(R, 4, 4, a[subset], b[subset], 300)
+            for k, r in enumerate(subset):
+                v, a1, b1 = singles[r]
+                assert vs[k] == pytest.approx(v[0], abs=1e-12)
+                overlap = np.kron(a1[0], b1[0]).conj() @ np.kron(aj[k], bj[k])
+                assert abs(overlap) == pytest.approx(1.0, abs=1e-8)
 
     def test_ball_seesaw_first_best_restart_wins_ties(self):
         # D is linear, so the run from -X is the negated run from X and both

@@ -97,6 +97,9 @@ CASES = {
     "sdp-result-infeasible": lambda tmp: infeasible_result(),
     "sdp-result-witness": lambda tmp: sdp.decomposability_check(catalog.choi_map_witness().map),
     "sep-decomposition": lambda tmp: sep_decomposition(),
+    "sep-decomposition-empty": lambda tmp: criteria.heuristic_sep_certify(
+        criteria.BipartiteState((2, 3), np.zeros((6, 6)))
+    ),
     "sn-verdict": lambda tmp: criteria.sn_verdict(
         state((3, 3), choi.random_cp_cocp_map(3, 2).choi)
     ),
@@ -128,6 +131,17 @@ class TestRoundTrip:
     def test_round_trip_bit_exact(self, case, tmp_path):
         obj = CASES[case](tmp_path)
         assert_identical(obj, through_json(obj))
+
+    @pytest.mark.parametrize("case", ["sep-decomposition", "sep-decomposition-empty"])
+    def test_sep_decomposition_keeps_stacked_factors(self, case, tmp_path):
+        dec = CASES[case](tmp_path)
+        back = through_json(dec)
+        n = len(dec.weights)
+        assert (n == 0) == case.endswith("empty")
+        assert back.weights.shape == (n,) and back.weights.dtype == np.float64
+        assert back.a.shape == dec.a.shape and back.b.shape == dec.b.shape
+        assert back.a.shape[0] == back.b.shape[0] == n
+        assert back.reconstruct().tobytes() == dec.reconstruct().tobytes()
 
     def test_report_lists_become_tuples(self):
         rep = Report("op", "pass", [{"name": "a", "data": [1, 2]}], trace=[{"k": 1}])
@@ -213,6 +227,13 @@ MALFORMED = {
     # Not a decodable kind; n = 1 keeps a regression from allocating 2n x 2n.
     "symplectic-form": ({"kind": "SymplecticForm", "n": 1}, DomainError),
     "kraus-no-ops": ({"kind": "kraus", "ops": []}, DimMismatch),
+    "sep-decomposition-rows": (
+        {"kind": "SepDecomposition", "weights": {"re": [1.0, 2.0]},
+         "a": {"rows": 1, "cols": 2, "re": [[1.0, 0.0]]},
+         "b": {"rows": 2, "cols": 2, "re": [[1.0, 0.0], [0.0, 1.0]]},
+         "residual": 0.0, "atoms_searched": 0},
+        DimMismatch,
+    ),
     # Checked before the (din dout)^2 Choi matrix is allocated.
     "kraus-declared-dims": (
         {"kind": "kraus", "ops": [{"rows": 1, "cols": 1, "re": [[1.0]]}], "din": 20000,
