@@ -14,13 +14,15 @@ evidence, so "unknown" is always distinguishable from a certified answer.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import nnls
 
-from . import _kernels, linalg
+from . import _kernels, linalg, sdp
 from .choi import QuantumMap, compose, is_cocp, is_cp, operator_schmidt_rank, transposition_map
 from .errors import (
     DimMismatch,
@@ -72,13 +74,27 @@ UNKNOWN = "unknown"
 
 
 def schmidt_rank(psi, dims: Sequence[int], tol: float = 1e-10) -> int:
-    """Number of Schmidt coefficients of a vector above tol relative."""
+    """Number of Schmidt coefficients of a vector above tol relative.
+
+    A vector whose length is not dA * dB raises DimMismatch; non-finite
+    entries raise DomainError.
+    """
     dA, dB = int(dims[0]), int(dims[1])
-    v = np.asarray(psi, dtype=complex).reshape(dA, dB)
-    s = np.linalg.svd(v, compute_uv=False)
+    v = np.asarray(psi, dtype=complex)
+    if v.size != dA * dB:
+        raise DimMismatch(f"vector of length {v.size} does not match dims {tuple(dims)}")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("vector entries must be finite")
+    s = np.linalg.svd(v.reshape(dA, dB), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    """DomainError unless value is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def is_ppt_state(X: BipartiteState, tol: float = linalg.TOL_PSD) -> bool:
@@ -231,13 +247,15 @@ def k_positivity_falsify(
     d1, d2 = T.din, T.dout
     if not (1 <= k <= min(d1, d2)):
         raise DomainError(f"k={k} outside [1, {min(d1, d2)}]")
+    _require_count("restarts", restarts, 1)
+    _require_count("iters", iters, 1)
 
     # warm start from the bottom eigenvector, Schmidt-truncated to rank k
     w, V = np.linalg.eigh(C)
     U0, s0, Vh0 = np.linalg.svd(V[:, 0].reshape(d1, d2))
     a_list = [U0[:, :k] * np.sqrt(s0[:k])]
     b_list = [(np.sqrt(s0[:k])[:, None]) * Vh0[:k, :]]
-    for s in np.random.SeedSequence(seed).spawn(max(0, restarts - 1)):
+    for s in np.random.SeedSequence(seed).spawn(restarts - 1):
         gen = np.random.default_rng(s)
         a_list.append(gen.normal(size=(d1, k)) + 1j * gen.normal(size=(d1, k)))
         b_list.append(gen.normal(size=(k, d2)) + 1j * gen.normal(size=(k, d2)))
@@ -290,12 +308,17 @@ def deviation_from_depolarizing(
     The supremum over the unit ball of the spectral norm is attained at a
     unitary X (the extreme points of that ball), so the search alternates
     exact steps over unitaries and rank-1 directions, then confirms with a
-    batched random-unitary sweep.
+    batched random-unitary sweep.  The value is a lower bound that depends
+    on the search budget; no certificate uses it (the ball certificate
+    brackets the norm with :func:`depolarizing_ball_bounds` instead).
+    Budgets must be integers: ``samples >= 0``, ``restarts >= 1`` and
+    ``iters >= 1`` (DomainError otherwise).
     """
     if T.din != T.dout:
         raise DimMismatch("deviation from depolarizing needs a square map")
-    if restarts < 1:
-        raise DomainError(f"need at least one restart, got restarts={restarts}")
+    _require_count("samples", samples, 0)
+    _require_count("restarts", restarts, 1)
+    _require_count("iters", iters, 1)
     d = T.din
     C4 = (T.choi - np.eye(d * d)).reshape(d, d, d, d)
     fwd = np.ascontiguousarray(C4.transpose(1, 3, 0, 2).reshape(d * d, d * d))
@@ -313,29 +336,116 @@ def deviation_from_depolarizing(
     return float(best)
 
 
-def two_eb_ball_certificate(
-    T: QuantumMap,
-    samples: int = 2000,
-    restarts: int = 64,
-    iters: int = 100,
-    seed: int = 0,
-    margin: float = 1e-6,
-) -> bool:
+class BallBounds(NamedTuple):
+    """lower <= ||T - Tr(.) I||_{inf->inf} <= upper."""
+
+    lower: float
+    upper: float
+
+
+_EPS = Fraction(np.finfo(float).eps)
+
+
+def _two_sum(a, b):
+    """fl(a + b) and its exact rounding error, entrywise (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _abs_up(z) -> Fraction:
+    """Exact upper bound on |z|: abs is exact on an axis and within one ulp off it."""
+    z = complex(z)
+    if z.real == 0.0 or z.imag == 0.0:
+        return Fraction(abs(z.real) + abs(z.imag))
+    return Fraction(math.nextafter(abs(z), math.inf))
+
+
+def _float_up(x: Fraction) -> float:
+    f = float(x)
+    return math.nextafter(f, math.inf) if Fraction(f) < x else f
+
+
+def depolarizing_ball_bounds(T: QuantumMap) -> BallBounds:
+    """Bracket ||D||_{inf->inf}, D = T - Tr(.) I, from one projection of J(D) = C - I.
+
+    The entries <01|J(D)|01>, <01|J(D)|10> and <00|J(D)|11> are the
+    coefficients gamma, alpha and beta of I (x) I, the flip F and
+    |Omega><Omega|, the Choi matrices of Tr(.) I, the transpose and the
+    identity, whose operator norms are d, 1 and 1.  The remainder
+    J(E) = J(D) - gamma I (x) I - alpha F - beta |Omega><Omega| is bounded by
+    r = sum_ij ||J(E)_ij||, the spectral norms of its d x d blocks, which
+    holds for any coefficients because |X_ij| <= ||X||.  Then
+    upper = d|gamma| + |alpha| + |beta| + r, and lower is the largest of the
+    three term norms minus the other two and r.  Entries so large that the
+    remainder overflows raise DomainError.
+
+    ``upper`` is rigorous in floating point: the rounding errors of forming
+    J(E) are captured exactly (TwoSum) and added, the block norms carry the
+    backward error of the SVD, and the sum is exact.  Where no rounding
+    occurs nothing is added, so Holevo-Werner maps I - p F give |p| exactly
+    when p is a binary fraction.  ``lower`` is a plain float.
+    """
+    if T.din != T.dout:
+        raise DimMismatch("the depolarizing ball needs a square map")
+    d = T.din
+    if d < 2:
+        raise DimOutOfRange("the depolarizing ball needs d >= 2")
+    if not np.all(np.isfinite(T.choi)):
+        raise DomainError("Choi matrix entries must be finite")
+    eye = np.eye(d * d)
+    J, err = _two_sum(T.choi, -eye)
+    coeffs = (J[1, 1], J[1, d], J[0, d + 1])
+    E, errs = J, [err]
+    for c, pattern in zip(coeffs, (eye, linalg.flip_operator(d), linalg.max_entangled_projector(d))):
+        E, err = _two_sum(E, -c * pattern)
+        errs.append(err)
+    norm_sum = linalg.block_norm_sum(E, (d, d))
+    # |error| summed over all entries bounds every block's norm of it; the
+    # float sums below are within n eps of exact, hence the factors
+    lost = float(sum(np.abs(e.real).sum() + np.abs(e.imag).sum() for e in errs))
+    if not (math.isfinite(norm_sum) and math.isfinite(lost)):
+        raise DomainError("Choi matrix entries too large for a finite bound")
+    r = Fraction(norm_sum) * (1 + (d * d + 2 * d) * _EPS) + 2 * Fraction(lost)
+    terms = [d * _abs_up(coeffs[0]), _abs_up(coeffs[1]), _abs_up(coeffs[2])]
+    lower = 2 * max(terms) - sum(terms) - r
+    return BallBounds(float(lower), _float_up(sum(terms) + r))
+
+
+def two_eb_ball_certificate(T: QuantumMap, seed: int = 0) -> bool:
     """Depolarizing-ball certificate of 2-entanglement breaking.
 
-    True if the estimated deviation norm is <= 1/2 (up to the stated
-    margin); for a positive map this certifies 2-EB.  The estimate
-    approaches the supremum from below, so the closed boundary certifies.
+    A Hermiticity-preserving map with ||T - Tr(.) I||_{inf->inf} <= 1/2 is
+    2-EB, and True is returned only from a checkable upper bound on that
+    norm, with every rounding error counted against the verdict:
+
+    - ``depolarizing_ball_bounds`` gives upper <= 1/2: certified.  This
+      settles every Holevo-Werner map I - p F inside the ball exactly.
+    - lower <= 1/2 < upper: ``sdp.cb_split_bound`` bounds the norm by
+      min ||A||_cb + ||B||_cb over D = A + B∘θ; its audited bound must be
+      <= 1/2.
+    - lower > 1/2: the map is outside the ball, and no SDP runs.
 
     Maps outside the ball can still be 2-EB.  As a fallback the
-    certificate accepts any map shown entanglement breaking outright:
-    CP, coCP, and a verified separable decomposition of the Choi matrix
-    (EB implies n-EB for every n).  Both routes are sound; a False is
-    inconclusive, not a refutation.
+    certificate accepts any map shown entanglement breaking outright: CP,
+    coCP, and a verified separable decomposition of the Choi matrix (EB
+    implies n-EB for every n); ``seed`` seeds that search.  A False is
+    inconclusive, not a refutation.  Non-square maps raise DimMismatch, a
+    non-Hermitian Choi matrix NotHermitian.
     """
-    dev = deviation_from_depolarizing(T, samples, restarts, iters, seed)
-    if dev <= 0.5 + margin:
+    C = linalg.require_hermitian(T.choi)
+    bounds = depolarizing_ball_bounds(T)
+    if bounds.upper <= 0.5:
         return True
+    if bounds.lower <= 0.5:
+        J, err = _two_sum(C, -np.eye(T.din * T.dout))
+        split = sdp.cb_split_bound(QuantumMap(T.din, T.dout, J))
+        if split.status == sdp.FEASIBLE:
+            # forming J rounds only on the diagonal, and 2 sum|err| covers
+            # those blocks; the sum is rounded up
+            u = split.residuals["upper_bound"] + 2.0 * float(np.abs(err).sum())
+            if math.nextafter(u, math.inf) <= 0.5:
+                return True
     if not (is_cp(T) and is_cocp(T)):
         return False
     state = BipartiteState((T.din, T.dout), T.choi / np.trace(T.choi).real)

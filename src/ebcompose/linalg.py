@@ -169,6 +169,18 @@ def operator_norm(M) -> float:
     return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
+def block_norm_sum(M, dims: Sequence[int]) -> float:
+    """sum_ij ||M_ij||, the spectral norms of the dB x dB blocks of M.
+
+    For a Choi matrix this bounds the map's operator norm, since
+    ||L(X)|| <= sum_ij |X_ij| ||L(|i><j|)|| and |X_ij| <= ||X||.
+    """
+    A = _as_matrix(M)
+    dA, dB = _check_bipartite(A, dims)
+    blocks = A.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3)
+    return float(np.linalg.svd(blocks, compute_uv=False)[..., 0].sum())
+
+
 def max_entangled_vector(d: int) -> np.ndarray:
     """Unnormalized |Omega> = sum_i |i>|i> on C^d x C^d."""
     v = np.zeros(d * d, dtype=complex)

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebcompose import choi, criteria, linalg
+from ebcompose import catalog, choi, criteria, linalg, sdp
 from ebcompose.criteria import BipartiteState
 from ebcompose.errors import (
     DimMismatch,
     DimOutOfRange,
     DomainError,
     IndexOutOfRange,
+    NotHermitian,
     NotPSD,
 )
 
@@ -223,6 +224,60 @@ class TestSubblockSnAudit:
             assert report["all_certified"], report
 
 
+class TestSchmidtRank:
+    def test_product_and_entangled(self):
+        assert criteria.schmidt_rank(np.kron([1.0, 0.0], [0.6, 0.8, 0.0]), (2, 3)) == 1
+        assert criteria.schmidt_rank(linalg.max_entangled_vector(3), (3, 3)) == 3
+
+    @pytest.mark.parametrize("length", [5, 7, 12])
+    def test_length_mismatch(self, length):
+        with pytest.raises(DimMismatch):
+            criteria.schmidt_rank(np.ones(length), (2, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries(self, bad):
+        psi = np.ones(6, dtype=complex)
+        psi[4] = bad
+        with pytest.raises(DomainError):
+            criteria.schmidt_rank(psi, (2, 3))
+
+
+BAD_SEARCH_BUDGETS = [{"restarts": 0}, {"restarts": -3}, {"iters": 0}, {"iters": -1},
+                      {"restarts": 2.5}, {"iters": True}]
+
+
+def budget_id(kwargs) -> str:
+    return ",".join(f"{k}={v!r}" for k, v in kwargs.items())
+
+
+class TestSearchBudgets:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"samples": -5}, {"samples": 2.5}, {"samples": "10"}, {"iters": 0}, {"iters": 1.0},
+         {"restarts": 0}, {"restarts": np.float64(8)}],
+        ids=budget_id,
+    )
+    def test_deviation_from_depolarizing(self, kwargs):
+        with pytest.raises(DomainError):
+            criteria.deviation_from_depolarizing(holevo_werner(3, 0.3), **kwargs)
+
+    @pytest.mark.parametrize("kwargs", BAD_SEARCH_BUDGETS, ids=budget_id)
+    def test_k_positivity_falsify(self, kwargs):
+        with pytest.raises(DomainError):
+            criteria.k_positivity_falsify(holevo_werner(3, 0.9), 2, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", BAD_SEARCH_BUDGETS, ids=budget_id)
+    def test_two_eb_d3_certificate(self, kwargs):
+        with pytest.raises(DomainError):
+            criteria.two_eb_d3_certificate(holevo_werner(3, 0.9), **kwargs)
+
+    def test_integer_budgets_of_any_integer_type(self):
+        T = holevo_werner(3, 0.3)
+        dev = criteria.deviation_from_depolarizing(T, samples=np.int64(0), restarts=np.int32(4),
+                                                  iters=np.int64(20))
+        assert dev == pytest.approx(0.3, abs=1e-8)
+
+
 class TestKPositivityFalsify:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_identity_map_has_no_witness(self, k):
@@ -271,7 +326,7 @@ class TestBallCertificate:
     def test_depolarizing_has_zero_deviation(self):
         dev = criteria.deviation_from_depolarizing(choi.depolarizing_map(3), samples=100)
         assert dev == pytest.approx(0.0, abs=1e-12)
-        assert criteria.two_eb_ball_certificate(choi.depolarizing_map(3), samples=100)
+        assert criteria.two_eb_ball_certificate(choi.depolarizing_map(3))
 
     @pytest.mark.parametrize("d,p", [(3, 0.1), (3, 0.4), (4, 0.3), (5, 0.45)])
     def test_hw_deviation_equals_p(self, d, p):
@@ -279,11 +334,11 @@ class TestBallCertificate:
         assert dev == pytest.approx(p, abs=1e-8)
 
     def test_hw_inside_and_outside(self):
-        assert criteria.two_eb_ball_certificate(holevo_werner(3, 0.4), samples=500)
-        assert not criteria.two_eb_ball_certificate(holevo_werner(3, 0.6), samples=500)
+        assert criteria.two_eb_ball_certificate(holevo_werner(3, 0.4))
+        assert not criteria.two_eb_ball_certificate(holevo_werner(3, 0.6))
 
     def test_hw_boundary_d5(self):
-        assert criteria.two_eb_ball_certificate(holevo_werner(5, 0.5), samples=500)
+        assert criteria.two_eb_ball_certificate(holevo_werner(5, 0.5))
 
     def test_reflection_extremum_is_found(self):
         # T(X) = (4/3) Tr[X] I - X/3 has deviation 2/3, attained at the
@@ -293,7 +348,7 @@ class TestBallCertificate:
         assert dev == pytest.approx(2.0 / 3.0, abs=1e-8)
         # outside the ball, but the Choi matrix is a separable isotropic
         # state, so the entanglement-breaking fallback still accepts
-        assert criteria.two_eb_ball_certificate(T, samples=200)
+        assert criteria.two_eb_ball_certificate(T)
 
     @pytest.mark.parametrize("d,restarts", [(3, 8), (4, 10), (5, 64), (6, 64)])
     def test_reflection_starts_are_distinct(self, d, restarts):
@@ -307,20 +362,162 @@ class TestBallCertificate:
         T = holevo_werner(3, 0.3)
         with pytest.raises(DomainError):
             criteria.deviation_from_depolarizing(T, restarts=restarts)
-        with pytest.raises(DomainError):
-            criteria.two_eb_ball_certificate(T, restarts=restarts)
 
     def test_negative_parameter_accepted_via_fallback(self):
         # deviation is 0.8 > 1/2, but the map is entanglement breaking
-        assert criteria.two_eb_ball_certificate(holevo_werner(3, -0.8), samples=200)
+        assert criteria.two_eb_ball_certificate(holevo_werner(3, -0.8))
 
     def test_outside_ball_and_not_cocp_rejected(self):
-        assert not criteria.two_eb_ball_certificate(holevo_werner(4, 0.7), samples=200)
+        assert not criteria.two_eb_ball_certificate(holevo_werner(4, 0.7))
 
     def test_rejects_rectangular(self):
         rect = choi.QuantumMap(2, 3, np.eye(6))
         with pytest.raises(DimMismatch):
             criteria.two_eb_ball_certificate(rect)
+
+
+def random_shifted_map(d: int, rng, flip: float, size: float) -> choi.QuantumMap:
+    """Choi matrix I - flip * F + size * G with G Hermitian of operator norm 1."""
+    G = linalg.random_hermitian(d * d, rng)
+    G /= np.linalg.norm(G, 2)
+    return choi.QuantumMap(d, d, np.eye(d * d) - flip * linalg.flip_operator(d) + size * G)
+
+
+def split_upper_bound(T: choi.QuantumMap) -> float:
+    res = sdp.cb_split_bound(choi.QuantumMap(T.din, T.dout, T.choi - np.eye(T.din * T.dout)))
+    assert res.status == sdp.FEASIBLE
+    return res.residuals["upper_bound"]
+
+
+STRONG = {"samples": 2000, "restarts": 64, "iters": 300}
+
+
+class TestBallBounds:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [-1.0, -0.75, -0.5, -0.3, 0.0, 0.1, 0.45, 0.5, 0.6, 1.0])
+    def test_holevo_werner_is_exact(self, d, p):
+        bounds = criteria.depolarizing_ball_bounds(catalog.holevo_werner(d, p).map)
+        assert abs(bounds.upper - abs(p)) <= 1e-15
+        assert abs(bounds.lower - abs(p)) <= 1e-15
+
+    def test_boundary_d5_is_exactly_one_half(self):
+        bounds = criteria.depolarizing_ball_bounds(catalog.holevo_werner(5, 0.5).map)
+        assert bounds == (0.5, 0.5)
+
+    def test_identity_and_depolarizing(self):
+        assert criteria.depolarizing_ball_bounds(choi.depolarizing_map(4)) == (0.0, 0.0)
+        # D = id - Tr(.) I on M_3 has norm 2, attained at X = I; the terms
+        # have norms 3 and 1, so the bracket is [3 - 1, 3 + 1]
+        assert criteria.depolarizing_ball_bounds(choi.identity_map(3)) == (2.0, 4.0)
+
+    def test_brackets_a_strong_search(self):
+        rng = np.random.default_rng(11)
+        maps = [random_shifted_map(3, rng, rng.uniform(-0.5, 0.5), rng.uniform(0.05, 0.4))
+                for _ in range(10)]
+        maps += [random_shifted_map(4, rng, rng.uniform(-0.5, 0.5), rng.uniform(0.05, 0.4))
+                 for _ in range(3)]
+        for T in maps:
+            dev = criteria.deviation_from_depolarizing(T, **STRONG)
+            bounds = criteria.depolarizing_ball_bounds(T)
+            assert bounds.lower <= dev + 1e-9
+            assert bounds.upper >= dev - 1e-9
+            assert split_upper_bound(T) >= dev - 1e-9
+
+    def test_near_depolarizing_map_is_certified_by_the_split(self):
+        T = random_shifted_map(3, np.random.default_rng(7), 0.45, 0.02)
+        bounds = criteria.depolarizing_ball_bounds(T)
+        assert bounds.lower <= 0.5 < bounds.upper
+        assert split_upper_bound(T) <= 0.49
+        # not coCP, so the entanglement-breaking fallback cannot be what certifies
+        assert not choi.is_cocp(T)
+        assert criteria.two_eb_ball_certificate(T)
+
+    def test_maps_outside_the_ball_are_not_certified(self):
+        # maps that a strong search puts outside the ball; a lower estimate
+        # from a weak search used to certify such maps
+        rng = np.random.default_rng(5)
+        outside = 0
+        for _ in range(8):
+            T = random_shifted_map(4, rng, rng.uniform(0.47, 0.53), rng.uniform(0.01, 0.04))
+            if choi.is_cp(T) and choi.is_cocp(T):
+                continue
+            if criteria.deviation_from_depolarizing(T, **STRONG) < 0.505:
+                continue
+            outside += 1
+            assert criteria.depolarizing_ball_bounds(T).upper > 0.5
+            assert not criteria.two_eb_ball_certificate(T)
+        assert outside >= 5
+
+    def test_non_square_map(self):
+        with pytest.raises(DimMismatch):
+            criteria.depolarizing_ball_bounds(choi.QuantumMap(2, 3, np.eye(6)))
+
+    def test_dimension_one(self):
+        with pytest.raises(DimOutOfRange):
+            criteria.depolarizing_ball_bounds(choi.QuantumMap(1, 1, np.eye(1)))
+
+    def test_non_finite_entries(self):
+        C = np.eye(9, dtype=complex)
+        C[2, 2] = np.nan
+        with pytest.raises(DomainError):
+            criteria.depolarizing_ball_bounds(choi.QuantumMap(3, 3, C))
+        with pytest.raises(DomainError):
+            criteria.two_eb_ball_certificate(choi.QuantumMap(3, 3, C))
+
+    def test_overflowing_remainder(self):
+        T = choi.QuantumMap(3, 3, 1e307 * np.ones((9, 9)))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+            criteria.depolarizing_ball_bounds(T)
+
+    def test_certificate_needs_a_hermitian_choi_matrix(self):
+        C = np.eye(9, dtype=complex)
+        C[0, 1] = 0.1
+        with pytest.raises(NotHermitian):
+            criteria.two_eb_ball_certificate(choi.QuantumMap(3, 3, C))
+
+
+TYPED_ERRORS = (DimMismatch, DimOutOfRange, DomainError, NotHermitian, NotPSD)
+
+
+class TestBallRobustness:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.sampled_from([-1.0, -0.5, 0.5, 1.0]),
+        st.floats(-1e-6, 1e-6),
+        st.sampled_from([None, np.nan, np.inf, -np.inf]),
+        st.integers(0, 63),
+    )
+    def test_boundary_and_non_finite_inputs(self, d, p0, dp, bad, where):
+        C = np.array(holevo_werner(d, p0 + dp).choi)
+        if bad is not None:
+            C[divmod(where % (d * d * d * d), d * d)] = bad
+        T = choi.QuantumMap(d, d, C)
+        calls = [(criteria.two_eb_ball_certificate, bool),
+                 (criteria.depolarizing_ball_bounds, criteria.BallBounds),
+                 (lambda T: sdp.cb_split_bound(T).residuals["upper_bound"], float)]
+        for call, kind in calls:
+            try:
+                out = call(T)
+            except TYPED_ERRORS:
+                assert bad is not None
+                continue
+            assert bad is None
+            assert type(out) is kind
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4))
+    def test_non_square_maps(self, din, dout):
+        T = choi.QuantumMap(din, dout, np.eye(din * dout))
+        for call, kind in ((criteria.two_eb_ball_certificate, bool),
+                           (criteria.depolarizing_ball_bounds, criteria.BallBounds)):
+            try:
+                assert type(call(T)) is kind
+            except TYPED_ERRORS:
+                pass
+        if din != dout:
+            with pytest.raises(DimMismatch):
+                criteria.two_eb_ball_certificate(T)
 
 
 class TestJohnstonBlockCheck:

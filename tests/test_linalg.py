@@ -194,6 +194,23 @@ class TestRealign:
         assert np.sum(s > 1e-8 * s[0]) == 2
 
 
+class TestBlockNormSum:
+    def test_flip_has_one_unit_block_per_entry(self):
+        assert linalg.block_norm_sum(linalg.flip_operator(3), (3, 3)) == pytest.approx(9.0)
+
+    def test_bounds_the_map_on_unitaries(self, rng):
+        # C[(i a), (j b)] = L(|i><j|)[a, b], so L(X) = sum_ij X_ij C_ij
+        C = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        bound = linalg.block_norm_sum(C, (2, 3))
+        blocks = C.reshape(2, 3, 2, 3).transpose(0, 2, 1, 3)
+        for U in linalg.haar_unitary(2, rng, size=50):
+            assert np.linalg.norm(np.einsum("ij,ijab->ab", U, blocks), 2) <= bound + 1e-12
+
+    def test_dims_must_factor(self):
+        with pytest.raises(DimMismatch):
+            linalg.block_norm_sum(np.eye(6), (2, 2))
+
+
 class TestPermuteSystems:
     def test_swap_two_factors(self, rng):
         A = linalg.random_hermitian(2, rng)

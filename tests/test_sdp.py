@@ -473,6 +473,69 @@ class TestGaussianSplit:
             sdp.gaussian_eb_split(np.eye(3), np.eye(3))
 
 
+class TestCbSplitBound:
+    @staticmethod
+    def bound(J, din, dout=None):
+        res = sdp.cb_split_bound(choi.QuantumMap(din, dout or din, J))
+        assert res.status == sdp.FEASIBLE
+        return res
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_known_norms(self, d):
+        # id and the transpose have norm 1, X -> Tr[X] I has norm d
+        cases = [(linalg.max_entangled_projector(d), 1.0), (linalg.flip_operator(d), 1.0),
+                 (np.eye(d * d), float(d))]
+        for J, norm in cases:
+            upper = self.bound(J, d).residuals["upper_bound"]
+            assert norm <= upper <= norm + 1e-6
+
+    @pytest.mark.parametrize("p", [-0.8, -0.5, 0.3, 0.5])
+    def test_holevo_werner_deviation(self, p):
+        # D = -p θ splits as A = 0, B = -p id
+        upper = self.bound(-p * linalg.flip_operator(3), 3).residuals["upper_bound"]
+        assert abs(p) <= upper <= abs(p) + 1e-6
+
+    def test_rectangular_map(self):
+        # X -> Tr[X] |0><0| from M_2 to M_3 has norm 2
+        J = np.kron(np.eye(2), np.diag([1.0, 0.0, 0.0]))
+        upper = self.bound(J, 2, 3).residuals["upper_bound"]
+        assert 2.0 <= upper <= 2.0 + 1e-6
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e12, 1e150])
+    def test_badly_scaled_maps(self, scale):
+        # X -> (sum_ij X_ij) J_3 has norm 9; the problem is solved at unit scale
+        upper = self.bound(scale * np.ones((9, 9)), 3).residuals["upper_bound"]
+        assert 9.0 <= upper / scale <= 9.0 + 1e-6
+
+    def test_evidence_re_derives_the_bound(self):
+        rng = rng_for(3)
+        H = linalg.random_hermitian(9, rng)
+        res = self.bound(H, 3)
+        X = res.primal
+        split = X["j_a"] + linalg.partial_transpose(X["j_b"], (3, 3), "A")
+        assert np.max(np.abs(split - H)) <= 1e-12
+        for key in ("a", "b"):
+            Y, J = X["y_" + key], X["j_" + key]
+            assert np.linalg.eigvalsh(Y - J)[0] >= -1e-12
+            assert np.linalg.eigvalsh(Y + J)[0] >= -1e-12
+        norms = sum(linalg.operator_norm(linalg.partial_trace(X["y_" + k], (3, 3), "A"))
+                    for k in ("a", "b"))
+        assert res.residuals["rounding_allowance"] > 0.0
+        assert res.residuals["upper_bound"] >= norms + res.residuals["rounding_allowance"]
+
+    def test_anti_hermitian_part_is_bounded_separately(self):
+        # X -> i X^T has norm 1; its Choi matrix i F has no Hermitian part
+        res = self.bound(1j * linalg.flip_operator(2), 2)
+        assert res.residuals["anti_hermitian_bound"] == pytest.approx(4.0)
+        assert res.residuals["upper_bound"] >= 1.0
+
+    def test_non_finite_entries(self):
+        J = np.eye(4, dtype=complex)
+        J[1, 2] = np.inf
+        with pytest.raises(DomainError):
+            sdp.cb_split_bound(choi.QuantumMap(2, 2, J))
+
+
 class TestCounterexampleSearch:
     def test_choi_map_composition_stays_decomposable(self):
         rep = sdp.counterexample_search(choi_map(), restarts=2, max_rounds=10, seed=5)
