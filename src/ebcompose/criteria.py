@@ -4,8 +4,9 @@ Exact decisions where the regime allows (PPT at 2x2 / 2x3), the
 2-entanglement-breaking certificates (depolarizing ball, operator rank,
 dimension-3 characterization, dimension-4 PT-invariance), Schmidt-number
 bounds (fidelity witness, trimming, iteration, sub-blocks, PT-invariance),
-heuristic k-positivity falsification, and heuristic separability
-certification by product-state pursuit.
+heuristic k-positivity falsification, and separability certification:
+a closed-form twirl decomposition over mutually unbiased bases for PPT
+Werner- and isotropic-type states, and a product-state pursuit for the rest.
 
 Verdicts are :class:`~ebcompose.report.Report` objects carrying named
 evidence, so "unknown" is always distinguishable from a certified answer.
@@ -13,6 +14,7 @@ evidence, so "unknown" is always distinguishable from a certified answer.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -431,9 +433,13 @@ def two_eb_ball_certificate(T: QuantumMap, seed: int = 0) -> bool:
     coCP, and a verified separable decomposition of the Choi matrix (EB
     implies n-EB for every n); ``seed`` seeds that search.  A False is
     inconclusive, not a refutation.  Non-square maps raise DimMismatch, a
-    non-Hermitian Choi matrix NotHermitian.
+    Choi matrix beyond ``linalg.TOL_HERM`` of Hermitian NotHermitian; one
+    within it but not exactly Hermitian gives False, since a map that does
+    not preserve Hermiticity is not positive, let alone 2-EB.
     """
     C = linalg.require_hermitian(T.choi)
+    if not np.array_equal(C, C.conj().T):
+        return False
     bounds = depolarizing_ball_bounds(T)
     if bounds.upper <= 0.5:
         return True
@@ -480,26 +486,36 @@ def two_eb_rank_certificate(T: QuantumMap, rank_tol: float = 1e-8) -> bool:
 
 
 def two_eb_d3_certificate(T: QuantumMap, restarts: int = 32, iters: int = 200, seed: int = 0) -> Report:
-    """2-EB decision for maps on M_3: 2-positive and 2-copositive iff 2-EB."""
+    """2-EB decision for maps on M_3: 2-positive and 2-copositive iff 2-EB.
+
+    CP + coCP certifies at once; otherwise heuristic searches look for a
+    2-positivity witness (unless T is CP) and a 2-copositivity witness
+    (unless T is coCP).  Finding neither gives "unknown".
+    """
     if T.din != 3 or T.dout != 3:
         raise DimOutOfRange("the exact characterization applies to maps on M_3")
+    _require_count("restarts", restarts, 1)
+    _require_count("iters", iters, 1)
 
     def report(status, name, data):
         sense = {"name": "sense", "data": "2-EB"}
         return Report("two_eb_d3_certificate", status, (sense, {"name": name, "data": data}))
 
-    M, name = T, "two-positivity-witness"
-    witness = k_positivity_falsify(M, 2, restarts, iters, seed)
-    if witness is None:
+    cp, cocp = is_cp(T), is_cocp(T)
+    if cp and cocp:
+        return report(EB_CERTIFIED, "exact-regime",
+                      {"rule": "CP and coCP imply 2-positive and 2-copositive",
+                       "choi_min_eig": linalg.min_eig(T.choi)})
+    witness = None
+    if not cp:
+        M, name = T, "two-positivity-witness"
+        witness = k_positivity_falsify(M, 2, restarts, iters, seed)
+    if witness is None and not cocp:
         M, name = compose(transposition_map(3), T), "two-copositivity-witness"
         witness = k_positivity_falsify(M, 2, restarts, iters, seed + 1)
     if witness is not None:
         value = float((witness.conj() @ (M.choi @ witness)).real)
         return report(NOT_EB_CERTIFIED, name, {"value": value, "vector": witness})
-    if is_cp(T) and is_cocp(T):
-        return report(EB_CERTIFIED, "exact-regime",
-                      {"rule": "CP and coCP imply 2-positive and 2-copositive",
-                       "choi_min_eig": linalg.min_eig(T.choi)})
     return report(UNKNOWN, "no-witness-within-budget", {"restarts": restarts, "iters": iters})
 
 
@@ -577,15 +593,18 @@ class SepDecomposition:
         return (V.T * self.weights) @ V.conj()
 
 
-def _mub_vectors(d: int) -> list[np.ndarray]:
-    """Vectors of d+1 mutually unbiased bases (d prime or 4), a projective 2-design."""
+@functools.lru_cache(maxsize=None)
+def _mub_vectors(d: int) -> np.ndarray:
+    """Rows: the vectors of d+1 mutually unbiased bases (d prime or 4), a
+    projective 2-design; basis-major, so vector i of basis b is row b d + i.
+    Cached, hence read-only.
+    """
     vecs = [np.eye(d, dtype=complex)[:, j] for j in range(d)]
     if d == 2:
         for basis in ([[1, 1], [1, -1]], [[1, 1j], [1, -1j]]):
             for v in basis:
                 vecs.append(np.array(v, dtype=complex) / np.sqrt(2))
-        return vecs
-    if d == 4:
+    elif d == 4:
         # common eigenbases of the four non-diagonal maximal commuting
         # two-qubit Pauli classes; distinct eigenvalues of A + 2B make
         # eigh return the shared basis directly
@@ -602,13 +621,66 @@ def _mub_vectors(d: int) -> list[np.ndarray]:
         for first, second in classes:
             _, basis = np.linalg.eigh(first + 2.0 * second)
             vecs.extend(basis[:, k] for k in range(4))
-        return vecs
-    omega = np.exp(2j * np.pi / d)
-    js = np.arange(d)
-    for m in range(d):
-        for k in range(d):
-            vecs.append(omega ** (m * js * js + k * js) / np.sqrt(d))
-    return vecs
+    else:
+        omega = np.exp(2j * np.pi / d)
+        js = np.arange(d)
+        for m in range(d):
+            for k in range(d):
+                vecs.append(omega ** (m * js * js + k * js) / np.sqrt(d))
+    V = np.array(vecs)
+    V.setflags(write=False)
+    return V
+
+
+def _twirl_decomposition(X: BipartiteState, target: float) -> Optional[SepDecomposition]:
+    """Closed-form decomposition of a PPT state alpha I + beta F or alpha I + beta Omega.
+
+    Over d+1 mutually unbiased bases b (a projective 2-design, d = 2-5),
+    sum_v (v v^dag)^(x)2 = I + F and sum_b sum_{i != j} b_i b_i^dag (x) b_j b_j^dag
+    = d I - F; conjugating the second factor turns F into Omega =
+    |Omega><Omega|, and the computational product basis sums to I.  PPT
+    means alpha >= beta and alpha >= -d beta, so beta (I + F) + (alpha - beta) I
+    for beta >= 0 and |beta| (d I - F) + (alpha - d |beta|) I for beta < 0
+    (F -> Omega alike) have nonnegative weights.  Inputs outside both
+    spans (entrywise remainder above ``target``), with dA != dB or
+    d outside 2-5, or with a negative weight (NPT) leave before any atom is
+    built.  The decomposition is returned only when the operator norm of
+    X minus its reconstruction is at most ``target``; otherwise None.
+    """
+    (d, dB), M = X.dims, X.mat
+    if d != dB or d not in (2, 3, 4, 5):
+        return None
+    eye = np.eye(d * d)
+    alpha = M[1, 1].real
+    for beta, pattern, conj in ((M[1, d].real, linalg.flip_operator(d), False),
+                                (M[0, d + 1].real, linalg.max_entangled_projector(d), True)):
+        if np.max(np.abs(M - alpha * eye - beta * pattern)) <= target:
+            break
+    else:
+        return None
+    w_sym, w_pairs = max(beta, 0.0), max(-beta, 0.0)
+    w_prod = alpha - w_sym - d * w_pairs
+    if w_prod < -target:
+        return None
+    V = _mub_vectors(d)
+    i, j = np.nonzero(~np.eye(d, dtype=bool))
+    start = np.arange(d + 1)[:, None] * d
+    basis = np.eye(d, dtype=complex)
+    groups = [(wt, A, B) for wt, A, B in (
+        (w_sym, V, V),
+        (w_pairs, V[(start + i).ravel()], V[(start + j).ravel()]),
+        (w_prod, np.repeat(basis, d, axis=0), np.tile(basis, (d, 1))),
+    ) if wt > 0.0]
+    if not groups:
+        return None
+    w = np.concatenate([np.full(len(A), wt) for wt, A, _ in groups])
+    A = np.concatenate([A for _, A, _ in groups])
+    B = np.concatenate([B for _, _, B in groups])
+    if conj:
+        B = B.conj()
+    dec = SepDecomposition(w, A, B, 0.0, 0)
+    resid = linalg.operator_norm(M - dec.reconstruct())
+    return SepDecomposition(w, A, B, resid, 0) if resid <= target else None
 
 
 def _seed_atoms(dims: tuple[int, int], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -622,7 +694,7 @@ def _seed_atoms(dims: tuple[int, int], rng: np.random.Generator) -> tuple[np.nda
     if dA == dB:
         # both pairings: (v, conj v) spans isotropic-type targets, (v, v)
         # symmetric-projector-type ones (each family is a 2-design sum)
-        vecs = _mub_vectors(dA) if dA in (2, 3, 4, 5) else []
+        vecs = list(_mub_vectors(dA)) if dA in (2, 3, 4, 5) else []
         vecs += [linalg.random_pure_state(dA, rng) for _ in range(4 * dA * dA)]
         W = np.array(vecs)
         A.append(np.repeat(W, 2, axis=0))
@@ -658,11 +730,17 @@ def heuristic_sep_certify(
     target_rel: float = 1e-7,
     refit_every: int = 50,
 ) -> Optional[SepDecomposition]:
-    """Randomized greedy product-state pursuit with NNLS refits.
+    """Separable decomposition: a closed-form twirl rung, then a randomized
+    greedy product-state pursuit with NNLS refits.
 
-    Atom t is the product vector v_t = A[t] (x) B[t] of two stacks.  NNLS
-    fits weights w over the projectors v_t v_t^dagger; between refits the
-    residual X - sum_t w_t v_t v_t^dagger is updated by rank-one terms.
+    A PPT state alpha I + beta F or alpha I + beta |Omega><Omega| at d = 2-5
+    is decomposed in closed form (``_twirl_decomposition``; no atoms are
+    searched and no random numbers drawn).  Anything else goes to the pursuit.
+
+    In the pursuit, atom t is the product vector v_t = A[t] (x) B[t] of two
+    stacks.  NNLS fits weights w over the projectors v_t v_t^dagger; between
+    refits the residual X - sum_t w_t v_t v_t^dagger is updated by rank-one
+    terms.
 
     Returns a verified separable decomposition with relative residual below
     ``target_rel`` (operator norm), or None; absence is inconclusive, not a
@@ -676,6 +754,9 @@ def heuristic_sep_certify(
     if scale == 0.0:
         return SepDecomposition(np.zeros(0), np.zeros((0, dA)), np.zeros((0, dB)), 0.0, 0)
     target = target_rel * scale
+    twirled = _twirl_decomposition(X, target)
+    if twirled is not None:
+        return twirled
     rng = np.random.default_rng(seed)
     A, B, w, R = _refit(X.mat, *_seed_atoms(X.dims, rng))
     searched = stalls = 0

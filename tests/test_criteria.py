@@ -271,6 +271,12 @@ class TestSearchBudgets:
         with pytest.raises(DomainError):
             criteria.two_eb_d3_certificate(holevo_werner(3, 0.9), **kwargs)
 
+    @pytest.mark.parametrize("kwargs", BAD_SEARCH_BUDGETS, ids=budget_id)
+    def test_two_eb_d3_certificate_on_cp_cocp_map(self, kwargs):
+        # the budget is checked before the CP + coCP shortcut skips the search
+        with pytest.raises(DomainError):
+            criteria.two_eb_d3_certificate(choi.depolarizing_map(3), **kwargs)
+
     def test_integer_budgets_of_any_integer_type(self):
         T = holevo_werner(3, 0.3)
         dev = criteria.deviation_from_depolarizing(T, samples=np.int64(0), restarts=np.int32(4),
@@ -475,6 +481,14 @@ class TestBallBounds:
         with pytest.raises(NotHermitian):
             criteria.two_eb_ball_certificate(choi.QuantumMap(3, 3, C))
 
+    def test_choi_matrix_within_tolerance_of_hermitian_is_not_certified(self):
+        # the defect passes require_hermitian, but a map that does not
+        # preserve Hermiticity is not 2-EB, so the ball must not certify it
+        C = np.eye(9) - 0.3 * linalg.flip_operator(3)
+        C[0, 1] += 1e-11j
+        assert criteria.two_eb_ball_certificate(choi.QuantumMap(3, 3, C)) is False
+        assert criteria.two_eb_ball_certificate(holevo_werner(3, 0.3)) is True
+
 
 TYPED_ERRORS = (DimMismatch, DimOutOfRange, DomainError, NotHermitian, NotPSD)
 
@@ -609,6 +623,50 @@ class TestTwoEbD3Certificate:
         names = {e["name"] for e in v.evidence}
         assert "two-copositivity-witness" in names
 
+    def test_hw_statuses_on_coarse_grid(self):
+        # CP + coCP for p <= 1/3, no witness up to the 2-EB boundary p = 1/2,
+        # a copositivity witness beyond it
+        grid = np.linspace(-1.0, 1.0, 21)
+        expected = ([criteria.EB_CERTIFIED] * 14 + [criteria.UNKNOWN] * 2
+                    + [criteria.NOT_EB_CERTIFIED] * 5)
+        got = [criteria.two_eb_d3_certificate(holevo_werner(3, p)).status for p in grid]
+        assert got == expected
+
+    def test_cp_cocp_maps_skip_the_witness_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("witness search on a CP + coCP map")
+
+        monkeypatch.setattr(criteria, "k_positivity_falsify", no_search)
+        maps = [choi.random_cp_cocp_map(3, 0), choi.random_cp_cocp_map(3, 1),
+                choi.depolarizing_map(3), holevo_werner(3, -1.0), holevo_werner(3, 0.3)]
+        for T in maps:
+            v = criteria.two_eb_d3_certificate(T)
+            assert v.status == criteria.EB_CERTIFIED
+            assert {e["name"] for e in v.evidence} == {"sense", "exact-regime"}
+
+    def test_only_searches_that_can_succeed_run(self, monkeypatch):
+        # HW(3, p) is CP for |p| <= 1, so only the 2-copositivity search runs
+        searched = []
+        search = criteria.k_positivity_falsify
+
+        def recording(M, *args, **kwargs):
+            searched.append(M)
+            return search(M, *args, **kwargs)
+
+        monkeypatch.setattr(criteria, "k_positivity_falsify", recording)
+        T = holevo_werner(3, 0.9)
+        v = criteria.two_eb_d3_certificate(T)
+        assert v.status == criteria.NOT_EB_CERTIFIED
+        assert len(searched) == 1
+        np.testing.assert_array_equal(
+            searched[0].choi, choi.compose(choi.transposition_map(3), T).choi)
+        # the transposition is coCP, so only the 2-positivity search runs
+        searched.clear()
+        v = criteria.two_eb_d3_certificate(choi.transposition_map(3))
+        assert v.status == criteria.NOT_EB_CERTIFIED
+        assert len(searched) == 1
+        np.testing.assert_array_equal(searched[0].choi, choi.transposition_map(3).choi)
+
     def test_boundary_map_is_honestly_unknown(self):
         # 2 Tr[X] I - X is 2-positive and 2-copositive (boundary cases) but
         # not CP, so neither the witness search nor the exact regime applies
@@ -736,6 +794,20 @@ class TestHeuristicSepCertify:
         for A, B in dec.terms:
             assert linalg.is_psd(A) and linalg.is_psd(B)
 
+    def test_local_unitary_rotation_of_hw_squared_found_by_pursuit(self, rng):
+        # (U (x) V) X (U (x) V)^dag leaves span{I, F} and span{I, Omega}, so
+        # the twirl rung declines and the pursuit must find it
+        T = choi.compose(holevo_werner(3, 0.8), holevo_werner(3, 0.8))
+        W = np.kron(linalg.haar_unitary(3, rng), linalg.haar_unitary(3, rng))
+        M = W @ T.choi @ W.conj().T
+        X = state((3, 3), (M + M.conj().T) / 2.0)
+        scale = linalg.operator_norm(X.mat)
+        assert criteria._twirl_decomposition(X, 1e-7 * scale) is None
+        dec = criteria.heuristic_sep_certify(X, budget=500)
+        assert dec is not None and dec.atoms_searched > 0
+        assert dec.residual <= 1e-7 * scale
+        assert_residual_matches_terms(dec, X.mat)
+
     def test_random_separable_mixtures_found(self, rng):
         # dense mixtures sit in the interior of the separable cone, where
         # the pursuit converges; exact-sparse boundary cases may time out
@@ -755,6 +827,64 @@ def criterion_05_state(seed: int) -> BipartiteState:
     """The normalized Choi state of a composition swept by acceptance criterion 05."""
     comp = choi.compose(choi.random_cp_cocp_map(3, 1000 + seed), choi.random_cp_cocp_map(3, seed))
     return state((3, 3), comp.choi / np.trace(comp.choi).real)
+
+
+def no_pursuit(*args, **kwargs):
+    raise AssertionError("the separable pursuit ran")
+
+
+class TestTwirlDecomposition:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_every_ppt_holevo_werner_state(self, d, monkeypatch):
+        monkeypatch.setattr(criteria, "_refit", no_pursuit)
+        for p in np.linspace(-1.0, 1.0 / d, 41):
+            X = state((d, d), holevo_werner(d, p).choi)
+            dec = criteria.heuristic_sep_certify(X)
+            assert dec.atoms_searched == 0 and np.all(dec.weights > 0.0), p
+            assert dec.residual <= 1e-13 * linalg.operator_norm(X.mat), p
+            assert_residual_matches_terms(dec, X.mat)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_isotropic_antisym_square_and_sym_choi(self, d, monkeypatch):
+        monkeypatch.setattr(criteria, "_refit", no_pursuit)
+        a, s = catalog.antisym_sym_maps(d)
+        for M in (choi.compose(a.map, a.map).choi, s.map.choi):
+            X = state((d, d), M)
+            dec = criteria.heuristic_sep_certify(X)
+            assert dec.atoms_searched == 0 and np.all(dec.weights > 0.0)
+            assert dec.residual <= 1e-13 * linalg.operator_norm(X.mat)
+            assert_residual_matches_terms(dec, X.mat)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_npt_members_are_declined(self, d):
+        for p in (1.0 / d + 1e-3, 0.5 + 1e-3, 1.0):
+            X = state((d, d), holevo_werner(d, p).choi)
+            assert criteria._twirl_decomposition(X, 1e-7 * linalg.operator_norm(X.mat)) is None
+        # the isotropic state |Omega><Omega| is PSD and NPT
+        X = state((d, d), linalg.max_entangled_projector(d))
+        assert criteria._twirl_decomposition(X, 1e-7 * d) is None
+
+    @pytest.mark.parametrize(
+        "dims,mat",
+        [((2, 3), np.eye(6)), ((6, 6), np.eye(36)), ((3, 3), np.diag(np.arange(1.0, 10.0)))],
+        ids=["unequal-factors", "d6", "outside-both-spans"],
+    )
+    def test_other_inputs_are_declined(self, dims, mat):
+        X = state(dims, mat)
+        assert criteria._twirl_decomposition(X, 1e-7 * linalg.operator_norm(X.mat)) is None
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_criterion_05_states_fall_through_unchanged(self, seed, monkeypatch):
+        # generic states leave at the entrywise test and draw nothing from
+        # the pursuit's generator, so the result is bit for bit the pursuit's
+        X = criterion_05_state(seed)
+        assert criteria._twirl_decomposition(X, 1e-7 * linalg.operator_norm(X.mat)) is None
+        dec = criteria.heuristic_sep_certify(X)
+        monkeypatch.setattr(criteria, "_twirl_decomposition", lambda X, target: None)
+        ref = criteria.heuristic_sep_certify(X)
+        for name in ("weights", "a", "b"):
+            np.testing.assert_array_equal(getattr(dec, name), getattr(ref, name))
+        assert (dec.residual, dec.atoms_searched) == (ref.residual, ref.atoms_searched)
 
 
 class TestStackedPolish:
