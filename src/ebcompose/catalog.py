@@ -27,6 +27,8 @@ from .errors import DimMismatch, DomainError
 
 ParamValue = Union[int, float]
 
+ANNIHILATION_TOL = 1e-9  # largest relative deviation annihilation_identity_check accepts
+
 
 @dataclass(frozen=True)
 class NamedMap:
@@ -214,12 +216,11 @@ def annihilation_identity_check(
     T2: QuantumMap,
     trials: int = 20,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> bool:
     """True when the single-sided rewrite holds on random pure inputs.
 
     Draws ``trials`` Haar-random pure states on the joint input space and
-    accepts when every relative deviation stays within ``tol``.
+    accepts when every relative deviation stays within ``ANNIHILATION_TOL``.
     """
     if trials < 1:
         raise DomainError(f"trial count {trials} is below 1")
@@ -228,7 +229,7 @@ def annihilation_identity_check(
     for _ in range(trials):
         psi = linalg.random_pure_state(T1.din * T2.din, rng)
         worst = max(worst, annihilation_identity_deviation(T1, T2, psi))
-    return worst <= tol
+    return worst <= ANNIHILATION_TOL
 
 
 _BUILDERS: dict[str, Callable[[Mapping[str, ParamValue]], NamedMap]] = {

@@ -2,7 +2,8 @@
 
 A map L: M_din -> M_dout is represented canonically by its Choi matrix
 C_L = sum_ij |i><j| (x) L(|i><j|), an operator on C^din (x) C^dout.  The
-entry convention is C[(i,a),(j,b)] = L(|i><j|)[a,b].
+entry convention is C[(i,a),(j,b)] = L(|i><j|)[a,b].  CP and coCP use the
+PSD rule of ``linalg.is_psd``; the other tolerances are the constants below.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ import numpy as np
 
 from . import linalg
 from .errors import DimMismatch, LinearityViolation, NotPSD
+
+LINEARITY_TOL = 1e-8  # relative, choi_from_action's spot-check
+RANK_TOL = 1e-8  # singular values counted by operator_schmidt_rank, relative
+KRAUS_TOL = 1e-10  # kraus_operators' eigenvalue cut, stricter than is_cp
 
 
 @dataclass(frozen=True)
@@ -72,12 +77,11 @@ def choi_from_action(
     apply_fn: Callable[[np.ndarray], np.ndarray],
     din: int,
     dout: int,
-    linearity_tol: float = 1e-8,
 ) -> QuantumMap:
     """Build the Choi matrix of a callable by probing matrix units.
 
     The callable must be linear; this is spot-checked on a random linear
-    combination and a LinearityViolation is raised beyond ``linearity_tol``
+    combination and a LinearityViolation is raised beyond ``LINEARITY_TOL``
     relative deviation.
     """
     C = np.zeros((din * dout, din * dout), dtype=complex)
@@ -100,7 +104,7 @@ def choi_from_action(
     lhs = np.asarray(apply_fn(a * X1 + b * X2), dtype=complex)
     rhs = a * np.asarray(apply_fn(X1)) + b * np.asarray(apply_fn(X2))
     scale = max(1.0, float(np.max(np.abs(rhs))))
-    if np.max(np.abs(lhs - rhs)) > linearity_tol * scale:
+    if np.max(np.abs(lhs - rhs)) > LINEARITY_TOL * scale:
         raise LinearityViolation("callable failed the random linearity spot-check")
     return QuantumMap(din, dout, C)
 
@@ -142,34 +146,33 @@ def tensor(T1: QuantumMap, T2: QuantumMap) -> QuantumMap:
     return QuantumMap(din, dout, C)
 
 
-def is_cp(T: QuantumMap, tol: float = linalg.TOL_PSD) -> bool:
+def is_cp(T: QuantumMap) -> bool:
     """Complete positivity: the Choi matrix is PSD."""
-    return linalg.is_psd(T.choi, tol)
+    return linalg.is_psd(T.choi)
 
 
-def is_cocp(T: QuantumMap, tol: float = linalg.TOL_PSD) -> bool:
+def is_cocp(T: QuantumMap) -> bool:
     """Complete copositivity: the output-side partial transpose of the Choi is PSD."""
-    pt = linalg.partial_transpose(T.choi, T.dims, "B")
-    return linalg.is_psd(pt, tol)
+    return linalg.is_psd(linalg.partial_transpose(T.choi, T.dims, "B"))
 
 
-def operator_schmidt_rank(T: QuantumMap, tol: float = 1e-8) -> int:
+def operator_schmidt_rank(T: QuantumMap) -> int:
     """Rank of T as a linear operator: singular values of the realigned Choi."""
     s = np.linalg.svd(linalg.realign(T.choi, T.dims), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def kraus_operators(T: QuantumMap, tol: float = 1e-10) -> list[np.ndarray]:
+def kraus_operators(T: QuantumMap) -> list[np.ndarray]:
     """Kraus decomposition of a CP map from the Choi eigendecomposition."""
     w, V = linalg.eig_hermitian(T.choi)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if w[0] < -tol * scale:
+    cut = KRAUS_TOL * max(1.0, float(np.max(np.abs(w))))
+    if w[0] < -cut:
         raise NotPSD(f"Choi matrix has negative eigenvalue {w[0]:.3e}; map is not CP")
     ops = []
     for k in range(w.size):
-        if w[k] > tol * scale:
+        if w[k] > cut:
             # eigenvector v with v[(i,a)] = K[a,i] gives T(X) = sum K X K†
             K = np.sqrt(w[k]) * V[:, k].reshape(T.din, T.dout).T
             ops.append(K)

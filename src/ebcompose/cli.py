@@ -34,7 +34,7 @@ def _skip(name: str, reason: str) -> dict:
 
 
 def _suite_holevo_werner(args) -> list[dict]:
-    d, p, tol = args.d, args.p, args.tol_psd
+    d, p = args.d, args.p
     nm = catalog.holevo_werner(d, p)
     checks = []
 
@@ -47,7 +47,7 @@ def _suite_holevo_werner(args) -> list[dict]:
     checks.append(
         _check(
             "cocp-boundary",
-            choi.is_cocp(below.map, tol) and not choi.is_cocp(above.map, tol),
+            choi.is_cocp(below.map) and not choi.is_cocp(above.map),
             boundary=1.0 / d,
         )
     )
@@ -56,9 +56,9 @@ def _suite_holevo_werner(args) -> list[dict]:
         checks.append(
             _check(
                 "cocp-at-p",
-                choi.is_cocp(nm.map, tol) == (p < 1.0 / d),
+                choi.is_cocp(nm.map) == (p < 1.0 / d),
                 p=float(p),
-                cocp=choi.is_cocp(nm.map, tol),
+                cocp=choi.is_cocp(nm.map),
             )
         )
     else:
@@ -87,15 +87,15 @@ def _suite_rank3(args) -> list[dict]:
     nm = catalog.rank3_example()
     pt = linalg.partial_transpose(nm.map.choi, (3, 3), "B")
     return [
-        _check("cp", choi.is_cp(nm.map, args.tol_psd), min_eig=linalg.min_eig(nm.map.choi)),
-        _check("not-cocp", not choi.is_cocp(nm.map, args.tol_psd), pt_min_eig=linalg.min_eig(pt)),
+        _check("cp", choi.is_cp(nm.map), min_eig=linalg.min_eig(nm.map.choi)),
+        _check("not-cocp", not choi.is_cocp(nm.map), pt_min_eig=linalg.min_eig(pt)),
         _check("operator-rank-3", choi.operator_schmidt_rank(nm.map) == 3),
         _check("two-eb-rank-certificate", criteria.two_eb_rank_certificate(nm.map)),
     ]
 
 
 def _suite_antisym(args) -> list[dict]:
-    d, tol = args.d, args.tol_psd
+    d = args.d
     a, s = catalog.antisym_sym_maps(d)
     eye, flip = np.eye(d * d), linalg.flip_operator(d)
     checks = [
@@ -104,15 +104,15 @@ def _suite_antisym(args) -> list[dict]:
             np.allclose(a.map.choi, (eye - flip) / (d * (d - 1)))
             and np.allclose(s.map.choi, (eye + flip) / (d * (d + 1))),
         ),
-        _check("antisym-cp-not-cocp", choi.is_cp(a.map, tol) and not choi.is_cocp(a.map, tol)),
-        _check("sym-cp-and-cocp", choi.is_cp(s.map, tol) and choi.is_cocp(s.map, tol)),
+        _check("antisym-cp-not-cocp", choi.is_cp(a.map) and not choi.is_cocp(a.map)),
+        _check("sym-cp-and-cocp", choi.is_cp(s.map) and choi.is_cocp(s.map)),
     ]
 
     sq = choi.compose(a.map, a.map)
     formula = ((d - 2) * eye + linalg.max_entangled_projector(d)) / (d**2 * (d - 1) ** 2)
     gap = float(np.max(np.abs(sq.choi - formula)))
     checks.append(_check("square-formula", gap <= 1e-12, max_abs_gap=gap))
-    square_ppt = criteria.is_ppt_state(criteria.BipartiteState((d, d), sq.choi), tol)
+    square_ppt = criteria.is_ppt_state(criteria.BipartiteState((d, d), sq.choi))
     checks.append(
         _check("square-ppt-iff-dim-3plus", square_ppt == (d >= 3), square_ppt=square_ppt)
     )
@@ -133,16 +133,15 @@ def _suite_antisym(args) -> list[dict]:
 
 
 def _suite_tau_n(args) -> list[dict]:
-    d, n, tol = args.d, args.n, args.tol_psd
-    nm = catalog.tau_n_map(d, n)
+    nm = catalog.tau_n_map(args.d, args.n)
     checks = [
         _check("trace-one", abs(np.trace(nm.map.choi).real - 1.0) <= 1e-12),
-        _check("cp", choi.is_cp(nm.map, tol)),
-        _check("cocp", choi.is_cocp(nm.map, tol)),
+        _check("cp", choi.is_cp(nm.map)),
+        _check("cocp", choi.is_cocp(nm.map)),
     ]
     sq = choi.compose(nm.map, nm.map)
     state = criteria.BipartiteState(sq.dims, sq.choi)
-    checks.append(_check("square-ppt", criteria.is_ppt_state(state, tol)))
+    checks.append(_check("square-ppt", criteria.is_ppt_state(state)))
     checks.append(_check("square-realignment", criteria.realignment_criterion(state)))
     return checks
 
@@ -152,8 +151,7 @@ def _suite_choi_witness(args) -> list[dict]:
     witness = criteria.k_positivity_falsify(nm.map, 1, restarts=16, seed=args.seed)
     result = sdp.decomposability_check(nm.map)
     return [
-        _check("not-cp", linalg.min_eig(nm.map.choi) < -args.tol_psd,
-               min_eig=linalg.min_eig(nm.map.choi)),
+        _check("not-cp", not choi.is_cp(nm.map), min_eig=linalg.min_eig(nm.map.choi)),
         _check("positivity-audit", witness is None),
         _check(
             "not-decomposable",
@@ -166,7 +164,7 @@ def _suite_choi_witness(args) -> list[dict]:
 
 
 def _suite_switch(args) -> list[dict]:
-    d, tol = args.d, args.tol_psd
+    d = args.d
     T1 = choi.random_cp_cocp_map(d, args.seed)
     T2 = choi.random_cp_cocp_map(d, args.seed + 1)
     sw = choi.switch_map(T1, T2)
@@ -179,7 +177,7 @@ def _suite_switch(args) -> list[dict]:
     scale = max(1.0, float(np.max(np.abs(expected))))
     gap = float(np.max(np.abs(twice - expected))) / scale
     return [
-        _check("switch-cp-and-cocp", choi.is_cp(sw, tol) and choi.is_cocp(sw, tol)),
+        _check("switch-cp-and-cocp", choi.is_cp(sw) and choi.is_cocp(sw)),
         _check("dims-doubled", sw.dims == (2 * d, 2 * d)),
         _check("sector-composition", gap <= SECTOR_TOL, rel_gap=gap),
     ]
@@ -188,10 +186,10 @@ def _suite_switch(args) -> list[dict]:
 def _suite_gaussian(args) -> list[dict]:
     C = gaussian.random_cocp_channel(args.n, args.seed)
     checks = [
-        _check("valid", gaussian.is_valid(C, args.tol_psd)),
-        _check("cocp", gaussian.is_cocp(C, args.tol_psd)),
+        _check("valid", gaussian.is_valid(C)),
+        _check("cocp", gaussian.is_cocp(C)),
     ]
-    N, M, verified = gaussian.ppt2_witness(C, C, args.tol_psd)
+    N, M, verified = gaussian.ppt2_witness(C, C)
     checks.append(_check("ppt2-witness", verified))
     result = gaussian.is_eb(gaussian.compose(C, C))
     feasible = result.status == sdp.FEASIBLE
@@ -203,8 +201,8 @@ def _suite_gaussian(args) -> list[dict]:
         checks.append(
             _check(
                 "split-margins",
-                result.residuals["measured_margin"] >= -1e-8
-                and result.residuals["remainder_margin"] >= -1e-8,
+                min(result.residuals["measured_margin"],
+                    result.residuals["remainder_margin"]) >= -linalg.TOL_PSD,
             )
         )
     return checks
@@ -225,10 +223,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=float, default=0.25, help="family parameter (default 0.25)")
     parser.add_argument("--n", type=int, default=1, help="tensor power or mode count (default 1)")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument(
-        "--tol-psd", type=float, default=linalg.TOL_PSD,
-        help="PSD acceptance tolerance (default 1e-9)",
-    )
     parser.add_argument("--json-out", metavar="PATH", help="write the JSON report to PATH")
 
 
@@ -242,7 +236,7 @@ def _run(op: str, suite: Callable, args) -> int:
     print(f"{op}: {'all checks passed' if passed else 'CHECKS FAILED'}")
     if args.json_out:
         report = Report(op, "pass" if passed else "fail", checks, args.seed,
-                        {"tol_psd": args.tol_psd})
+                        {"tol_psd": linalg.TOL_PSD})
         with open(args.json_out, "w") as fh:
             json.dump(to_json(report), fh, indent=2)
     return 0 if passed else 1

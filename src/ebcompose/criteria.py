@@ -10,6 +10,8 @@ Werner- and isotropic-type states, and a product-state pursuit for the rest.
 
 Verdicts are :class:`~ebcompose.report.Report` objects carrying named
 evidence, so "unknown" is always distinguishable from a certified answer.
+PSD and PPT tests use ``linalg.is_psd``; the other tolerances are the
+constants below, not arguments.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from .errors import (
     NotPSD,
 )
 from .report import Report
+
+SCHMIDT_TOL = 1e-10  # Schmidt coefficients counted by schmidt_rank, relative
+PT_INVARIANCE_TOL = 1e-9  # ||PT(X) - X|| <= PT_INVARIANCE_TOL * max(1, ||X||)
+WITNESS_TOL = 1e-9  # a k-positivity witness needs <psi|C|psi> < -WITNESS_TOL
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,8 @@ NOT_EB_CERTIFIED = "notEB-certified"
 UNKNOWN = "unknown"
 
 
-def schmidt_rank(psi, dims: Sequence[int], tol: float = 1e-10) -> int:
-    """Number of Schmidt coefficients of a vector above tol relative.
+def schmidt_rank(psi, dims: Sequence[int]) -> int:
+    """Number of Schmidt coefficients of a vector above ``SCHMIDT_TOL`` relative.
 
     A vector whose length is not dA * dB raises DimMismatch; non-finite
     entries raise DomainError.
@@ -90,7 +96,7 @@ def schmidt_rank(psi, dims: Sequence[int], tol: float = 1e-10) -> int:
     s = np.linalg.svd(v.reshape(dA, dB), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > SCHMIDT_TOL * s[0]))
 
 
 def _require_count(name: str, value, minimum: int) -> None:
@@ -99,9 +105,9 @@ def _require_count(name: str, value, minimum: int) -> None:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def is_ppt_state(X: BipartiteState, tol: float = linalg.TOL_PSD) -> bool:
+def is_ppt_state(X: BipartiteState) -> bool:
     """Positive partial transpose on factor A."""
-    return linalg.is_psd(linalg.partial_transpose(X.mat, X.dims, "A"), tol)
+    return linalg.is_psd(linalg.partial_transpose(X.mat, X.dims, "A"))
 
 
 def sep_decision_low_dim(X: BipartiteState) -> Report:
@@ -110,8 +116,7 @@ def sep_decision_low_dim(X: BipartiteState) -> Report:
         raise DimOutOfRange(f"exact PPT decision only at 2x2/2x3, got {X.dims}")
     pt = linalg.partial_transpose(X.mat, X.dims, "A")
     w, V = linalg.eig_hermitian(pt)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if w[0] >= -linalg.TOL_PSD * scale:
+    if linalg.is_psd(pt):
         return Report("sep_decision_low_dim", EB_CERTIFIED, (
             {"name": "exact-regime", "data": {"rule": "PPT is separability at these dimensions"}},
             {"name": "pt-min-eig", "data": float(w[0])},
@@ -148,18 +153,20 @@ def sn_lower_fidelity(X: BipartiteState) -> int:
     return max(1, min(dA, k))
 
 
-def sn_upper_pt_invariant(X: BipartiteState, tol: float = 1e-9) -> Optional[int]:
+def _pt_invariant(M: np.ndarray, dims: Sequence[int], which: str) -> bool:
+    dev = linalg.operator_norm(linalg.partial_transpose(M, dims, which) - M)
+    return dev <= PT_INVARIANCE_TOL * max(1.0, linalg.operator_norm(M))
+
+
+def sn_upper_pt_invariant(X: BipartiteState) -> Optional[int]:
     """dA - 1 upper bound when X is invariant under partial transposition."""
     dA, dB = X.dims
     if dA > dB:
         raise DimMismatch("PT-invariance bound assumes dA <= dB")
-    dev = linalg.operator_norm(linalg.partial_transpose(X.mat, X.dims, "A") - X.mat)
-    if dev <= tol * max(1.0, linalg.operator_norm(X.mat)):
-        return dA - 1
-    return None
+    return dA - 1 if _pt_invariant(X.mat, X.dims, "A") else None
 
 
-def sn_verdict(X: BipartiteState, tol: float = 1e-9) -> SnVerdict:
+def sn_verdict(X: BipartiteState) -> SnVerdict:
     """Bracket the Schmidt number with every applicable bound."""
     dA, dB = X.dims
     certificates = []
@@ -170,7 +177,7 @@ def sn_verdict(X: BipartiteState, tol: float = 1e-9) -> SnVerdict:
     upper = min(dA, dB)
     certificates.append({"name": "dimension-upper", "data": upper})
     if dA <= dB:
-        pt_bound = sn_upper_pt_invariant(X, tol)
+        pt_bound = sn_upper_pt_invariant(X)
         if pt_bound is not None:
             upper = min(upper, max(1, pt_bound))
             certificates.append({"name": "pt-invariant-upper", "data": pt_bound})
@@ -189,7 +196,7 @@ def subblock(X: BipartiteState, indices: Sequence[int]) -> BipartiteState:
     return BipartiteState((m, dB), Y.reshape(m * dB, m * dB))
 
 
-def subblock_sn_audit(X: BipartiteState, l: int, tol: float = linalg.TOL_PSD) -> dict:
+def subblock_sn_audit(X: BipartiteState, l: int) -> dict:
     """Check the sub-block Schmidt-number bound at level l on every subset.
 
     Sub-blocks over index subsets of size dA - l + 2 must have Schmidt number
@@ -215,9 +222,8 @@ def subblock_sn_audit(X: BipartiteState, l: int, tol: float = linalg.TOL_PSD) ->
     all_ok = True
     for subset in combinations(range(dA), size):
         Y = subblock(X, subset)
-        pt_min = linalg.min_eig(linalg.partial_transpose(Y.mat, Y.dims, "A"))
-        scale = max(1.0, linalg.operator_norm(Y.mat))
-        npt = pt_min < -tol * scale
+        pt = linalg.partial_transpose(Y.mat, Y.dims, "A")
+        pt_min, npt = linalg.min_eig(pt), not linalg.is_psd(pt)
         if implied >= 2:
             status = "certified-entangled" if npt else "unknown"
         else:
@@ -237,9 +243,8 @@ def k_positivity_falsify(
     restarts: int = 32,
     iters: int = 200,
     seed: int = 0,
-    threshold: float = -1e-9,
 ) -> Optional[np.ndarray]:
-    """Search for a Schmidt-rank-<=k unit vector with <psi|C_T|psi> < -1e-9.
+    """Search for a Schmidt-rank-<=k unit vector with <psi|C_T|psi> < -WITNESS_TOL.
 
     Heuristic falsification of k-positivity (block positivity of the Choi
     matrix on rank-<=k vectors): a returned witness is re-verified
@@ -275,7 +280,7 @@ def k_positivity_falsify(
         return None
     psi = (M / nrm).ravel()
     value = float((psi.conj() @ (C @ psi)).real)
-    if value < threshold and schmidt_rank(psi, (d1, d2)) <= k:
+    if value < -WITNESS_TOL and schmidt_rank(psi, (d1, d2)) <= k:
         return psi
     return None
 
@@ -458,7 +463,7 @@ def two_eb_ball_certificate(T: QuantumMap, seed: int = 0) -> bool:
     return heuristic_sep_certify(state, seed=seed) is not None
 
 
-def johnston_block_check(rho, X, sigma, tol: float = linalg.TOL_PSD) -> bool:
+def johnston_block_check(rho, X, sigma) -> bool:
     """Sufficient separability check for a PSD 2xd block state.
 
     For [[rho, X],[X^dagger, sigma]] PSD, ||X||_inf^2 <= lmin(rho) lmin(sigma)
@@ -468,21 +473,21 @@ def johnston_block_check(rho, X, sigma, tol: float = linalg.TOL_PSD) -> bool:
     X = np.asarray(X, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     block = np.block([[rho, X], [X.conj().T, sigma]])
-    if not linalg.is_psd(block, tol):
+    if not linalg.is_psd(block):
         raise NotPSD("assembled 2xd block matrix is not PSD within tolerance")
     lhs = linalg.operator_norm(X) ** 2
     rhs = linalg.min_eig(rho) * linalg.min_eig(sigma)
     return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
 
 
-def two_eb_rank_certificate(T: QuantumMap, rank_tol: float = 1e-8) -> bool:
+def two_eb_rank_certificate(T: QuantumMap) -> bool:
     """Operator-rank certificate: rank <= 3 plus 2-positivity.
 
     Only CP maps are certified, since complete positivity proves
     2-positivity exactly.  A search that finds no 2-positivity witness
     proves nothing, so False means "not certified", not "not 2-EB".
     """
-    return operator_schmidt_rank(T, rank_tol) <= 3 and is_cp(T)
+    return operator_schmidt_rank(T) <= 3 and is_cp(T)
 
 
 def two_eb_d3_certificate(T: QuantumMap, restarts: int = 32, iters: int = 200, seed: int = 0) -> Report:
@@ -519,7 +524,7 @@ def two_eb_d3_certificate(T: QuantumMap, restarts: int = 32, iters: int = 200, s
     return report(UNKNOWN, "no-witness-within-budget", {"restarts": restarts, "iters": iters})
 
 
-def d4_ptinv_2eb_certificate(S: QuantumMap, T: QuantumMap, tol: float = 1e-9) -> bool:
+def d4_ptinv_2eb_certificate(S: QuantumMap, T: QuantumMap) -> bool:
     """Certificate that S∘T is 2-EB on M_4 via PT-invariance of S.
 
     Requires T to be CP and coCP, S to be CP, and S to absorb transposition
@@ -529,10 +534,7 @@ def d4_ptinv_2eb_certificate(S: QuantumMap, T: QuantumMap, tol: float = 1e-9) ->
         raise DimOutOfRange("PT-invariance certificate applies to maps on M_4")
     if not (is_cp(T) and is_cocp(T) and is_cp(S)):
         return False
-    scale = max(1.0, linalg.operator_norm(S.choi))
-    after = linalg.operator_norm(linalg.partial_transpose(S.choi, S.dims, "B") - S.choi)
-    before = linalg.operator_norm(linalg.partial_transpose(S.choi, S.dims, "A") - S.choi)
-    return after <= tol * scale or before <= tol * scale
+    return _pt_invariant(S.choi, S.dims, "B") or _pt_invariant(S.choi, S.dims, "A")
 
 
 def sn_trim_bound(l: int, n: int) -> int:
@@ -547,23 +549,6 @@ def iteration_count(d: int, n: int) -> int:
     if d < 2 or not (2 <= n <= d):
         raise DomainError(f"iteration count needs d >= 2 and 2 <= n <= d, got d={d}, n={n}")
     return -((d - 1) // -(n - 1))
-
-
-class AltIterationBound(NamedTuple):
-    compositions: int
-    sn_bound: int
-    conjectural: bool
-
-
-def alt_iteration_bound(d: int, k: int) -> AltIterationBound:
-    """Conjecture-conditional bound: 2^k - 1 compositions squeeze SN to d - k.
-
-    Valid only if the maximal-Schmidt-number conjecture for PPT Choi matrices
-    holds; flagged conjectural and never used as a certificate.
-    """
-    if not (1 <= k <= d - 1):
-        raise DomainError(f"need 1 <= k <= d-1, got d={d}, k={k}")
-    return AltIterationBound(2 ** k - 1, d - k, True)
 
 
 @dataclass(frozen=True)

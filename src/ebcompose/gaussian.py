@@ -4,7 +4,7 @@ A channel on n modes is the pair (X, Y) acting on covariance matrices as
 gamma -> X gamma X^T + Y.  Means are omitted throughout; no Fock-space
 objects appear.  Validity, complete copositivity, and entanglement breaking
 are all linear matrix inequalities against the symplectic form, checked
-directly as complex Hermitian PSD conditions.
+directly as complex Hermitian PSD conditions with ``linalg.is_psd``.
 """
 
 from __future__ import annotations
@@ -48,20 +48,20 @@ class GaussianChannel:
         object.__setattr__(self, "valid", _valid_check(n, X, Y))
 
 
-def _valid_check(n: int, X: np.ndarray, Y: np.ndarray, tol: float = linalg.TOL_PSD) -> bool:
+def _valid_check(n: int, X: np.ndarray, Y: np.ndarray) -> bool:
     sig = linalg.symplectic_form(n)
-    return linalg.is_psd(Y + 1j * (sig - X @ sig @ X.T), tol)
+    return linalg.is_psd(Y + 1j * (sig - X @ sig @ X.T))
 
 
-def is_valid(C: GaussianChannel, tol: float = linalg.TOL_PSD) -> bool:
+def is_valid(C: GaussianChannel) -> bool:
     """Channel condition Y + i(sigma - X sigma X^T) >= 0."""
-    return _valid_check(C.n, C.X, C.Y, tol)
+    return _valid_check(C.n, C.X, C.Y)
 
 
-def is_cocp(C: GaussianChannel, tol: float = linalg.TOL_PSD) -> bool:
+def is_cocp(C: GaussianChannel) -> bool:
     """Complete copositivity condition Y - i(sigma + X sigma X^T) >= 0."""
     sig = linalg.symplectic_form(C.n)
-    return linalg.is_psd(C.Y - 1j * (sig + C.X @ sig @ C.X.T), tol)
+    return linalg.is_psd(C.Y - 1j * (sig + C.X @ sig @ C.X.T))
 
 
 def is_eb(C: GaussianChannel) -> sdp.SdpResult:
@@ -69,7 +69,7 @@ def is_eb(C: GaussianChannel) -> sdp.SdpResult:
 
     Feasible results carry the explicit witness pair (N, M) and are
     re-audited here: adding the two split inequalities must recover both the
-    validity and the complete-copositivity conditions.
+    validity and the coCP conditions under the ``linalg.is_psd`` rule.
     """
     res = sdp.gaussian_eb_split(C.Y, C.X)
     if res.status != sdp.FEASIBLE:
@@ -81,7 +81,7 @@ def is_eb(C: GaussianChannel) -> sdp.SdpResult:
         "cocp_margin": linalg.psd_margin(C.Y - 1j * (sig + xsx)),
         "valid_margin": linalg.psd_margin(C.Y + 1j * (sig - xsx)),
     }
-    if min(residuals["cocp_margin"], residuals["valid_margin"]) < -1e-8:
+    if min(residuals["cocp_margin"], residuals["valid_margin"]) < -linalg.TOL_PSD:
         return sdp.SdpResult(sdp.INCONCLUSIVE, None, None, residuals,
                              "channel fails the validity or coCP re-audit of the split")
     return replace(res, residuals=residuals)
@@ -96,9 +96,7 @@ def compose(C2: GaussianChannel, C1: GaussianChannel) -> GaussianChannel:
     return GaussianChannel(C1.n, X, (Y + Y.T) / 2.0)
 
 
-def ppt2_witness(
-    C2: GaussianChannel, C1: GaussianChannel, tol: float = linalg.TOL_PSD
-) -> tuple[np.ndarray, np.ndarray, bool]:
+def ppt2_witness(C2: GaussianChannel, C1: GaussianChannel) -> tuple[np.ndarray, np.ndarray, bool]:
     """Explicit entanglement-breaking split for a two-step coCP concatenation.
 
     For valid, completely copositive C1 and C2, the concatenation C2 after C1
@@ -109,17 +107,17 @@ def ppt2_witness(
     if C1.n != C2.n:
         raise ModeMismatch(f"mode counts {C1.n} and {C2.n} differ")
     for label, C in (("first", C1), ("second", C2)):
-        if not is_valid(C, tol):
+        if not is_valid(C):
             raise PreconditionFailed(f"{label} channel fails the validity condition")
-        if not is_cocp(C, tol):
+        if not is_cocp(C):
             raise PreconditionFailed(f"{label} channel is not completely copositive")
     sig = linalg.symplectic_form(C1.n)
     N = C2.X @ C1.Y @ C2.X.T
     N = (N + N.T) / 2.0
     M = C2.Y
     Xc = C2.X @ C1.X
-    ok_n = linalg.is_psd(N - 1j * (Xc @ sig @ Xc.T), tol)
-    ok_m = linalg.is_psd(M - 1j * sig, tol)
+    ok_n = linalg.is_psd(N - 1j * (Xc @ sig @ Xc.T))
+    ok_m = linalg.is_psd(M - 1j * sig)
     return N, M, bool(ok_n and ok_m)
 
 

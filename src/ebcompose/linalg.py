@@ -3,6 +3,9 @@
 Matrices are plain ``numpy`` arrays of ``complex128``; a bipartite split is a
 ``(dA, dB)`` pair whose product must equal the ambient dimension.  Everything
 here is a pure function, dense, and sized for ambient dimensions up to ~81.
+
+Tolerances are module constants, never arguments.  The package's one PSD
+rule is ``is_psd``: ``psd_margin(M) >= -TOL_PSD``.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ import numpy as np
 
 from .errors import DimMismatch, DomainError, NotHermitian
 
-# A Hermitian M counts as PSD iff min_eig(M) >= -TOL_PSD * max(1, ||M||_inf).
+# A Hermitian M counts as PSD iff psd_margin(M) >= -TOL_PSD.
 TOL_PSD = 1e-9
 
-# Relative tolerance for "is this Hermitian" preconditions.
+# A matrix counts as Hermitian iff max |M - M^dagger| <= TOL_HERM * max(1, max |M|).
 TOL_HERM = 1e-10
 
 
@@ -52,25 +55,23 @@ def hermiticity_defect(M) -> float:
     return float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
 
 
-def require_hermitian(M, tol: float = TOL_HERM) -> np.ndarray:
-    """Return M as an array, raising NotHermitian beyond relative tolerance."""
+def require_hermitian(M) -> np.ndarray:
+    """Return M as an array, raising NotHermitian beyond ``TOL_HERM`` relative."""
     A = _as_matrix(M)
     scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
     defect = hermiticity_defect(A)
-    if defect > tol * scale:
+    if defect > TOL_HERM * scale:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance")
     return A
 
 
-def eig_hermitian(M, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, V)`` with eigenvalues ``w`` real ascending and ``V`` unitary,
     so that ``M = V @ diag(w) @ V.conj().T``.
     """
-    A = require_hermitian(M, tol)
-    w, V = np.linalg.eigh(A)
-    return w, V
+    return np.linalg.eigh(require_hermitian(M))
 
 
 def min_eig(M) -> float:
@@ -79,20 +80,16 @@ def min_eig(M) -> float:
     return float(np.linalg.eigvalsh(A)[0])
 
 
-def is_psd(M, tol_psd: float = TOL_PSD) -> bool:
-    """PSD test with the package-wide relative tolerance convention."""
-    A = require_hermitian(M)
-    w = np.linalg.eigvalsh(A)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return float(w[0]) >= -tol_psd * scale
-
-
 def psd_margin(M) -> float:
-    """min_eig(M) / max(1, ||M||_inf); nonnegative within tolerance iff PSD."""
-    A = require_hermitian(M)
-    w = np.linalg.eigvalsh(A)
+    """min_eig(M) / max(1, ||M||), the quantity the PSD rule thresholds."""
+    w = np.linalg.eigvalsh(require_hermitian(M))
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     return float(w[0]) / scale
+
+
+def is_psd(M) -> bool:
+    """The package's PSD rule: psd_margin(M) >= -TOL_PSD."""
+    return psd_margin(M) >= -TOL_PSD
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,9 @@ complement A W A^T is assembled from it and the sparse A
 check on D x D blocks costs O(D^4) outside the Cholesky factorization.
 Every verdict is re-checked outside the solver: "feasible" is claimed only
 after the returned blocks pass an independent PSD and residual audit, and
-"infeasible" only with a verified separating functional.
+"infeasible" only with a verified separating functional.  The PSD audits
+are ``linalg.psd_margin`` against ``PSD_TOL``, which is ``linalg.TOL_PSD``
+itself: the package's one PSD rule.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ INCONCLUSIVE = "inconclusive"
 # Relative equality-residual bound a "feasible" verdict certifies.
 FEAS_TOL = 1e-7
 
-# Relative eigenvalue floor certified on returned PSD blocks.
-PSD_TOL = 1e-9
+# Relative eigenvalue floor certified on returned PSD blocks (linalg.is_psd's).
+PSD_TOL = linalg.TOL_PSD
 
 # Relative duality measure mu/mu0 at which the solver enters its endgame.
 GAP_TOL = 1e-9
@@ -655,9 +657,8 @@ def gaussian_eb_split(Y, X) -> SdpResult:
         raise DimMismatch(f"Y must be square even-dimensional, got {Y.shape}")
     if X.shape != Y.shape:
         raise DimMismatch(f"X shape {X.shape} does not match Y shape {Y.shape}")
+    linalg.require_hermitian(Y)
     scale = max(1.0, float(np.max(np.abs(Y))))
-    if float(np.max(np.abs(Y - Y.T))) > 1e-10 * scale:
-        raise NotHermitian("Y must be symmetric")
     n = Y.shape[0] // 2
     two_n = 2 * n
     sig = linalg.symplectic_form(n)
