@@ -40,6 +40,10 @@ from .report import Report
 SCHMIDT_TOL = 1e-10  # Schmidt coefficients counted by schmidt_rank, relative
 PT_INVARIANCE_TOL = 1e-9  # ||PT(X) - X|| <= PT_INVARIANCE_TOL * max(1, ||X||)
 WITNESS_TOL = 1e-9  # a k-positivity witness needs <psi|C|psi> < -WITNESS_TOL
+CCNR_TOL = 1e-9  # realignment_criterion passes a realigned trace norm <= 1 + CCNR_TOL
+FIDELITY_TIE_TOL = 1e-12  # sn_lower_fidelity: fidelity ties this close do not raise the bound
+JOHNSTON_TOL = 1e-12  # johnston_block_check: ||X||^2 <= rhs + JOHNSTON_TOL * max(1, |rhs|)
+ATOM_FLOOR = 1e-12  # the pursuit keeps an atom only above weight ATOM_FLOOR * ||X||
 
 
 @dataclass(frozen=True)
@@ -132,14 +136,14 @@ def realignment_criterion(X: BipartiteState) -> bool:
     if tr <= 0.0:
         return True
     s = np.linalg.svd(linalg.realign(X.mat / tr, X.dims), compute_uv=False)
-    return float(np.sum(s)) <= 1.0 + 1e-9
+    return float(np.sum(s)) <= 1.0 + CCNR_TOL
 
 
 def sn_lower_fidelity(X: BipartiteState) -> int:
     """Schmidt-number lower bound from maximally-entangled fidelity.
 
     Returns the smallest k with <Omega|X|Omega>/(d Tr X) <= k/d; ties within
-    1e-12 do not raise the bound.
+    ``FIDELITY_TIE_TOL`` do not raise the bound.
     """
     dA, dB = X.dims
     if dA != dB:
@@ -149,7 +153,7 @@ def sn_lower_fidelity(X: BipartiteState) -> int:
         return 1
     omega = linalg.max_entangled_vector(dA)
     fidelity = float((omega.conj() @ (X.mat @ omega)).real) / (dA * tr)
-    k = int(math.ceil(dA * fidelity - 1e-12))
+    k = int(math.ceil(dA * fidelity - FIDELITY_TIE_TOL))
     return max(1, min(dA, k))
 
 
@@ -477,7 +481,7 @@ def johnston_block_check(rho, X, sigma) -> bool:
         raise NotPSD("assembled 2xd block matrix is not PSD within tolerance")
     lhs = linalg.operator_norm(X) ** 2
     rhs = linalg.min_eig(rho) * linalg.min_eig(sigma)
-    return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
+    return lhs <= rhs + JOHNSTON_TOL * max(1.0, abs(rhs))
 
 
 def two_eb_rank_certificate(T: QuantumMap) -> bool:
@@ -758,7 +762,7 @@ def heuristic_sep_certify(
         best = int(np.argmax(vals))
         val, a, b = vals[best], a[best], b[best]
         searched += 1
-        if val > 1e-12 * scale:
+        if val > ATOM_FLOOR * scale:
             stalls = 0
             A, B = np.vstack([A, a]), np.vstack([B, b])
             w = np.append(w, float(val))

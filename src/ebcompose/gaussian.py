@@ -15,6 +15,10 @@ import numpy as np
 from . import linalg, sdp
 from .errors import DimMismatch, DomainError, ModeMismatch, NotHermitian, PreconditionFailed
 
+# Y counts as symmetric iff max |Y - Y^T| <= SYMMETRY_TOL * max(1, max |Y|); 100x
+# stricter than linalg.TOL_HERM.
+SYMMETRY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class GaussianChannel:
@@ -37,7 +41,7 @@ class GaussianChannel:
             )
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
             raise DomainError("channel matrices must be finite")
-        if float(np.max(np.abs(Y - Y.T))) > 1e-12 * max(1.0, float(np.max(np.abs(Y)))):
+        if float(np.max(np.abs(Y - Y.T))) > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(Y)))):
             raise NotHermitian("Y must be symmetric")
         Y = (Y + Y.T) / 2.0
         X.setflags(write=False)

@@ -56,12 +56,20 @@ def hermiticity_defect(M) -> float:
 
 
 def require_hermitian(M) -> np.ndarray:
-    """Return M as an array, raising NotHermitian beyond ``TOL_HERM`` relative."""
-    A = _as_matrix(M)
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-    defect = hermiticity_defect(A)
-    if defect > TOL_HERM * scale:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance")
+    """Return M, a matrix or a (k, n, n) stack, as an array; NotHermitian if
+    any matrix's defect exceeds ``TOL_HERM`` relative to max(1, its largest entry)."""
+    return _hermitian(_as_matrix(M, stack=True))
+
+
+def _hermitian(A: np.ndarray) -> np.ndarray:
+    # require_hermitian's rule, on an array that _as_matrix has checked.
+    _check_square(A)
+    if A.size:
+        defect = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        bad = defect > TOL_HERM * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+        if bad.any():
+            first = np.extract(bad, defect)[0]
+            raise NotHermitian(f"hermiticity defect {first:.3e} exceeds tolerance")
     return A
 
 
@@ -71,18 +79,18 @@ def eig_hermitian(M) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(w, V)`` with eigenvalues ``w`` real ascending and ``V`` unitary,
     so that ``M = V @ diag(w) @ V.conj().T``.
     """
-    return np.linalg.eigh(require_hermitian(M))
+    return np.linalg.eigh(_hermitian(_as_matrix(M)))
 
 
 def min_eig(M) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    A = require_hermitian(M)
+    A = _hermitian(_as_matrix(M))
     return float(np.linalg.eigvalsh(A)[0])
 
 
 def psd_margin(M) -> float:
     """min_eig(M) / max(1, ||M||), the quantity the PSD rule thresholds."""
-    w = np.linalg.eigvalsh(require_hermitian(M))
+    w = np.linalg.eigvalsh(_hermitian(_as_matrix(M)))
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     return float(w[0]) / scale
 

@@ -4,16 +4,18 @@ Problems are block-diagonal SDPs over complex Hermitian PSD matrices with
 trace equality constraints.  The solver is a homogeneous self-dual
 interior-point method with Nesterov-Todd scaling (Todd, Toh and Tutuncu,
 SIAM J. Optim. 8, 1998) and a Mehrotra predictor-corrector step.  Each block
-is packed into its n^2 real coordinates with ``linalg.hvec``.  The equality
-matrix A is sparse: every constraint family used here (Hermitian basis
-elements, their partial transposes, single-entry pins, the identity) has
-O(1) nonzeros per row.  Per iteration each block's scaling takes two
-Cholesky factors and one SVD, X = L L^H, S = R R^H and R^H L = U diag(d) Vh,
-and no eigendecomposition: F = L Vh^H d^-1/2 and F^-1 = d^-1/2 U^H R^H give
-the scaled point F^-1 X F^-H = F^H S F = diag(d), so the Lyapunov solve is
-elementwise.  The scaling X -> W X W, W = F F^H, is one real n^2 x n^2
-matrix, W (x) conj(W) in ``hvec`` coordinates, built in O(n^4); the Schur
-complement A W A^T is assembled from it and the sparse A
+is packed into its n^2 real coordinates with ``linalg.hvec``.  A problem is
+validated and packed once, when its ``SdpProblem`` is built: one Hermiticity
+check per block under ``linalg.require_hermitian``, then the equality matrix
+A, b and c that ``solve`` reads.  A is sparse: every constraint family used
+here (Hermitian basis elements, their partial transposes, single-entry pins,
+the identity) has O(1) nonzeros per row.  Per iteration each block's scaling
+takes two Cholesky factors and one SVD, X = L L^H, S = R R^H and
+R^H L = U diag(d) Vh, and no eigendecomposition: F = L Vh^H d^-1/2 and
+F^-1 = d^-1/2 U^H R^H give the scaled point F^-1 X F^-H = F^H S F = diag(d),
+so the Lyapunov solve is elementwise.  The scaling X -> W X W, W = F F^H, is
+one real n^2 x n^2 matrix, W (x) conj(W) in ``hvec`` coordinates, built in
+O(n^4); the Schur complement A W A^T is assembled from it and the sparse A
 (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), so a decomposability
 check on D x D blocks costs O(D^4) outside the Cholesky factorization.
 Every verdict is re-checked outside the solver: "feasible" is claimed only
@@ -61,40 +63,6 @@ SEARCH_PATIENCE = 5
 # problem and result types
 
 
-def _clean_stack(name: str, mats: list, n: int) -> np.ndarray:
-    """Validate one block's coefficients as a read-only (k, n, n) stack.
-
-    Per matrix, in this order: shape (DimMismatch), finite entries
-    (DomainError), Hermitian within ``linalg.TOL_HERM`` relative to its
-    largest entry (NotHermitian); then each is replaced by its Hermitian part.
-    """
-    try:
-        S = np.asarray(mats, dtype=complex)
-    except ValueError:
-        S = None
-    if S is None or S.shape[1:] != (n, n):
-        for M in mats:
-            shape = np.asarray(M, dtype=complex).shape
-            if shape != (n, n):
-                raise DimMismatch(
-                    f"coefficient for block {name!r} has shape {shape}, expected {(n, n)}"
-                )
-    if not np.all(np.isfinite(S)):
-        raise DomainError(f"coefficients for block {name!r} must be finite")
-    Sh = S.conj().swapaxes(-1, -2)
-    defect = np.max(np.abs(S - Sh), axis=(-2, -1))
-    scale = np.maximum(1.0, np.max(np.abs(S), axis=(-2, -1)))
-    bad = np.flatnonzero(defect > linalg.TOL_HERM * scale)
-    if bad.size:
-        raise NotHermitian(
-            f"coefficient for block {name!r}: hermiticity defect "
-            f"{defect[bad[0]]:.3e} exceeds tolerance"
-        )
-    H = (S + Sh) / 2.0
-    H.setflags(write=False)
-    return H
-
-
 @dataclass(frozen=True)
 class SdpProblem:
     """Feasibility (or minimization) over block-diagonal PSD matrices.
@@ -102,11 +70,14 @@ class SdpProblem:
     ``blocks`` is a sequence of ``(name, dim)`` pairs declaring complex
     Hermitian PSD variables.  Each equality is ``(coeffs, rhs)`` with
     ``coeffs`` mapping block names to Hermitian coefficient matrices (real
-    or complex; NotHermitian beyond a 1e-10 relative defect), and constrains
-    ``sum_j tr(coeffs[j] @ X_j) == rhs``.  ``objective``, when present, is
-    minimized with the same coefficient convention.  Non-finite data raises
-    DomainError.  The stored coefficients are read-only views into one
-    validated stack per block.
+    or complex), and constrains ``sum_j tr(coeffs[j] @ X_j) == rhs``.
+    ``objective``, when present, is minimized with the same coefficient
+    convention.  The problem is validated and packed once, here: each block's
+    coefficients, the objective's among them, are checked as one stack by
+    ``linalg.require_hermitian`` (wrong shape DimMismatch, non-finite data
+    DomainError, a defect beyond ``linalg.TOL_HERM`` NotHermitian), stored
+    as read-only views of their Hermitian parts in the caller's key order,
+    and packed into the sparse equality matrix A, b and c that ``solve`` reads.
     """
 
     blocks: tuple[tuple[str, int], ...]
@@ -120,48 +91,56 @@ class SdpProblem:
         names = [name for name, _ in blocks]
         if len(set(names)) != len(names):
             raise PreconditionFailed("block names must be unique")
-        dims = {name: dim for name, dim in blocks}
         for name, dim in blocks:
             if dim < 1:
                 raise DimMismatch(f"block {name!r} has non-positive dimension {dim}")
 
-        # Gather each block's coefficients, remembering where each one goes.
-        rows = {name: [] for name in names}
-        mats = {name: [] for name in names}
-        slots = []
-        for i, (coeffs, _) in enumerate(self.equalities):
-            slot = []
-            for name, M in coeffs.items():
-                if name not in dims:
-                    raise PreconditionFailed(f"unknown block name {name!r}")
-                slot.append((name, len(rows[name])))
-                rows[name].append(i)
-                mats[name].append(M)
-            slots.append(slot)
-        stacks = {
-            name: (np.array(rows[name], dtype=np.intp), _clean_stack(name, mats[name], dims[name]))
-            for name in names
-            if mats[name]
-        }
-        rhs = np.array([float(r) for _, r in self.equalities])
-        if not np.all(np.isfinite(rhs)):
-            raise DomainError("equality right-hand side must be finite")
-        equalities = tuple(
-            ({name: stacks[name][1][j] for name, j in slot}, float(r))
-            for slot, r in zip(slots, rhs)
-        )
-
-        objective = None
+        # Row m, past the equalities, is the objective.
+        m = len(self.equalities)
+        rows = [coeffs for coeffs, _ in self.equalities]
         if self.objective is not None:
-            objective = {}
-            for name, M in self.objective.items():
-                if name not in dims:
+            rows.append(self.objective)
+        gathered = {name: ([], []) for name in names}
+        for i, coeffs in enumerate(rows):
+            for name, M in coeffs.items():
+                if name not in gathered:
                     raise PreconditionFailed(f"unknown block name {name!r}")
-                objective[name] = _clean_stack(name, [M], dims[name])[0]
+                gathered[name][0].append(i)
+                gathered[name][1].append(M)
+        stored = [dict.fromkeys(coeffs) for coeffs in rows]
+        triplets = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+        lo = 0
+        for name, n in blocks:
+            idx, mats = gathered[name]
+            if mats:
+                try:
+                    S = np.asarray(mats, dtype=complex)
+                except ValueError:
+                    S = None
+                if S is None or S.shape[1:] != (n, n):
+                    raise DimMismatch(f"coefficients for block {name!r} must be {n} x {n}")
+                linalg.require_hermitian(S)
+                H = (S + S.conj().swapaxes(-1, -2)) / 2.0
+                H.setflags(write=False)
+                for i, Hi in zip(idx, H):
+                    stored[i][name] = Hi
+                coords = linalg.hvec(H)
+                r, j = np.nonzero(coords)
+                triplets.append((np.array(idx, dtype=np.intp)[r], j + lo, coords[r, j]))
+            lo += n * n
+        b = np.array([float(r) for _, r in self.equalities])
+        if not np.all(np.isfinite(b)):
+            raise DomainError("equality right-hand side must be finite")
+        row, col, val = (np.concatenate(t) for t in zip(*triplets))
+        eq = row < m
+        A = scipy.sparse.csr_array((val[eq], (row[eq], col[eq])), shape=(m, lo))
+        c = np.zeros(lo)
+        c[col[~eq]] = val[~eq]
+
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "equalities", equalities)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "_stacks", stacks)
+        object.__setattr__(self, "equalities", tuple(zip(stored[:m], b.tolist())))
+        object.__setattr__(self, "objective", stored[m] if self.objective is not None else None)
+        object.__setattr__(self, "_packed", (A, b, c))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -191,66 +170,27 @@ class SdpResult:
 # block packing
 
 
-class _BlockOps:
-    """Packs Hermitian blocks, or stacks of them, with ``linalg.hvec``."""
-
-    def __init__(self, dims: Sequence[int]):
-        self.dims = list(dims)
-        self.offsets = np.concatenate([[0], np.cumsum([n * n for n in self.dims])])
-        self.total = int(self.offsets[-1])
-
-    def pack(self, mats: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([linalg.hvec(M) for M in mats], axis=-1)
-
-    def unpack(self, v: np.ndarray) -> list[np.ndarray]:
-        return [
-            linalg.hmat(v[..., lo:hi], n)
-            for n, lo, hi in zip(self.dims, self.offsets, self.offsets[1:])
-        ]
+def _pack(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """``linalg.hvec`` coordinates of Hermitian blocks, or stacks of them, end to end."""
+    return np.concatenate([linalg.hvec(M) for M in mats], axis=-1)
 
 
-def _compile(problem: SdpProblem):
-    """Packed data of a problem: the sparse equality matrix A, b and c.
-
-    Row i of A holds the ``hvec`` coordinates of equality i's coefficients,
-    one column range per block.  Each block's coefficient stack is packed
-    with one ``hvec`` call; every caller's constraints (Hermitian basis
-    elements, their partial transposes, single-entry pins, the identity) have
-    O(1) nonzeros per row, so A is kept as a CSR matrix.
-    """
-    names = list(problem.names)
-    dims = [dim for _, dim in problem.blocks]
-    ops = _BlockOps(dims)
-    m = len(problem.equalities)
-    b = np.array([rhs for _, rhs in problem.equalities], dtype=float)
-    rows, cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-    for name, lo in zip(names, ops.offsets):
-        if name in problem._stacks:
-            eq_rows, H = problem._stacks[name]
-            coords = linalg.hvec(H)
-            r, j = np.nonzero(coords)
-            rows.append(eq_rows[r])
-            cols.append(j + lo)
-            vals.append(coords[r, j])
-    A = scipy.sparse.csr_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, ops.total),
-    )
-    c = np.zeros(ops.total)
-    if problem.objective is not None:
-        for name, lo, hi in zip(names, ops.offsets, ops.offsets[1:]):
-            if name in problem.objective:
-                c[lo:hi] = linalg.hvec(problem.objective[name])
-    return names, dims, ops, A, b, c
+def _unpack(v: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
+    """Inverse of ``_pack``: the Hermitian blocks of sides ``dims``."""
+    out, lo = [], 0
+    for n in dims:
+        out.append(linalg.hmat(v[..., lo : lo + n * n], n))
+        lo += n * n
+    return out
 
 
 # ---------------------------------------------------------------------------
 # independent verification of solver claims
 
 
-def _verify_feasible(A, b, ops, xs, obj=None):
+def _verify_feasible(A, b, dims, xs, obj=None):
     """Audit a primal candidate: PSD blocks and equality residuals."""
-    mats = ops.unpack(xs)
+    mats = _unpack(xs, dims)
     margin = min((linalg.psd_margin(M) for M in mats), default=0.0)
     if b.size:
         rel = float(np.max(np.abs(A @ xs - b))) / (1.0 + float(np.max(np.abs(b))))
@@ -263,13 +203,13 @@ def _verify_feasible(A, b, ops, xs, obj=None):
     return ok, mats, info
 
 
-def _verify_farkas(A, b, ops, y):
+def _verify_farkas(A, b, dims, y):
     """Audit an infeasibility certificate: -A*(y) PSD and b.y > 0."""
     gap = float(b @ y)
     if not np.isfinite(gap) or gap <= 0.0:
         return False, {}
     yn = y / gap
-    slack = ops.unpack(-(A.T @ yn))
+    slack = _unpack(-(A.T @ yn), dims)
     margin = min((linalg.psd_margin(M) for M in slack), default=0.0)
     ok = margin >= -PSD_TOL
     return ok, {"farkas_gap": 1.0, "farkas_slack_margin": float(margin)}
@@ -355,24 +295,26 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
     At most ``max_iters`` interior-point iterations are taken.  Numerical
     breakdown is reported as "inconclusive" with diagnostics; it never raises.
     """
-    names, dims, ops, A, b, c = _compile(problem)
+    names, dims = problem.names, [dim for _, dim in problem.blocks]
+    A, b, c = problem._packed
     m, N = A.shape
     has_obj = bool(np.any(c))
     if m == 0:
         # No equalities: with a PSD objective the zero matrix is feasible and
         # minimal; a negative direction of the objective is unbounded below.
-        if min((linalg.psd_margin(C) for C in ops.unpack(c)), default=0.0) < -PSD_TOL:
+        if min((linalg.psd_margin(C) for C in _unpack(c, dims)), default=0.0) < -PSD_TOL:
             return SdpResult(INCONCLUSIVE, None, None, {"iterations": 0.0},
                              "objective unbounded below over the PSD cone")
-        _, mats, info = _verify_feasible(A, b, ops, np.zeros(N), obj=c if has_obj else None)
+        _, mats, info = _verify_feasible(A, b, dims, np.zeros(N), obj=c if has_obj else None)
         return SdpResult(FEASIBLE, dict(zip(names, mats)), np.zeros(0), {"iterations": 0.0, **info})
 
     # A's transpose and column blocks, made once for every iteration.
     AT = A.T
-    spans = list(zip(ops.offsets, ops.offsets[1:]))
+    offsets = np.cumsum([0] + [n * n for n in dims])
+    spans = list(zip(offsets, offsets[1:]))
     A_blocks = [A[:, lo:hi] for lo, hi in spans]
 
-    x = ops.pack([np.eye(n) for n in dims])
+    x = _pack([np.eye(n) for n in dims])
     s = x.copy()
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
@@ -389,7 +331,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
         if tau > 1e-9:
             if not has_obj or (x @ s) / (tau * tau) <= 1e-8 * (1.0 + abs(c @ x) / tau):
                 ok, mats, info = _verify_feasible(
-                    A, b, ops, x / tau, obj=c if has_obj else None
+                    A, b, dims, x / tau, obj=c if has_obj else None
                 )
                 certified = (
                     info["primal_psd_margin"] >= -psd_tol
@@ -402,7 +344,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
                         y / tau,
                         {**diag, **info},
                     )
-        ok, info = _verify_farkas(A, b, ops, y)
+        ok, info = _verify_farkas(A, b, dims, y)
         if ok:
             return SdpResult(INFEASIBLE, None, y.copy(), {**diag, **info})
         return None
@@ -436,7 +378,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
 
             # Nesterov-Todd scaling per block, in the frame where the scaled
             # point F^-1 X F^-H = F^H S F = diag(d) is diagonal.
-            Fs, Finvs, dls = zip(*map(_nt_scaling, ops.unpack(x), ops.unpack(s)))
+            Fs, Finvs, dls = zip(*map(_nt_scaling, _unpack(x, dims), _unpack(s, dims)))
             Wops = [_kron_operator(F @ F.conj().T) for F in Fs]
             # K X K^H = I for K in Kx, K S K^H = I for K in Ks.
             Kx = [Fi / np.sqrt(d)[:, None] for Fi, d in zip(Finvs, dls)]
@@ -472,7 +414,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
                 r1 = -eta * Rp
                 r2 = -eta * Rd
                 r3 = -eta * Rg
-                ghat = ops.pack([
+                ghat = _pack([
                     F @ (2.0 * Rk / (d[:, None] + d[None, :])) @ F.conj().T
                     for F, d, Rk in zip(Fs, dls, rhs_blocks)
                 ])
@@ -491,7 +433,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
             def max_step(dx, ds, dt, dk):
                 # Largest alpha <= 1 keeping X, S, tau and kappa nonnegative.
                 alpha = 1.0
-                for K, dM in zip(Kx + Ks, ops.unpack(dx) + ops.unpack(ds)):
+                for K, dM in zip(Kx + Ks, _unpack(dx, dims) + _unpack(ds, dims)):
                     lam = float(np.linalg.eigvalsh(K @ dM @ K.conj().T)[0])
                     if lam < 0:
                         alpha = min(alpha, -1.0 / lam)
@@ -513,7 +455,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
 
             # Corrector with Mehrotra second-order term in the scaled frame.
             corr_rhs = []
-            for F, Fi, d, dX, dS in zip(Fs, Finvs, dls, ops.unpack(dxa), ops.unpack(dsa)):
+            for F, Fi, d, dX, dS in zip(Fs, Finvs, dls, _unpack(dxa, dims), _unpack(dsa, dims)):
                 Dx = Fi @ dX @ Fi.conj().T
                 Ds = F.conj().T @ dS @ F
                 corr_rhs.append(np.diag(sigma * mu - d**2) - (Dx @ Ds + Ds @ Dx) / 2.0)

@@ -69,6 +69,47 @@ class TestPsd:
         assert linalg.psd_margin(np.diag([5.0, -1.0])) < 0
 
 
+class TestStackedHermiticityRule:
+    """``require_hermitian`` applies the one-matrix rule to each member of a stack."""
+
+    @staticmethod
+    def rejects(M) -> bool:
+        try:
+            linalg.require_hermitian(M)
+        except NotHermitian:
+            return True
+        return False
+
+    @pytest.mark.parametrize("norm", [1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    @pytest.mark.parametrize("member", [0, 3])
+    def test_stack_rejected_iff_a_member_is(self, norm, factor, member, rng):
+        # The other members are larger, so a scale shared across the stack
+        # would pass the defect.
+        norms = np.full(5, 10.0 * max(1.0, norm))
+        norms[member] = norm
+        stack = np.stack([linalg.random_hermitian(4, rng) for _ in range(5)])
+        stack *= (norms / np.max(np.abs(stack), axis=(1, 2)))[:, None, None]
+        stack[member, 0, 1] += factor * linalg.TOL_HERM * max(1.0, norm)
+        members = [self.rejects(M) for M in stack]
+        assert members == [factor > 1.0 and k == member for k in range(5)]
+        assert self.rejects(stack) is any(members)
+
+    def test_hermitian_stack_is_returned_as_is(self, rng):
+        stack = np.stack([linalg.random_hermitian(3, rng) for _ in range(4)])
+        np.testing.assert_array_equal(linalg.require_hermitian(stack), stack)
+
+    def test_non_finite_member_is_domain_error(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, np.nan])])
+        with pytest.raises(DomainError):
+            linalg.require_hermitian(stack)
+
+    @pytest.mark.parametrize("fn", [linalg.eig_hermitian, linalg.min_eig, linalg.psd_margin])
+    def test_spectral_functions_reject_stacks(self, fn):
+        with pytest.raises(DimMismatch):
+            fn(np.stack([np.eye(3), np.eye(3)]))
+
+
 class TestKron:
     def test_identities(self):
         np.testing.assert_array_equal(linalg.kron(np.eye(2), np.eye(3)), np.eye(6))

@@ -125,6 +125,52 @@ class TestProblemValidation:
         assert not c0["x"].flags.writeable
 
 
+class TestPacking:
+    """A problem is validated and packed once, at construction."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_packed_data_match_dense_reference(self, seed):
+        rng = rng_for(seed)
+        names = ["a", "b", "c", "d", "unused"]
+        dims = [int(n) for n in rng.integers(1, 5, size=len(names))]
+
+        def coeff(n):
+            # a Hermitian matrix, or a real symmetric one, off by a defect within the rule
+            H = linalg.random_hermitian(n, rng)
+            H = H.real if rng.random() < 0.5 else H
+            return H + 1e-3 * linalg.TOL_HERM * rng.normal(size=(n, n))
+
+        def terms(p):
+            # a random subset of the used blocks, in a shuffled order
+            return {names[k]: coeff(dims[k]) for k in rng.permutation(4) if rng.random() < p}
+
+        eqs = [(terms(0.6), float(rng.normal())) for _ in range(7)]
+        objective = terms(0.5)
+        prob = sdp.SdpProblem(blocks=tuple(zip(names, dims)), equalities=tuple(eqs),
+                              objective=objective)
+
+        offsets = np.cumsum([0] + [n * n for n in dims])
+
+        def dense_row(coeffs):
+            row = np.zeros(offsets[-1])
+            for name, M in coeffs.items():
+                k = names.index(name)
+                row[offsets[k] : offsets[k + 1]] = linalg.hvec((M + M.conj().T) / 2.0)
+            return row
+
+        A, b, c = prob._packed
+        np.testing.assert_array_equal(A.toarray(), np.array([dense_row(co) for co, _ in eqs]))
+        np.testing.assert_array_equal(b, [r for _, r in eqs])
+        np.testing.assert_array_equal(c, dense_row(objective))
+
+        pairs = [(co, given) for (co, _), (given, _) in zip(prob.equalities, eqs)]
+        for stored, given in pairs + [(prob.objective, objective)]:
+            assert list(stored) == list(given)
+            for name, M in given.items():
+                np.testing.assert_array_equal(stored[name], (M + M.conj().T) / 2.0)
+                assert stored[name].dtype == complex and not stored[name].flags.writeable
+
+
 class TestSolve:
     def test_unit_trace_feasible(self):
         prob = sdp.SdpProblem(
@@ -308,15 +354,17 @@ class TestKronOperator:
             blocks, eqs = sdp._seesaw_problem_parts(choi.random_cp_cocp_map(3, 4))
             F = linalg.random_hermitian(9, rng_for(4))
             problem = sdp.SdpProblem(blocks=blocks, equalities=eqs, objective={"choi_t": F})
-        names, dims, ops, A, b, c = sdp._compile(problem)
+        dims = [n for _, n in problem.blocks]
+        A, b, c = problem._packed
         # every constraint family has O(1) nonzeros per row
         assert A.nnz <= 2 * A.shape[0] + max(dims)
         rng = rng_for(11)
         Ws = [random_pd(n, rng) for n in dims]
-        A_blocks = [A[:, lo:hi] for lo, hi in zip(ops.offsets, ops.offsets[1:])]
+        offsets = np.cumsum([0] + [n * n for n in dims])
+        A_blocks = [A[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])]
         got = sdp._schur(A_blocks, [sdp._kron_operator(W) for W in Ws])
         Ad = A.toarray()
-        op_w_A = ops.pack([W @ M @ W for W, M in zip(Ws, ops.unpack(Ad))])
+        op_w_A = sdp._pack([W @ M @ W for W, M in zip(Ws, sdp._unpack(Ad, dims))])
         ref = Ad @ op_w_A.T
         ref = (ref + ref.T) / 2.0
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
