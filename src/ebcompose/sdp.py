@@ -9,15 +9,23 @@ validated and packed once, when its ``SdpProblem`` is built: one Hermiticity
 check per block under ``linalg.require_hermitian``, then the equality matrix
 A, b and c that ``solve`` reads.  A is sparse: every constraint family used
 here (Hermitian basis elements, their partial transposes, single-entry pins,
-the identity) has O(1) nonzeros per row.  Per iteration each block's scaling
-takes two Cholesky factors and one SVD, X = L L^H, S = R R^H and
-R^H L = U diag(d) Vh, and no eigendecomposition: F = L Vh^H d^-1/2 and
-F^-1 = d^-1/2 U^H R^H give the scaled point F^-1 X F^-H = F^H S F = diag(d),
-so the Lyapunov solve is elementwise.  The scaling X -> W X W, W = F F^H, is
-one real n^2 x n^2 matrix, W (x) conj(W) in ``hvec`` coordinates, built in
-O(n^4); the Schur complement A W A^T is assembled from it and the sparse A
-(Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), so a decomposability
-check on D x D blocks costs O(D^4) outside the Cholesky factorization.
+the identity) has O(1) nonzeros per row.  The wrappers below build each
+problem family once per dimension, as a cached template, since its
+equalities depend on the dimension alone; a call rebinds only its
+right-hand side or objective, and only that is checked.  Per iteration each
+block's scaling takes two Cholesky factors and one SVD, X = L L^H,
+S = R R^H and R^H L = U diag(d) Vh, and no eigendecomposition:
+F = L Vh^H d^-1/2 and F^-1 = d^-1/2 U^H R^H give the scaled point
+F^-1 X F^-H = F^H S F = diag(d), so the Lyapunov solve is elementwise.  The
+scaling X -> W X W, W = F F^H, is one real n^2 x n^2 matrix, W (x) conj(W)
+in ``hvec`` coordinates, built in O(n^4); the Schur complement A W A^T is
+assembled from it and the sparse A (Fujisawa, Kojima and Nakata, Math.
+Prog. 79, 1997), so a decomposability check on D x D blocks costs O(D^4)
+outside the Cholesky factorization.  A block of A with at most one nonzero
+per row (the basis, partial-transpose and pin families) adds
+val_i val_j W[col_i, col_j], one gather through an index recorded at
+packing; any other block (a trace row, ``cb_split_bound``'s lifted rows)
+adds the sparse product A_k (A_k W)^T.
 Every verdict is re-checked outside the solver: "feasible" is claimed only
 after the returned blocks pass an independent PSD and residual audit, and
 "infeasible" only with a verified separating functional.  The PSD audits
@@ -27,6 +35,7 @@ itself: the package's one PSD rule.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
@@ -58,6 +67,9 @@ SEARCH_VALUE_TOL = -1e-6
 SEARCH_IMPROVE_TOL = 1e-10
 SEARCH_PATIENCE = 5
 
+# Compiled problems kept per wrapper, one for each dimension lately in use.
+_TEMPLATES = 4
+
 
 # ---------------------------------------------------------------------------
 # problem and result types
@@ -77,7 +89,12 @@ class SdpProblem:
     ``linalg.require_hermitian`` (wrong shape DimMismatch, non-finite data
     DomainError, a defect beyond ``linalg.TOL_HERM`` NotHermitian), stored
     as read-only views of their Hermitian parts in the caller's key order,
-    and packed into the sparse equality matrix A, b and c that ``solve`` reads.
+    and packed into the sparse equality matrix A, b and c that ``solve`` reads,
+    with the per-block terms of its Schur complement (a gather index for each
+    block with at most one nonzero per row).  The wrappers in this module
+    build one such problem per family and dimension, cached, and derive each
+    call's problem from it by ``_rebind``, which checks only the new
+    right-hand side or objective.
     """
 
     blocks: tuple[tuple[str, int], ...]
@@ -100,47 +117,44 @@ class SdpProblem:
         rows = [coeffs for coeffs, _ in self.equalities]
         if self.objective is not None:
             rows.append(self.objective)
-        gathered = {name: ([], []) for name in names}
-        for i, coeffs in enumerate(rows):
-            for name, M in coeffs.items():
-                if name not in gathered:
-                    raise PreconditionFailed(f"unknown block name {name!r}")
-                gathered[name][0].append(i)
-                gathered[name][1].append(M)
-        stored = [dict.fromkeys(coeffs) for coeffs in rows]
-        triplets = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
-        lo = 0
-        for name, n in blocks:
-            idx, mats = gathered[name]
-            if mats:
-                try:
-                    S = np.asarray(mats, dtype=complex)
-                except ValueError:
-                    S = None
-                if S is None or S.shape[1:] != (n, n):
-                    raise DimMismatch(f"coefficients for block {name!r} must be {n} x {n}")
-                linalg.require_hermitian(S)
-                H = (S + S.conj().swapaxes(-1, -2)) / 2.0
-                H.setflags(write=False)
-                for i, Hi in zip(idx, H):
-                    stored[i][name] = Hi
-                coords = linalg.hvec(H)
-                r, j = np.nonzero(coords)
-                triplets.append((np.array(idx, dtype=np.intp)[r], j + lo, coords[r, j]))
-            lo += n * n
-        b = np.array([float(r) for _, r in self.equalities])
-        if not np.all(np.isfinite(b)):
-            raise DomainError("equality right-hand side must be finite")
-        row, col, val = (np.concatenate(t) for t in zip(*triplets))
+        stored, (row, col, val) = _pack_rows(blocks, rows)
+        b = _finite_rhs([float(r) for _, r in self.equalities])
         eq = row < m
-        A = scipy.sparse.csr_array((val[eq], (row[eq], col[eq])), shape=(m, lo))
-        c = np.zeros(lo)
+        N = sum(n * n for _, n in blocks)
+        A = scipy.sparse.csr_array((val[eq], (row[eq], col[eq])), shape=(m, N))
+        c = np.zeros(N)
         c[col[~eq]] = val[~eq]
 
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "equalities", tuple(zip(stored[:m], b.tolist())))
         object.__setattr__(self, "objective", stored[m] if self.objective is not None else None)
         object.__setattr__(self, "_packed", (A, b, c))
+        object.__setattr__(self, "_schur_terms", _schur_terms(A, [n for _, n in blocks]))
+
+    def _rebind(self, b=None, objective=None) -> "SdpProblem":
+        """This problem with a new right-hand side ``b`` or a new ``objective``.
+
+        The blocks, the equality coefficients and everything packed from them
+        are shared with this problem, not validated again; only the new data
+        are checked, as the constructor checks them.
+        """
+        A, b_old, c = self._packed
+        new = copy.copy(self)
+        if b is not None:
+            b = _finite_rhs(b)
+            if b.shape != b_old.shape:
+                raise DimMismatch(f"expected {b_old.size} right-hand sides, got shape {b.shape}")
+            coeffs = [co for co, _ in self.equalities]
+            object.__setattr__(new, "equalities", tuple(zip(coeffs, b.tolist())))
+        else:
+            b = b_old
+        if objective is not None:
+            (stored,), (_, col, val) = _pack_rows(self.blocks, [objective])
+            c = np.zeros(A.shape[1])
+            c[col] = val
+            object.__setattr__(new, "objective", stored)
+        object.__setattr__(new, "_packed", (A, b, c))
+        return new
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -168,6 +182,80 @@ class SdpResult:
 
 # ---------------------------------------------------------------------------
 # block packing
+
+
+def _pack_rows(blocks, rows):
+    """Validate coefficient rows (block name -> matrix) and pack them.
+
+    Each block's matrices are checked as one stack by
+    ``linalg.require_hermitian`` and stored as read-only views of their
+    Hermitian parts in each row's key order.  Returns those rows and the
+    (row, column, value) triplets of their ``hvec`` coordinates, with the
+    blocks' columns laid end to end.
+    """
+    gathered = {name: ([], []) for name, _ in blocks}
+    for i, coeffs in enumerate(rows):
+        for name, M in coeffs.items():
+            if name not in gathered:
+                raise PreconditionFailed(f"unknown block name {name!r}")
+            gathered[name][0].append(i)
+            gathered[name][1].append(M)
+    stored = [dict.fromkeys(coeffs) for coeffs in rows]
+    triplets = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+    lo = 0
+    for name, n in blocks:
+        idx, mats = gathered[name]
+        if mats:
+            try:
+                S = np.asarray(mats, dtype=complex)
+            except ValueError:
+                S = None
+            if S is None or S.shape[1:] != (n, n):
+                raise DimMismatch(f"coefficients for block {name!r} must be {n} x {n}")
+            linalg.require_hermitian(S)
+            H = (S + S.conj().swapaxes(-1, -2)) / 2.0
+            H.setflags(write=False)
+            for i, Hi in zip(idx, H):
+                stored[i][name] = Hi
+            coords = linalg.hvec(H)
+            r, j = np.nonzero(coords)
+            triplets.append((np.array(idx, dtype=np.intp)[r], j + lo, coords[r, j]))
+        lo += n * n
+    return stored, [np.concatenate(t) for t in zip(*triplets)]
+
+
+def _finite_rhs(values) -> np.ndarray:
+    b = np.array(values, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise DomainError("equality right-hand side must be finite")
+    return b
+
+
+def _schur_terms(A, dims):
+    """What ``_schur`` reads for each block of A's columns, made at packing.
+
+    A block whose rows have at most one nonzero each is ``(flat, val)``: the
+    row's coefficient (0 on an empty row) and the m x m flat index of the
+    entries (col_i, col_j) in the block's n^2 x n^2 operator.  Any other
+    block is its sparse column slice.
+    """
+    m = A.shape[0]
+    terms, lo = [], 0
+    for n in dims:
+        Ak = A[:, lo : lo + n * n]
+        lo += n * n
+        counts = np.diff(Ak.indptr)
+        if np.any(counts > 1):
+            terms.append(Ak)
+            continue
+        col, val = np.zeros(m, dtype=np.intp), np.zeros(m)
+        col[counts == 1] = Ak.indices
+        val[counts == 1] = Ak.data
+        flat = (col[:, None] * (n * n) + col).ravel()
+        flat.setflags(write=False)
+        val.setflags(write=False)
+        terms.append((flat, val))
+    return terms
 
 
 def _pack(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -276,16 +364,27 @@ def _kron_operator(W: np.ndarray) -> np.ndarray:
     return out
 
 
-def _schur(A_blocks, Wops) -> np.ndarray:
+def _schur(terms, Wops) -> np.ndarray:
     """Schur complement M_ij = sum_k tr(A_ik W_k A_jk W_k), symmetrized.
 
-    ``A_blocks`` are the sparse column blocks of A, ``Wops`` the matching
-    ``_kron_operator`` matrices; each block costs O(nnz(A_k) n_k^2).
+    ``terms`` are the ``_schur_terms`` of A's column blocks, ``Wops`` the
+    matching ``_kron_operator`` matrices.  A block with at most one nonzero
+    per row adds val_i val_j W_k[col_i, col_j], one gather of m^2 entries; any
+    other block adds A_k (A_k W_k)^T, at O(nnz(A_k) n_k^2).
     """
-    m = A_blocks[0].shape[0]
-    M = np.zeros((m, m))
-    for Ak, Wk in zip(A_blocks, Wops):
-        M += Ak @ (Ak @ Wk).T
+    M = None
+    for term, Wk in zip(terms, Wops):
+        if isinstance(term, tuple):
+            flat, val = term
+            Mk = Wk.take(flat).reshape(val.size, val.size)
+            Mk *= val[:, None]
+            Mk *= val
+        else:
+            Mk = term @ (term @ Wk).T
+        if M is None:
+            M = Mk
+        else:
+            M += Mk
     return (M + M.T) / 2.0
 
 
@@ -308,11 +407,9 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
         _, mats, info = _verify_feasible(A, b, dims, np.zeros(N), obj=c if has_obj else None)
         return SdpResult(FEASIBLE, dict(zip(names, mats)), np.zeros(0), {"iterations": 0.0, **info})
 
-    # A's transpose and column blocks, made once for every iteration.
     AT = A.T
     offsets = np.cumsum([0] + [n * n for n in dims])
     spans = list(zip(offsets, offsets[1:]))
-    A_blocks = [A[:, lo:hi] for lo, hi in spans]
 
     x = _pack([np.eye(n) for n in dims])
     s = x.copy()
@@ -390,7 +487,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
 
             # Schur complement, factored once per iteration.
             wc = apply_w(c)
-            Schur = _schur(A_blocks, Wops)
+            Schur = _schur(problem._schur_terms, Wops)
             jitter = 1e-14 * (1.0 + float(np.trace(Schur)) / max(m, 1))
             cho = None
             for _ in range(8):
@@ -491,19 +588,54 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
 # Hermitian basis
 
 
+def _basis_scale(n: int) -> np.ndarray:
+    # B_k = scale_k hmat(e_k): 1 on the diagonal coordinates, sqrt2 elsewhere.
+    scale = np.full(n * n, np.sqrt(2.0))
+    scale[:n] = 1.0
+    return scale
+
+
 def _hermitian_basis(n: int) -> np.ndarray:
     """Orthogonal Hermitian basis of M_n as an (n^2, n, n) stack.
 
     In ``linalg.hvec`` order: E_pp, then E_pq + E_qp, then i E_pq - i E_qp
     for p < q in row-major order.
     """
-    scale = np.full(n * n, np.sqrt(2.0))
-    scale[:n] = 1.0
-    return linalg.hmat(np.diag(scale), n)
+    return linalg.hmat(np.diag(_basis_scale(n)), n)
+
+
+def _basis_coords(M: np.ndarray) -> np.ndarray:
+    """Re tr(B_k M) for the ``_hermitian_basis`` elements B_k, without the basis.
+
+    This is ``hvec`` of the Hermitian part of M scaled by ``_basis_scale``:
+    Re M_pp, then Re(M_pq + M_qp) and Im(M_pq - M_qp) for p < q.  An entry
+    that overflows is left infinite for ``_rebind`` to reject.
+    """
+    n = M.shape[-1]
+    x, y = _hvec_positions(n)
+    upper, lower = M[x, y], M[y, x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate([upper[:n].real, (upper + lower)[n:].real,
+                               (upper - lower)[n:].imag])
+
+
+def _basis_combination(y: np.ndarray, n: int) -> np.ndarray:
+    """sum_k y_k B_k over the ``_hermitian_basis`` elements, without the basis."""
+    return linalg.hmat(y * _basis_scale(n), n)
 
 
 # ---------------------------------------------------------------------------
 # decomposability
+
+
+@lru_cache(maxsize=_TEMPLATES)
+def _decomposability_template(dims: tuple[int, int]) -> SdpProblem:
+    # tr(B_k C1) + tr(PT_B(B_k) C2) == tr(B_k C) for each basis element B_k.
+    D = dims[0] * dims[1]
+    basis = _hermitian_basis(D)
+    basis_pt = linalg.partial_transpose(basis, dims, "B")
+    eqs = tuple(({"cp_part": H, "cocp_part": G}, 0.0) for H, G in zip(basis, basis_pt))
+    return SdpProblem(blocks=(("cp_part", D), ("cocp_part", D)), equalities=eqs)
 
 
 def decomposability_check(P: choi.QuantumMap) -> SdpResult:
@@ -516,15 +648,7 @@ def decomposability_check(P: choi.QuantumMap) -> SdpResult:
     of P is negative.
     """
     C = linalg.require_hermitian(P.choi)
-    D = P.din * P.dout
-    basis = _hermitian_basis(D)
-    rhs = np.einsum("kij,ji->k", basis, C).real
-    basis_pt = linalg.partial_transpose(basis, P.dims, "B")
-    eqs = tuple(
-        ({"cp_part": H, "cocp_part": G}, float(r)) for H, G, r in zip(basis, basis_pt, rhs)
-    )
-    prob = SdpProblem(blocks=(("cp_part", D), ("cocp_part", D)), equalities=eqs)
-    res = solve(prob)
+    res = solve(_decomposability_template(P.dims)._rebind(b=_basis_coords(C)))
 
     if res.status == FEASIBLE:
         C1, C2 = res.primal["cp_part"], res.primal["cocp_part"]
@@ -553,7 +677,7 @@ def decomposability_check(P: choi.QuantumMap) -> SdpResult:
         )
 
     if res.status == INFEASIBLE:
-        V = -np.tensordot(res.dual, basis, axes=1)
+        V = -_basis_combination(res.dual, C.shape[0])
         t = float(np.real(np.trace(V)))
         if t <= 0.0:
             return SdpResult(
@@ -586,6 +710,17 @@ def decomposability_check(P: choi.QuantumMap) -> SdpResult:
 # Gaussian split
 
 
+@lru_cache(maxsize=_TEMPLATES)
+def _gaussian_template(n: int) -> SdpProblem:
+    # tr(B_k M) + tr(B_k N) == tr(B_k K) for each basis element B_k of M_2n;
+    # then the imaginary part of M is pinned to -sigma: the trailing basis
+    # elements i E_pq - i E_qp (p < q) give tr(H M) = 2 Im M_pq.
+    basis = _hermitian_basis(2 * n)
+    eqs = [({"part_m": H, "part_n": H}, 0.0) for H in basis]
+    eqs += [({"part_m": H}, 0.0) for H in basis[n * (2 * n + 1) :]]
+    return SdpProblem(blocks=(("part_m", 2 * n), ("part_n", 2 * n)), equalities=tuple(eqs))
+
+
 def gaussian_eb_split(Y, X) -> SdpResult:
     """Split Y = N + M with M - i*sigma >= 0 and N - i*X sigma X^T >= 0.
 
@@ -602,25 +737,12 @@ def gaussian_eb_split(Y, X) -> SdpResult:
     linalg.require_hermitian(Y)
     scale = max(1.0, float(np.max(np.abs(Y))))
     n = Y.shape[0] // 2
-    two_n = 2 * n
     sig = linalg.symplectic_form(n)
     xsx = X @ sig @ X.T
     K = Y - 1j * (sig + xsx)
 
-    basis = _hermitian_basis(two_n)
-    rhs = np.einsum("kij,ji->k", basis, K).real
-    eqs = [({"part_m": H, "part_n": H}, float(r)) for H, r in zip(basis, rhs)]
-    # Pin the imaginary part of the M block to -sigma: the trailing basis
-    # elements i E_pq - i E_qp (p < q) give tr(H M) = 2 Im M_pq.
-    iu = np.triu_indices(two_n, 1)
-    imag_basis = basis[-len(iu[0]) :]
-    eqs += [({"part_m": H}, -2.0 * float(v)) for H, v in zip(imag_basis, sig[iu])]
-
-    prob = SdpProblem(
-        blocks=(("part_m", two_n), ("part_n", two_n)),
-        equalities=tuple(eqs),
-    )
-    res = solve(prob)
+    b = np.concatenate([_basis_coords(K), -2.0 * sig[np.triu_indices(2 * n, 1)]])
+    res = solve(_gaussian_template(n)._rebind(b=b))
 
     if res.status == FEASIBLE:
         Mt = res.primal["part_m"]
@@ -652,6 +774,27 @@ def gaussian_eb_split(Y, X) -> SdpResult:
 # operator-norm bound by a transpose split
 
 
+@lru_cache(maxsize=_TEMPLATES)
+def _cb_split_template(dims: tuple[int, int]) -> SdpProblem:
+    # tr(B_k (P_A - N_A)) + tr(PT_A(B_k) (P_B - N_B)) == tr(B_k H) for each
+    # basis element B_k; then ||Tr_in(P_X + N_X)|| <= t_X, as
+    # Tr_in(P_X + N_X) + S_X = t_X I with S_X PSD.
+    din, dout = dims
+    D = din * dout
+    basis = _hermitian_basis(D)
+    basis_pt = linalg.partial_transpose(basis, dims, "A")
+    eqs = [({"pa": G, "na": -G, "pb": Gt, "nb": -Gt}, 0.0) for G, Gt in zip(basis, basis_pt)]
+    one = np.ones((1, 1))
+    for X in ("a", "b"):
+        for g in _hermitian_basis(dout):
+            lifted = np.kron(np.eye(din), g)
+            eqs.append(({"p" + X: lifted, "n" + X: lifted, "s" + X: g,
+                         "t" + X: -np.trace(g).real * one}, 0.0))
+    blocks = tuple((k, D) for k in ("pa", "na", "pb", "nb")) + (("sa", dout), ("sb", dout),
+                                                                 ("ta", 1), ("tb", 1))
+    return SdpProblem(blocks=blocks, equalities=tuple(eqs), objective={"ta": one, "tb": one})
+
+
 def cb_split_bound(P: choi.QuantumMap) -> SdpResult:
     """Upper bound on ||P||_{inf->inf} from a split P = A + B∘θ (θ the transpose).
 
@@ -680,23 +823,13 @@ def cb_split_bound(P: choi.QuantumMap) -> SdpResult:
     anti = linalg.block_norm_sum(C - H, P.dims)
     # The bound is homogeneous, so solve at unit scale; a power of two
     # rescales exactly.
-    unit = 2.0 ** int(np.frexp(np.max(np.abs(H)))[1])
+    exponent = int(np.frexp(np.max(np.abs(H)))[1])
+    if exponent > 1023:  # 2.0**1024 overflows
+        raise DomainError("Choi matrix entries must be below 2**1023 in magnitude")
+    unit = 2.0**exponent
     H = H / unit
-    basis = _hermitian_basis(D)
-    basis_pt = linalg.partial_transpose(basis, P.dims, "A")
-    rhs = np.einsum("kij,ji->k", basis, H).real
-    eqs = [({"pa": G, "na": -G, "pb": Gt, "nb": -Gt}, float(r))
-           for G, Gt, r in zip(basis, basis_pt, rhs)]
-    # ||Tr_in(P_X + N_X)|| <= t_X, as Tr_in(P_X + N_X) + S_X = t_X I with S_X PSD
-    one = np.ones((1, 1))
-    for X in ("a", "b"):
-        for g in _hermitian_basis(dout):
-            lifted = np.kron(np.eye(din), g)
-            eqs.append(({"p" + X: lifted, "n" + X: lifted, "s" + X: g,
-                         "t" + X: -np.trace(g).real * one}, 0.0))
-    blocks = tuple((k, D) for k in ("pa", "na", "pb", "nb")) + (("sa", dout), ("sb", dout),
-                                                                 ("ta", 1), ("tb", 1))
-    res = solve(SdpProblem(blocks=blocks, equalities=tuple(eqs), objective={"ta": one, "tb": one}))
+    b = np.concatenate([_basis_coords(H), np.zeros(2 * dout * dout)])
+    res = solve(_cb_split_template(P.dims)._rebind(b=b))
     if res.status != FEASIBLE:
         return res
 
@@ -752,7 +885,7 @@ def counterexample_search(
     raises; solver breakdowns are reported in the trace.
     """
     d, dp = P.din, P.dout
-    blocks, eqs = _seesaw_problem_parts(P)
+    template = SdpProblem(*_seesaw_problem_parts(P))
     id_in = choi.identity_map(d)
     adjP = choi.adjoint(P)
     probe = choi.tensor(id_in, adjP)
@@ -772,12 +905,7 @@ def counterexample_search(
         for k in range(max_rounds):
             F = choi.apply(probe, np.outer(psi, psi.conj()))
             F = (F + F.conj().T) / 2.0
-            prob = SdpProblem(
-                blocks=blocks,
-                equalities=eqs,
-                objective={"choi_t": F},
-            )
-            res = solve(prob)
+            res = solve(template._rebind(objective={"choi_t": F}))
             if res.status != FEASIBLE:
                 sdp_failures += 1
                 trace.append(

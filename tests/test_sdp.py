@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from ebcompose import choi, gaussian, linalg, sdp
 from ebcompose.errors import DimMismatch, DomainError, NotHermitian, PreconditionFailed
@@ -35,18 +36,24 @@ def random_pd(n: int, rng: np.random.Generator) -> np.ndarray:
     return G @ G.conj().T + 0.1 * np.eye(n)
 
 
-def problem_passed_to_solve(monkeypatch, call) -> sdp.SdpProblem:
-    """The problem a wrapper hands to ``sdp.solve``."""
+def solved_by_wrapper(monkeypatch, call):
+    """The first problem a wrapper hands to ``sdp.solve``, and what it returned."""
     seen = []
     solve = sdp.solve
 
     def spy(problem, **kwargs):
-        seen.append(problem)
-        return solve(problem, **kwargs)
+        seen.append((problem, solve(problem, **kwargs)))
+        return seen[-1][1]
 
     monkeypatch.setattr(sdp, "solve", spy)
     call()
+    monkeypatch.setattr(sdp, "solve", solve)
     return seen[0]
+
+
+def problem_passed_to_solve(monkeypatch, call) -> sdp.SdpProblem:
+    """The problem a wrapper hands to ``sdp.solve``."""
+    return solved_by_wrapper(monkeypatch, call)[0]
 
 
 class TestProblemValidation:
@@ -360,14 +367,67 @@ class TestKronOperator:
         assert A.nnz <= 2 * A.shape[0] + max(dims)
         rng = rng_for(11)
         Ws = [random_pd(n, rng) for n in dims]
-        offsets = np.cumsum([0] + [n * n for n in dims])
-        A_blocks = [A[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])]
-        got = sdp._schur(A_blocks, [sdp._kron_operator(W) for W in Ws])
+        got = sdp._schur(problem._schur_terms, [sdp._kron_operator(W) for W in Ws])
         Ad = A.toarray()
         op_w_A = sdp._pack([W @ M @ W for W, M in zip(Ws, sdp._unpack(Ad, dims))])
         ref = Ad @ op_w_A.T
         ref = (ref + ref.T) / 2.0
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestSchurGather:
+    """A block with at most one nonzero per row enters the Schur complement by gather."""
+
+    @staticmethod
+    def sparse_reference(A, dims, Wops):
+        offsets = np.cumsum([0] + [n * n for n in dims])
+        M = sum(Ak @ (Ak @ Wk).T for Ak, Wk in zip(
+            (A[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])), Wops))
+        return (M + M.T) / 2.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gather_matches_sparse_product(self, seed):
+        rng = rng_for(200 + seed)
+        m, dims = 30, [3, 1, 4, 2, 3]
+        coeffs = [1.0, -1.0, np.sqrt(2.0), -np.sqrt(2.0)]
+        parts = []
+        for k, n in enumerate(dims):
+            if k == 3:
+                parts.append(scipy.sparse.csr_array((m, n * n)))  # every row empty
+                continue
+            # about a third of the rows empty; columns drawn from a few, so they repeat
+            rows = np.flatnonzero(rng.random(m) < 0.65)
+            cols = rng.integers(0, max(1, n * n // 3), size=rows.size)
+            vals = rng.choice(coeffs, size=rows.size)
+            if k == 4:
+                # one row with two nonzeros, as a trace or a lifted row has
+                rows, cols = np.append(rows, rows[0]), np.append(cols, n * n - 1)
+                vals = np.append(vals, 1.0)
+            parts.append(scipy.sparse.csr_array((vals, (rows, cols)), shape=(m, n * n)))
+        A = scipy.sparse.csr_array(scipy.sparse.hstack(parts))
+        terms = sdp._schur_terms(A, dims)
+        assert [isinstance(t, tuple) for t in terms] == [True, True, True, True, False]
+        Wops = [sdp._kron_operator(random_pd(n, rng)) for n in dims]
+        got = sdp._schur(terms, Wops)
+        ref = self.sparse_reference(A, dims, Wops)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_each_family_takes_the_path_its_rows_allow(self):
+        def gathered(problem):
+            return {name: isinstance(t, tuple) for (name, _), t in
+                    zip(problem.blocks, problem._schur_terms)}
+
+        assert gathered(sdp._decomposability_template((3, 3))) == {
+            "cp_part": True, "cocp_part": True}
+        assert gathered(sdp._gaussian_template(2)) == {"part_m": True, "part_n": True}
+        # the trace row of the search and the lifted rows of the split have
+        # several nonzeros
+        blocks, eqs = sdp._seesaw_problem_parts(choi.identity_map(3))
+        assert gathered(sdp.SdpProblem(blocks=blocks, equalities=eqs)) == {
+            "choi_t": False, "choi_t_pt": True}
+        assert gathered(sdp._cb_split_template((2, 3))) == {
+            "pa": False, "na": False, "pb": False, "nb": False,
+            "sa": True, "sb": True, "ta": True, "tb": True}
 
 
 class TestHermitianEmbedding:
@@ -584,6 +644,173 @@ class TestCbSplitBound:
             sdp.cb_split_bound(choi.QuantumMap(2, 2, J))
 
 
+def count_constructions(monkeypatch) -> list:
+    """Record every ``SdpProblem`` construction from here on."""
+    calls = []
+    post_init = sdp.SdpProblem.__post_init__
+
+    def counting(self):
+        calls.append(len(self.equalities))
+        post_init(self)
+
+    monkeypatch.setattr(sdp.SdpProblem, "__post_init__", counting)
+    return calls
+
+
+def basis_rhs(M):
+    """tr(B_k M) over the Hermitian basis, as a dense contraction."""
+    return np.einsum("kij,ji->k", sdp._hermitian_basis(M.shape[0]), M).real
+
+
+def fresh_decomposability_problem(P):
+    D = P.din * P.dout
+    basis = sdp._hermitian_basis(D)
+    basis_pt = linalg.partial_transpose(basis, P.dims, "B")
+    eqs = [({"cp_part": H, "cocp_part": G}, float(r))
+           for H, G, r in zip(basis, basis_pt, basis_rhs(P.choi))]
+    return sdp.SdpProblem(blocks=(("cp_part", D), ("cocp_part", D)), equalities=tuple(eqs))
+
+
+def fresh_gaussian_problem(Y, X):
+    n = Y.shape[0] // 2
+    sig = linalg.symplectic_form(n)
+    K = Y - 1j * (sig + X @ sig @ X.T)
+    basis = sdp._hermitian_basis(2 * n)
+    eqs = [({"part_m": H, "part_n": H}, float(r)) for H, r in zip(basis, basis_rhs(K))]
+    iu = np.triu_indices(2 * n, 1)
+    eqs += [({"part_m": H}, -2.0 * float(v)) for H, v in zip(basis[-len(iu[0]):], sig[iu])]
+    return sdp.SdpProblem(blocks=(("part_m", 2 * n), ("part_n", 2 * n)), equalities=tuple(eqs))
+
+
+def fresh_cb_split_problem(P):
+    din, dout = P.dims
+    D = din * dout
+    H = P.choi / 2.0 + P.choi.conj().T / 2.0
+    H = H / 2.0 ** int(np.frexp(np.max(np.abs(H)))[1])
+    basis = sdp._hermitian_basis(D)
+    basis_pt = linalg.partial_transpose(basis, P.dims, "A")
+    eqs = [({"pa": G, "na": -G, "pb": Gt, "nb": -Gt}, float(r))
+           for G, Gt, r in zip(basis, basis_pt, basis_rhs(H))]
+    one = np.ones((1, 1))
+    for X in ("a", "b"):
+        for g in sdp._hermitian_basis(dout):
+            lifted = np.kron(np.eye(din), g)
+            eqs.append(({"p" + X: lifted, "n" + X: lifted, "s" + X: g,
+                         "t" + X: -np.trace(g).real * one}, 0.0))
+    blocks = tuple((k, D) for k in ("pa", "na", "pb", "nb")) + (
+        ("sa", dout), ("sb", dout), ("ta", 1), ("tb", 1))
+    return sdp.SdpProblem(blocks=blocks, equalities=tuple(eqs),
+                          objective={"ta": one, "tb": one})
+
+
+TEMPLATE_CASES = {
+    "decomposability-d3": (sdp._decomposability_template,
+                           lambda: choi.random_cp_cocp_map(3, 21),
+                           sdp.decomposability_check, fresh_decomposability_problem),
+    "decomposability-d4": (sdp._decomposability_template,
+                           lambda: choi.random_cp_cocp_map(4, 22),
+                           sdp.decomposability_check, fresh_decomposability_problem),
+    "decomposability-choi-witness": (sdp._decomposability_template, choi_map,
+                                     sdp.decomposability_check,
+                                     fresh_decomposability_problem),
+    "cb-split": (sdp._cb_split_template,
+                 lambda: choi.QuantumMap(3, 3, linalg.random_hermitian(9, rng_for(23))),
+                 sdp.cb_split_bound, fresh_cb_split_problem),
+}
+for _n in (1, 2, 3):
+    TEMPLATE_CASES[f"gaussian-n{_n}"] = (
+        sdp._gaussian_template,
+        lambda n=_n: gaussian.random_cocp_channel(n, 30 + n),
+        lambda C: sdp.gaussian_eb_split(C.Y, C.X),
+        lambda C: fresh_gaussian_problem(C.Y, C.X),
+    )
+
+
+class TestTemplates:
+    """Each wrapper compiles its problem once per dimension and rebinds the data."""
+
+    @pytest.mark.parametrize("case", sorted(TEMPLATE_CASES))
+    def test_matches_a_fresh_problem(self, case, monkeypatch):
+        template, make, wrapper, fresh = TEMPLATE_CASES[case]
+        template.cache_clear()
+        data = make()
+        calls = count_constructions(monkeypatch)
+        problem, got = solved_by_wrapper(monkeypatch, lambda: wrapper(data))
+        assert len(calls) == 1
+        solved_by_wrapper(monkeypatch, lambda: wrapper(data))
+        assert len(calls) == 1, "a second call with the same dimensions constructed again"
+
+        ref_problem = fresh(data)
+        ref = sdp.solve(ref_problem)
+        (A, b, c), (A_ref, b_ref, c_ref) = problem._packed, ref_problem._packed
+        assert (A != A_ref).nnz == 0
+        np.testing.assert_array_equal(b, b_ref)
+        np.testing.assert_array_equal(c, c_ref)
+        assert len(problem.equalities) == len(ref_problem.equalities)
+        assert [r for _, r in problem.equalities] == [r for _, r in ref_problem.equalities]
+        assert problem.blocks == ref_problem.blocks
+
+        assert got.status == ref.status
+        assert got.residuals["iterations"] == ref.residuals["iterations"]
+        if ref.status == sdp.FEASIBLE:
+            scale = max(1.0, max(np.max(np.abs(X)) for X in ref.primal.values()))
+            for name, X in ref.primal.items():
+                assert np.max(np.abs(got.primal[name] - X)) <= 1e-12 * scale
+        else:
+            assert ref.status == sdp.INFEASIBLE
+            scale = max(1.0, np.max(np.abs(ref.dual)))
+            assert np.max(np.abs(got.dual - ref.dual)) <= 1e-12 * scale
+
+    def test_rebind_checks_only_the_new_data(self):
+        template = sdp._gaussian_template(1)
+        A, b, c = template._packed
+        rebound = template._rebind(b=np.arange(b.size, dtype=float))
+        assert rebound._packed[0] is A and rebound._schur_terms is template._schur_terms
+        assert [r for _, r in rebound.equalities] == list(range(b.size))
+        assert all(new is old for (new, _), (old, _) in
+                   zip(rebound.equalities, template.equalities))
+        np.testing.assert_array_equal(template._packed[1], b)
+        for bad in (np.full(b.size, np.nan), np.full(b.size, np.inf)):
+            with pytest.raises(DomainError):
+                template._rebind(b=bad)
+        with pytest.raises(DimMismatch):
+            template._rebind(b=np.zeros(b.size + 1))
+
+        objective = {"part_n": np.array([[1.0, 2.0 - 1j], [2.0 + 1j, 0.5]])}
+        rebound = template._rebind(objective=objective)
+        ref = sdp.SdpProblem(blocks=template.blocks, equalities=template.equalities,
+                             objective=objective)
+        np.testing.assert_array_equal(rebound._packed[2], ref._packed[2])
+        assert list(rebound.objective) == ["part_n"]
+        for bad, error in ((np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitian),
+                           (np.diag([1.0, np.nan]), DomainError),
+                           (np.eye(3), DimMismatch)):
+            with pytest.raises(error):
+                template._rebind(objective={"part_m": bad})
+        with pytest.raises(PreconditionFailed):
+            template._rebind(objective={"elsewhere": np.eye(2)})
+
+    def test_typed_errors_survive(self):
+        nan = np.eye(9, dtype=complex)
+        nan[1, 2] = np.nan
+        huge = np.full((9, 9), 1e308, dtype=complex)
+        skew = np.eye(9, dtype=complex)
+        skew[0, 1] = 1.0
+        for C, error in ((nan, DomainError), (huge, DomainError), (skew, NotHermitian)):
+            with pytest.raises(error):
+                sdp.decomposability_check(choi.QuantumMap(3, 3, C))
+        for C in (nan, huge):
+            with pytest.raises(DomainError):
+                sdp.cb_split_bound(choi.QuantumMap(3, 3, C))
+        Y, X = 2.0 * np.eye(4), 0.3 * np.eye(4)
+        with pytest.raises(DomainError):
+            sdp.gaussian_eb_split(Y, np.where(np.eye(4) > 0, np.nan, X))
+        with pytest.raises(DomainError):
+            sdp.gaussian_eb_split(np.full((4, 4), 1e308), X)
+        with pytest.raises(NotHermitian):
+            sdp.gaussian_eb_split(Y + np.triu(np.ones((4, 4)), 1), X)
+
+
 class TestCounterexampleSearch:
     def test_choi_map_composition_stays_decomposable(self):
         rep = sdp.counterexample_search(choi_map(), restarts=2, max_rounds=10, seed=5)
@@ -618,6 +845,28 @@ class TestCounterexampleSearch:
         vals = [r["value"] for r in rep.trace if r["value"] is not None]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-7
+
+    def test_search_rebinds_one_problem_per_search(self, monkeypatch):
+        P = choi.random_cp_cocp_map(3, 5)
+        calls = count_constructions(monkeypatch)
+        rep = sdp.counterexample_search(P, restarts=2, max_rounds=5, seed=3)
+        assert len(calls) <= 1
+
+        # reference: a fresh problem from the same fixed equalities every round
+        blocks, eqs = sdp._seesaw_problem_parts(P)
+        monkeypatch.setattr(sdp.SdpProblem, "_rebind", lambda self, objective: sdp.SdpProblem(
+            blocks=blocks, equalities=eqs, objective=objective))
+        ref = sdp.counterexample_search(P, restarts=2, max_rounds=5, seed=3)
+        assert len(calls) > len(ref.trace)
+
+        assert rep.status == ref.status
+        assert [r["status"] for r in rep.trace] == [r["status"] for r in ref.trace]
+        assert {r["restart"] for r in rep.trace} == {0, 1}
+        for got, want in zip(rep.trace, ref.trace):
+            assert got["sdp_objective"] == pytest.approx(want["sdp_objective"], rel=1e-9)
+        best = [next(e["data"] for e in r.evidence if e["name"] == "best-objective")
+                for r in (rep, ref)]
+        assert best[0] == pytest.approx(best[1], rel=1e-9, abs=1e-12)
 
     def test_report_serializes(self):
         rep = sdp.counterexample_search(choi_map(), restarts=1, max_rounds=4, seed=0)
