@@ -9,9 +9,10 @@ validated and packed once, when its ``SdpProblem`` is built: one Hermiticity
 check per block under ``linalg.require_hermitian``, then the equality matrix
 A, b and c that ``solve`` reads.  A is sparse: every constraint family used
 here (Hermitian basis elements, their partial transposes, single-entry pins,
-the identity) has O(1) nonzeros per row.  The wrappers below build each
-problem family once per dimension, as a cached template, since its
-equalities depend on the dimension alone; a call rebinds only its
+the identity) has O(1) nonzeros per row.  ``decomposability_check`` and
+``gaussian_eb_split`` build their problem once per dimension, as a cached
+template, since its equalities depend on the dimension alone, and
+``counterexample_search`` once per search; a call rebinds only its
 right-hand side or objective, and only that is checked.  Per iteration each
 block's scaling takes two Cholesky factors and one SVD, X = L L^H,
 S = R R^H and R^H L = U diag(d) Vh, and no eigendecomposition:
@@ -21,11 +22,7 @@ scaling X -> W X W, W = F F^H, is one real n^2 x n^2 matrix, W (x) conj(W)
 in ``hvec`` coordinates, built in O(n^4); the Schur complement A W A^T is
 assembled from it and the sparse A (Fujisawa, Kojima and Nakata, Math.
 Prog. 79, 1997), so a decomposability check on D x D blocks costs O(D^4)
-outside the Cholesky factorization.  A block of A with at most one nonzero
-per row (the basis, partial-transpose and pin families) adds
-val_i val_j W[col_i, col_j], one gather through an index recorded at
-packing; any other block (a trace row, ``cb_split_bound``'s lifted rows)
-adds the sparse product A_k (A_k W)^T.
+outside the Cholesky factorization.
 Every verdict is re-checked outside the solver: "feasible" is claimed only
 after the returned blocks pass an independent PSD and residual audit, and
 "infeasible" only with a verified separating functional.  The PSD audits
@@ -68,6 +65,9 @@ SEARCH_IMPROVE_TOL = 1e-10
 SEARCH_PATIENCE = 5
 
 # Compiled problems kept per wrapper, one for each dimension lately in use.
+# Each keeps its coefficient stacks: a decomposability template on D x D
+# blocks holds 2 D^4 complex entries, 12.5 MB at d = 5 (D = 25) and 54 MB
+# at d = 6; a Gaussian one stays under 0.1 MB up to n = 3.
 _TEMPLATES = 4
 
 
@@ -90,9 +90,8 @@ class SdpProblem:
     DomainError, a defect beyond ``linalg.TOL_HERM`` NotHermitian), stored
     as read-only views of their Hermitian parts in the caller's key order,
     and packed into the sparse equality matrix A, b and c that ``solve`` reads,
-    with the per-block terms of its Schur complement (a gather index for each
-    block with at most one nonzero per row).  The wrappers in this module
-    build one such problem per family and dimension, cached, and derive each
+    with A's column block for each block.  The decomposability and Gaussian
+    wrappers build one such problem per dimension, cached, and derive each
     call's problem from it by ``_rebind``, which checks only the new
     right-hand side or objective.
     """
@@ -129,7 +128,9 @@ class SdpProblem:
         object.__setattr__(self, "equalities", tuple(zip(stored[:m], b.tolist())))
         object.__setattr__(self, "objective", stored[m] if self.objective is not None else None)
         object.__setattr__(self, "_packed", (A, b, c))
-        object.__setattr__(self, "_schur_terms", _schur_terms(A, [n for _, n in blocks]))
+        offsets = np.cumsum([0] + [n * n for _, n in blocks])
+        A_blocks = [A[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+        object.__setattr__(self, "_a_blocks", A_blocks)
 
     def _rebind(self, b=None, objective=None) -> "SdpProblem":
         """This problem with a new right-hand side ``b`` or a new ``objective``.
@@ -229,33 +230,6 @@ def _finite_rhs(values) -> np.ndarray:
     if not np.all(np.isfinite(b)):
         raise DomainError("equality right-hand side must be finite")
     return b
-
-
-def _schur_terms(A, dims):
-    """What ``_schur`` reads for each block of A's columns, made at packing.
-
-    A block whose rows have at most one nonzero each is ``(flat, val)``: the
-    row's coefficient (0 on an empty row) and the m x m flat index of the
-    entries (col_i, col_j) in the block's n^2 x n^2 operator.  Any other
-    block is its sparse column slice.
-    """
-    m = A.shape[0]
-    terms, lo = [], 0
-    for n in dims:
-        Ak = A[:, lo : lo + n * n]
-        lo += n * n
-        counts = np.diff(Ak.indptr)
-        if np.any(counts > 1):
-            terms.append(Ak)
-            continue
-        col, val = np.zeros(m, dtype=np.intp), np.zeros(m)
-        col[counts == 1] = Ak.indices
-        val[counts == 1] = Ak.data
-        flat = (col[:, None] * (n * n) + col).ravel()
-        flat.setflags(write=False)
-        val.setflags(write=False)
-        terms.append((flat, val))
-    return terms
 
 
 def _pack(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -364,27 +338,16 @@ def _kron_operator(W: np.ndarray) -> np.ndarray:
     return out
 
 
-def _schur(terms, Wops) -> np.ndarray:
+def _schur(A_blocks, Wops) -> np.ndarray:
     """Schur complement M_ij = sum_k tr(A_ik W_k A_jk W_k), symmetrized.
 
-    ``terms`` are the ``_schur_terms`` of A's column blocks, ``Wops`` the
-    matching ``_kron_operator`` matrices.  A block with at most one nonzero
-    per row adds val_i val_j W_k[col_i, col_j], one gather of m^2 entries; any
-    other block adds A_k (A_k W_k)^T, at O(nnz(A_k) n_k^2).
+    ``A_blocks`` are the sparse column blocks of A, ``Wops`` the matching
+    ``_kron_operator`` matrices; each block costs O(nnz(A_k) n_k^2).
     """
-    M = None
-    for term, Wk in zip(terms, Wops):
-        if isinstance(term, tuple):
-            flat, val = term
-            Mk = Wk.take(flat).reshape(val.size, val.size)
-            Mk *= val[:, None]
-            Mk *= val
-        else:
-            Mk = term @ (term @ Wk).T
-        if M is None:
-            M = Mk
-        else:
-            M += Mk
+    m = A_blocks[0].shape[0]
+    M = np.zeros((m, m))
+    for Ak, Wk in zip(A_blocks, Wops):
+        M += Ak @ (Ak @ Wk).T
     return (M + M.T) / 2.0
 
 
@@ -487,7 +450,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
 
             # Schur complement, factored once per iteration.
             wc = apply_w(c)
-            Schur = _schur(problem._schur_terms, Wops)
+            Schur = _schur(problem._a_blocks, Wops)
             jitter = 1e-14 * (1.0 + float(np.trace(Schur)) / max(m, 1))
             cho = None
             for _ in range(8):
@@ -774,27 +737,6 @@ def gaussian_eb_split(Y, X) -> SdpResult:
 # operator-norm bound by a transpose split
 
 
-@lru_cache(maxsize=_TEMPLATES)
-def _cb_split_template(dims: tuple[int, int]) -> SdpProblem:
-    # tr(B_k (P_A - N_A)) + tr(PT_A(B_k) (P_B - N_B)) == tr(B_k H) for each
-    # basis element B_k; then ||Tr_in(P_X + N_X)|| <= t_X, as
-    # Tr_in(P_X + N_X) + S_X = t_X I with S_X PSD.
-    din, dout = dims
-    D = din * dout
-    basis = _hermitian_basis(D)
-    basis_pt = linalg.partial_transpose(basis, dims, "A")
-    eqs = [({"pa": G, "na": -G, "pb": Gt, "nb": -Gt}, 0.0) for G, Gt in zip(basis, basis_pt)]
-    one = np.ones((1, 1))
-    for X in ("a", "b"):
-        for g in _hermitian_basis(dout):
-            lifted = np.kron(np.eye(din), g)
-            eqs.append(({"p" + X: lifted, "n" + X: lifted, "s" + X: g,
-                         "t" + X: -np.trace(g).real * one}, 0.0))
-    blocks = tuple((k, D) for k in ("pa", "na", "pb", "nb")) + (("sa", dout), ("sb", dout),
-                                                                 ("ta", 1), ("tb", 1))
-    return SdpProblem(blocks=blocks, equalities=tuple(eqs), objective={"ta": one, "tb": one})
-
-
 def cb_split_bound(P: choi.QuantumMap) -> SdpResult:
     """Upper bound on ||P||_{inf->inf} from a split P = A + B∘θ (θ the transpose).
 
@@ -828,8 +770,21 @@ def cb_split_bound(P: choi.QuantumMap) -> SdpResult:
         raise DomainError("Choi matrix entries must be below 2**1023 in magnitude")
     unit = 2.0**exponent
     H = H / unit
-    b = np.concatenate([_basis_coords(H), np.zeros(2 * dout * dout)])
-    res = solve(_cb_split_template(P.dims)._rebind(b=b))
+    basis = _hermitian_basis(D)
+    basis_pt = linalg.partial_transpose(basis, P.dims, "A")
+    rhs = np.einsum("kij,ji->k", basis, H).real
+    eqs = [({"pa": G, "na": -G, "pb": Gt, "nb": -Gt}, float(r))
+           for G, Gt, r in zip(basis, basis_pt, rhs)]
+    # ||Tr_in(P_X + N_X)|| <= t_X, as Tr_in(P_X + N_X) + S_X = t_X I with S_X PSD
+    one = np.ones((1, 1))
+    for X in ("a", "b"):
+        for g in _hermitian_basis(dout):
+            lifted = np.kron(np.eye(din), g)
+            eqs.append(({"p" + X: lifted, "n" + X: lifted, "s" + X: g,
+                         "t" + X: -np.trace(g).real * one}, 0.0))
+    blocks = tuple((k, D) for k in ("pa", "na", "pb", "nb")) + (("sa", dout), ("sb", dout),
+                                                                 ("ta", 1), ("tb", 1))
+    res = solve(SdpProblem(blocks=blocks, equalities=tuple(eqs), objective={"ta": one, "tb": one}))
     if res.status != FEASIBLE:
         return res
 

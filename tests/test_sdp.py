@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from ebcompose import choi, gaussian, linalg, sdp
 from ebcompose.errors import DimMismatch, DomainError, NotHermitian, PreconditionFailed
@@ -367,67 +366,14 @@ class TestKronOperator:
         assert A.nnz <= 2 * A.shape[0] + max(dims)
         rng = rng_for(11)
         Ws = [random_pd(n, rng) for n in dims]
-        got = sdp._schur(problem._schur_terms, [sdp._kron_operator(W) for W in Ws])
+        offsets = np.cumsum([0] + [n * n for n in dims])
+        A_blocks = [A[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+        got = sdp._schur(A_blocks, [sdp._kron_operator(W) for W in Ws])
         Ad = A.toarray()
         op_w_A = sdp._pack([W @ M @ W for W, M in zip(Ws, sdp._unpack(Ad, dims))])
         ref = Ad @ op_w_A.T
         ref = (ref + ref.T) / 2.0
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-class TestSchurGather:
-    """A block with at most one nonzero per row enters the Schur complement by gather."""
-
-    @staticmethod
-    def sparse_reference(A, dims, Wops):
-        offsets = np.cumsum([0] + [n * n for n in dims])
-        M = sum(Ak @ (Ak @ Wk).T for Ak, Wk in zip(
-            (A[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])), Wops))
-        return (M + M.T) / 2.0
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_gather_matches_sparse_product(self, seed):
-        rng = rng_for(200 + seed)
-        m, dims = 30, [3, 1, 4, 2, 3]
-        coeffs = [1.0, -1.0, np.sqrt(2.0), -np.sqrt(2.0)]
-        parts = []
-        for k, n in enumerate(dims):
-            if k == 3:
-                parts.append(scipy.sparse.csr_array((m, n * n)))  # every row empty
-                continue
-            # about a third of the rows empty; columns drawn from a few, so they repeat
-            rows = np.flatnonzero(rng.random(m) < 0.65)
-            cols = rng.integers(0, max(1, n * n // 3), size=rows.size)
-            vals = rng.choice(coeffs, size=rows.size)
-            if k == 4:
-                # one row with two nonzeros, as a trace or a lifted row has
-                rows, cols = np.append(rows, rows[0]), np.append(cols, n * n - 1)
-                vals = np.append(vals, 1.0)
-            parts.append(scipy.sparse.csr_array((vals, (rows, cols)), shape=(m, n * n)))
-        A = scipy.sparse.csr_array(scipy.sparse.hstack(parts))
-        terms = sdp._schur_terms(A, dims)
-        assert [isinstance(t, tuple) for t in terms] == [True, True, True, True, False]
-        Wops = [sdp._kron_operator(random_pd(n, rng)) for n in dims]
-        got = sdp._schur(terms, Wops)
-        ref = self.sparse_reference(A, dims, Wops)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_each_family_takes_the_path_its_rows_allow(self):
-        def gathered(problem):
-            return {name: isinstance(t, tuple) for (name, _), t in
-                    zip(problem.blocks, problem._schur_terms)}
-
-        assert gathered(sdp._decomposability_template((3, 3))) == {
-            "cp_part": True, "cocp_part": True}
-        assert gathered(sdp._gaussian_template(2)) == {"part_m": True, "part_n": True}
-        # the trace row of the search and the lifted rows of the split have
-        # several nonzeros
-        blocks, eqs = sdp._seesaw_problem_parts(choi.identity_map(3))
-        assert gathered(sdp.SdpProblem(blocks=blocks, equalities=eqs)) == {
-            "choi_t": False, "choi_t_pt": True}
-        assert gathered(sdp._cb_split_template((2, 3))) == {
-            "pa": False, "na": False, "pb": False, "nb": False,
-            "sa": True, "sb": True, "ta": True, "tb": True}
 
 
 class TestHermitianEmbedding:
@@ -682,27 +628,6 @@ def fresh_gaussian_problem(Y, X):
     return sdp.SdpProblem(blocks=(("part_m", 2 * n), ("part_n", 2 * n)), equalities=tuple(eqs))
 
 
-def fresh_cb_split_problem(P):
-    din, dout = P.dims
-    D = din * dout
-    H = P.choi / 2.0 + P.choi.conj().T / 2.0
-    H = H / 2.0 ** int(np.frexp(np.max(np.abs(H)))[1])
-    basis = sdp._hermitian_basis(D)
-    basis_pt = linalg.partial_transpose(basis, P.dims, "A")
-    eqs = [({"pa": G, "na": -G, "pb": Gt, "nb": -Gt}, float(r))
-           for G, Gt, r in zip(basis, basis_pt, basis_rhs(H))]
-    one = np.ones((1, 1))
-    for X in ("a", "b"):
-        for g in sdp._hermitian_basis(dout):
-            lifted = np.kron(np.eye(din), g)
-            eqs.append(({"p" + X: lifted, "n" + X: lifted, "s" + X: g,
-                         "t" + X: -np.trace(g).real * one}, 0.0))
-    blocks = tuple((k, D) for k in ("pa", "na", "pb", "nb")) + (
-        ("sa", dout), ("sb", dout), ("ta", 1), ("tb", 1))
-    return sdp.SdpProblem(blocks=blocks, equalities=tuple(eqs),
-                          objective={"ta": one, "tb": one})
-
-
 TEMPLATE_CASES = {
     "decomposability-d3": (sdp._decomposability_template,
                            lambda: choi.random_cp_cocp_map(3, 21),
@@ -713,9 +638,6 @@ TEMPLATE_CASES = {
     "decomposability-choi-witness": (sdp._decomposability_template, choi_map,
                                      sdp.decomposability_check,
                                      fresh_decomposability_problem),
-    "cb-split": (sdp._cb_split_template,
-                 lambda: choi.QuantumMap(3, 3, linalg.random_hermitian(9, rng_for(23))),
-                 sdp.cb_split_bound, fresh_cb_split_problem),
 }
 for _n in (1, 2, 3):
     TEMPLATE_CASES[f"gaussian-n{_n}"] = (
@@ -765,7 +687,7 @@ class TestTemplates:
         template = sdp._gaussian_template(1)
         A, b, c = template._packed
         rebound = template._rebind(b=np.arange(b.size, dtype=float))
-        assert rebound._packed[0] is A and rebound._schur_terms is template._schur_terms
+        assert rebound._packed[0] is A and rebound._a_blocks is template._a_blocks
         assert [r for _, r in rebound.equalities] == list(range(b.size))
         assert all(new is old for (new, _), (old, _) in
                    zip(rebound.equalities, template.equalities))
