@@ -1,14 +1,14 @@
 """The Report type and the package's one JSON codec.
 
 A :class:`Report` holds ``{"name", "data"}`` evidence dicts whose data may
-hold numpy arrays; only :func:`to_json` encodes them.  A 2-D array is
-``{"rows", "cols", "re", "im"}``, a 1-D array or a complex number
-``{"re", "im"}`` (entries may be decimal strings; real arrays omit "im"), a
-frozen dataclass of the package ``{"kind": <type name>, <init fields>}``,
-decoded through its constructor and so through its validation, and
-``{"kind": "kraus", "ops": [matrices], "din", "dout"}`` a map given by its
-Kraus operators.  Lists decode as tuples.  Malformed input raises
-DomainError, or DimMismatch for a mis-sized array.
+hold numpy arrays; only :func:`to_json` encodes them.  A 2-D array, scipy
+sparse ones written dense, is ``{"rows", "cols", "re", "im"}``, a 1-D array
+or a complex number ``{"re", "im"}`` (entries may be decimal strings; real
+arrays omit "im"), a frozen dataclass of the package ``{"kind": <type
+name>, <init fields>}``, decoded through its constructor and so through its
+validation, and ``{"kind": "kraus", "ops": [matrices], "din", "dout"}`` a
+map given by its Kraus operators.  Lists decode as tuples.  Malformed input
+raises DomainError, or DimMismatch for a mis-sized array.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import Any, Mapping, Optional
 
 import numpy as np
+import scipy.sparse
 
 from . import errors
 from .errors import DimMismatch, DomainError
@@ -77,6 +78,8 @@ def to_json(obj: Any):
         return obj
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
+    if scipy.sparse.issparse(obj):
+        obj = obj.toarray()
     if isinstance(obj, np.ndarray):
         if obj.ndim not in (1, 2):
             raise DomainError(f"only 1-D and 2-D arrays are encodable, got ndim={obj.ndim}")

@@ -4,25 +4,25 @@ Problems are block-diagonal SDPs over complex Hermitian PSD matrices with
 trace equality constraints.  The solver is a homogeneous self-dual
 interior-point method with Nesterov-Todd scaling (Todd, Toh and Tutuncu,
 SIAM J. Optim. 8, 1998) and a Mehrotra predictor-corrector step.  Each block
-is packed into its n^2 real coordinates with ``linalg.hvec``.  A problem is
-validated and packed once, when its ``SdpProblem`` is built: one Hermiticity
-check per block under ``linalg.require_hermitian``, then the equality matrix
-A, b and c that ``solve`` reads.  A is sparse: every constraint family used
-here (Hermitian basis elements, their partial transposes, single-entry pins,
-the identity) has O(1) nonzeros per row.  ``decomposability_check`` and
-``gaussian_eb_split`` build their problem once per dimension, as a cached
-template, since its equalities depend on the dimension alone, and
-``counterexample_search`` once per search; a call rebinds only its
-right-hand side or objective, and only that is checked.  Per iteration each
-block's scaling takes two Cholesky factors and one SVD, X = L L^H,
-S = R R^H and R^H L = U diag(d) Vh, and no eigendecomposition:
-F = L Vh^H d^-1/2 and F^-1 = d^-1/2 U^H R^H give the scaled point
-F^-1 X F^-H = F^H S F = diag(d), so the Lyapunov solve is elementwise.  The
-scaling X -> W X W, W = F F^H, is one real n^2 x n^2 matrix, W (x) conj(W)
-in ``hvec`` coordinates, built in O(n^4); the Schur complement A W A^T is
-assembled from it and the sparse A (Fujisawa, Kojima and Nakata, Math.
-Prog. 79, 1997), so a decomposability check on D x D blocks costs O(D^4)
-outside the Cholesky factorization.
+is packed into its n^2 real coordinates with ``linalg.hvec``, and an
+``SdpProblem`` is that packed system alone: a sparse equality matrix A, b
+and c, checked when it is built.  ``SdpProblem.from_matrices`` packs
+equalities given as Hermitian coefficient matrices, each block's checked as
+one stack under ``linalg.require_hermitian``.  The decomposability,
+Gaussian-split and counterexample-search problems are written in ``hvec``
+coordinates directly, in O(D^2): the Hermitian basis element B_k is s_k
+times the k-th ``hvec`` unit vector (s from ``_basis_scale``), and the
+partial transpose permutes ``hvec`` coordinates up to sign, hvec(PT(X)) =
+Q hvec(X) (``_pt_permutation``), so each of their equalities has one
+nonzero per block.  Per iteration each block's scaling takes two Cholesky
+factors and one SVD, X = L L^H, S = R R^H and R^H L = U diag(d) Vh, and no
+eigendecomposition: F = L Vh^H d^-1/2 and F^-1 = d^-1/2 U^H R^H give the
+scaled point F^-1 X F^-H = F^H S F = diag(d), so the Lyapunov solve is
+elementwise.  The scaling X -> W X W, W = F F^H, is one real n^2 x n^2
+matrix, W (x) conj(W) in ``hvec`` coordinates, built in O(n^4); the Schur
+complement A W A^T is assembled from it and the sparse A (Fujisawa, Kojima
+and Nakata, Math. Prog. 79, 1997), so a decomposability check on D x D
+blocks costs O(D^4) outside the Cholesky factorization.
 Every verdict is re-checked outside the solver: "feasible" is claimed only
 after the returned blocks pass an independent PSD and residual audit, and
 "infeasible" only with a verified separating functional.  The PSD audits
@@ -32,7 +32,8 @@ itself: the package's one PSD rule.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
@@ -42,7 +43,7 @@ import scipy.linalg
 import scipy.sparse
 
 from . import choi, linalg
-from .errors import DimMismatch, DomainError, NotHermitian, PreconditionFailed
+from .errors import DimMismatch, DomainError, PreconditionFailed
 from .report import Report
 
 FEASIBLE = "feasible"
@@ -64,12 +65,6 @@ SEARCH_VALUE_TOL = -1e-6
 SEARCH_IMPROVE_TOL = 1e-10
 SEARCH_PATIENCE = 5
 
-# Compiled problems kept per wrapper, one for each dimension lately in use.
-# Each keeps its coefficient stacks: a decomposability template on D x D
-# blocks holds 2 D^4 complex entries, 12.5 MB at d = 5 (D = 25) and 54 MB
-# at d = 6; a Gaussian one stays under 0.1 MB up to n = 3.
-_TEMPLATES = 4
-
 
 # ---------------------------------------------------------------------------
 # problem and result types
@@ -77,85 +72,97 @@ _TEMPLATES = 4
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Feasibility (or minimization) over block-diagonal PSD matrices.
+    """Minimize c.x subject to A x == b over block-diagonal Hermitian PSD X.
 
-    ``blocks`` is a sequence of ``(name, dim)`` pairs declaring complex
-    Hermitian PSD variables.  Each equality is ``(coeffs, rhs)`` with
-    ``coeffs`` mapping block names to Hermitian coefficient matrices (real
-    or complex), and constrains ``sum_j tr(coeffs[j] @ X_j) == rhs``.
-    ``objective``, when present, is minimized with the same coefficient
-    convention.  The problem is validated and packed once, here: each block's
-    coefficients, the objective's among them, are checked as one stack by
-    ``linalg.require_hermitian`` (wrong shape DimMismatch, non-finite data
-    DomainError, a defect beyond ``linalg.TOL_HERM`` NotHermitian), stored
-    as read-only views of their Hermitian parts in the caller's key order,
-    and packed into the sparse equality matrix A, b and c that ``solve`` reads,
-    with A's column block for each block.  The decomposability and Gaussian
-    wrappers build one such problem per dimension, cached, and derive each
-    call's problem from it by ``_rebind``, which checks only the new
-    right-hand side or objective.
+    ``blocks`` declares the variables X_j as ``(name, size)`` pairs, and x is
+    their ``linalg.hvec`` coordinates laid end to end, N = sum n_j^2 in all:
+    row i of A constrains sum_j tr(A_ij X_j) == b_i, with A_ij the ``hmat`` of
+    its block of columns, and c = 0 asks for feasibility alone.  A is a scipy
+    sparse or numpy array of shape (m, N), kept as a CSR array.  Sizes that
+    are not positive integers and wrong shapes raise DimMismatch, repeated
+    names PreconditionFailed, complex or non-finite data DomainError.
+    ``from_matrices`` builds a problem from coefficient matrices.
     """
 
     blocks: tuple[tuple[str, int], ...]
-    equalities: tuple[tuple[Mapping[str, np.ndarray], float], ...]
-    objective: Optional[Mapping[str, np.ndarray]] = None
+    A: scipy.sparse.csr_array
+    b: np.ndarray
+    c: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple((str(name), int(dim)) for name, dim in self.blocks)
-        if not blocks:
-            raise PreconditionFailed("problem declares no blocks")
-        names = [name for name, _ in blocks]
-        if len(set(names)) != len(names):
-            raise PreconditionFailed("block names must be unique")
-        for name, dim in blocks:
-            if dim < 1:
-                raise DimMismatch(f"block {name!r} has non-positive dimension {dim}")
-
-        # Row m, past the equalities, is the objective.
-        m = len(self.equalities)
-        rows = [coeffs for coeffs, _ in self.equalities]
-        if self.objective is not None:
-            rows.append(self.objective)
-        stored, (row, col, val) = _pack_rows(blocks, rows)
-        b = _finite_rhs([float(r) for _, r in self.equalities])
-        eq = row < m
+        blocks = _check_blocks(self.blocks)
         N = sum(n * n for _, n in blocks)
-        A = scipy.sparse.csr_array((val[eq], (row[eq], col[eq])), shape=(m, N))
-        c = np.zeros(N)
-        c[col[~eq]] = val[~eq]
-
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "equalities", tuple(zip(stored[:m], b.tolist())))
-        object.__setattr__(self, "objective", stored[m] if self.objective is not None else None)
-        object.__setattr__(self, "_packed", (A, b, c))
+        if not (scipy.sparse.issparse(self.A) or isinstance(self.A, np.ndarray)):
+            raise DomainError(f"A must be a numpy or scipy sparse array, not {type(self.A)}")
+        b, c = _real_finite(self.b, "b"), _real_finite(self.c, "c")
+        m = self.A.shape[0] if self.A.ndim == 2 else -1
+        if self.A.shape != (m, N) or b.shape != (m,) or c.shape != (N,):
+            raise DimMismatch(f"A, b and c must have shapes (m, {N}), (m,) and ({N},), "
+                              f"got {self.A.shape}, {b.shape} and {c.shape}")
+        A = self.A if scipy.sparse.issparse(self.A) else _real_finite(self.A, "A")
+        A = scipy.sparse.csr_array(A, copy=True)
+        A.data = _real_finite(A.data, "A")
+        b.setflags(write=False)
+        c.setflags(write=False)
+        for name, value in (("blocks", blocks), ("A", A), ("b", b), ("c", c)):
+            object.__setattr__(self, name, value)
         offsets = np.cumsum([0] + [n * n for _, n in blocks])
-        A_blocks = [A[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])]
-        object.__setattr__(self, "_a_blocks", A_blocks)
+        object.__setattr__(self, "_a_blocks", [A[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])])
 
-    def _rebind(self, b=None, objective=None) -> "SdpProblem":
-        """This problem with a new right-hand side ``b`` or a new ``objective``.
+    @classmethod
+    def from_matrices(cls, blocks, equalities, objective: Optional[Mapping] = None) -> SdpProblem:
+        """The problem sum_j tr(coeffs[j] @ X_j) == rhs for each ``(coeffs,
+        rhs)`` in ``equalities``, minimizing ``objective`` (block name ->
+        matrix) when given.
 
-        The blocks, the equality coefficients and everything packed from them
-        are shared with this problem, not validated again; only the new data
-        are checked, as the constructor checks them.
+        Each block's coefficients, the objective's among them, are checked as
+        one stack by ``linalg.require_hermitian`` (wrong shape DimMismatch,
+        non-finite data DomainError, a defect beyond ``linalg.TOL_HERM``
+        NotHermitian), and their Hermitian parts are packed into A and c.
         """
-        A, b_old, c = self._packed
-        new = copy.copy(self)
-        if b is not None:
-            b = _finite_rhs(b)
-            if b.shape != b_old.shape:
-                raise DimMismatch(f"expected {b_old.size} right-hand sides, got shape {b.shape}")
-            coeffs = [co for co, _ in self.equalities]
-            object.__setattr__(new, "equalities", tuple(zip(coeffs, b.tolist())))
-        else:
-            b = b_old
-        if objective is not None:
-            (stored,), (_, col, val) = _pack_rows(self.blocks, [objective])
-            c = np.zeros(A.shape[1])
-            c[col] = val
-            object.__setattr__(new, "objective", stored)
-        object.__setattr__(new, "_packed", (A, b, c))
-        return new
+        blocks = _check_blocks(blocks)
+        # Row m, past the equalities, is the objective.
+        m = len(equalities)
+        rows = [coeffs for coeffs, _ in equalities] + ([] if objective is None else [objective])
+        gathered = {name: ([], []) for name, _ in blocks}
+        for i, coeffs in enumerate(rows):
+            for name, M in coeffs.items():
+                if name not in gathered:
+                    raise PreconditionFailed(f"unknown block name {name!r}")
+                gathered[name][0].append(i)
+                gathered[name][1].append(M)
+        triplets = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+        lo = 0
+        for name, n in blocks:
+            idx, mats = gathered[name]
+            if mats:
+                try:
+                    S = np.asarray(mats, dtype=complex)
+                except ValueError:
+                    S = None
+                if S is None or S.shape[1:] != (n, n):
+                    raise DimMismatch(f"coefficients for block {name!r} must be {n} x {n}")
+                linalg.require_hermitian(S)
+                coords = linalg.hvec((S + S.conj().swapaxes(-1, -2)) / 2.0)
+                r, j = np.nonzero(coords)
+                triplets.append((np.array(idx, dtype=np.intp)[r], j + lo, coords[r, j]))
+            lo += n * n
+        row, col, val = (np.concatenate(t) for t in zip(*triplets))
+        eq = row < m
+        A = scipy.sparse.csr_array((val[eq], (row[eq], col[eq])), shape=(m, lo))
+        c = np.zeros(lo)
+        c[col[~eq]] = val[~eq]
+        return cls(blocks, A, [rhs for _, rhs in equalities], c)
+
+    @property
+    def equalities(self) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
+        """Each row of the packed system as ``(columns, values, rhs)``, built
+        from A in O(nnz) on each read.  The solver reads A itself; this view is
+        kept for callers that count or inspect the equalities, such as a
+        benchmark's trace of problem sizes."""
+        cuts = self.A.indptr[1:-1]
+        cols, vals = np.split(self.A.indices.copy(), cuts), np.split(self.A.data.copy(), cuts)
+        return tuple(zip(cols, vals, self.b.tolist()))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -182,54 +189,44 @@ class SdpResult:
 
 
 # ---------------------------------------------------------------------------
-# block packing
+# checks and packing
 
 
-def _pack_rows(blocks, rows):
-    """Validate coefficient rows (block name -> matrix) and pack them.
-
-    Each block's matrices are checked as one stack by
-    ``linalg.require_hermitian`` and stored as read-only views of their
-    Hermitian parts in each row's key order.  Returns those rows and the
-    (row, column, value) triplets of their ``hvec`` coordinates, with the
-    blocks' columns laid end to end.
-    """
-    gathered = {name: ([], []) for name, _ in blocks}
-    for i, coeffs in enumerate(rows):
-        for name, M in coeffs.items():
-            if name not in gathered:
-                raise PreconditionFailed(f"unknown block name {name!r}")
-            gathered[name][0].append(i)
-            gathered[name][1].append(M)
-    stored = [dict.fromkeys(coeffs) for coeffs in rows]
-    triplets = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
-    lo = 0
-    for name, n in blocks:
-        idx, mats = gathered[name]
-        if mats:
-            try:
-                S = np.asarray(mats, dtype=complex)
-            except ValueError:
-                S = None
-            if S is None or S.shape[1:] != (n, n):
-                raise DimMismatch(f"coefficients for block {name!r} must be {n} x {n}")
-            linalg.require_hermitian(S)
-            H = (S + S.conj().swapaxes(-1, -2)) / 2.0
-            H.setflags(write=False)
-            for i, Hi in zip(idx, H):
-                stored[i][name] = Hi
-            coords = linalg.hvec(H)
-            r, j = np.nonzero(coords)
-            triplets.append((np.array(idx, dtype=np.intp)[r], j + lo, coords[r, j]))
-        lo += n * n
-    return stored, [np.concatenate(t) for t in zip(*triplets)]
+def _check_blocks(blocks) -> tuple[tuple[str, int], ...]:
+    """``blocks`` as (name, positive integer size) pairs, names unique; no bools."""
+    try:
+        blocks = tuple((str(name), dim) for name, dim in blocks)
+    except (TypeError, ValueError) as exc:
+        raise DimMismatch(f"blocks must be (name, size) pairs: {exc}") from exc
+    if not blocks:
+        raise PreconditionFailed("problem declares no blocks")
+    names = [name for name, _ in blocks]
+    if len(set(names)) != len(names):
+        raise PreconditionFailed("block names must be unique")
+    for name, dim in blocks:
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+            raise DimMismatch(f"block {name!r} needs a positive integer size, got {dim!r}")
+    return tuple((name, int(dim)) for name, dim in blocks)
 
 
-def _finite_rhs(values) -> np.ndarray:
-    b = np.array(values, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise DomainError("equality right-hand side must be finite")
-    return b
+def _real_finite(values, what: str) -> np.ndarray:
+    """``values`` as a new float array; DomainError unless real and finite."""
+    try:
+        out = None if np.iscomplexobj(values) else np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or not np.all(np.isfinite(out)):
+        raise DomainError(f"{what} must be real and finite")
+    return out
+
+
+def _csr(groups, width: int):
+    """CSR array from groups of rows, ``(columns, values)`` of shape (rows, r)."""
+    cols = np.concatenate([c.ravel() for c, _ in groups])
+    vals = np.concatenate([v.ravel() for _, v in groups])
+    counts = np.concatenate([np.full(c.shape[0], c.shape[1]) for c, _ in groups])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return scipy.sparse.csr_array((vals, cols, indptr), shape=(counts.size, width))
 
 
 def _pack(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -344,11 +341,10 @@ def _schur(A_blocks, Wops) -> np.ndarray:
     ``A_blocks`` are the sparse column blocks of A, ``Wops`` the matching
     ``_kron_operator`` matrices; each block costs O(nnz(A_k) n_k^2).
     """
-    m = A_blocks[0].shape[0]
-    M = np.zeros((m, m))
-    for Ak, Wk in zip(A_blocks, Wops):
-        M += Ak @ (Ak @ Wk).T
-    return (M + M.T) / 2.0
+    M = sum(Ak @ (Ak @ Wk).T for Ak, Wk in zip(A_blocks, Wops))
+    M = M.T + M
+    M *= 0.5
+    return M
 
 
 def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
@@ -358,7 +354,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
     breakdown is reported as "inconclusive" with diagnostics; it never raises.
     """
     names, dims = problem.names, [dim for _, dim in problem.blocks]
-    A, b, c = problem._packed
+    A, b, c = problem.A, problem.b, problem.c
     m, N = A.shape
     has_obj = bool(np.any(c))
     if m == 0:
@@ -455,9 +451,9 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
             cho = None
             for _ in range(8):
                 try:
-                    cho = scipy.linalg.cho_factor(
-                        Schur + jitter * np.eye(m), check_finite=False
-                    )
+                    shifted = Schur.copy()
+                    shifted[np.diag_indices(m)] += jitter
+                    cho = scipy.linalg.cho_factor(shifted, check_finite=False, overwrite_a=True)
                     break
                 except scipy.linalg.LinAlgError:
                     jitter *= 100.0
@@ -572,7 +568,7 @@ def _basis_coords(M: np.ndarray) -> np.ndarray:
 
     This is ``hvec`` of the Hermitian part of M scaled by ``_basis_scale``:
     Re M_pp, then Re(M_pq + M_qp) and Im(M_pq - M_qp) for p < q.  An entry
-    that overflows is left infinite for ``_rebind`` to reject.
+    that overflows is left infinite for ``SdpProblem`` to reject.
     """
     n = M.shape[-1]
     x, y = _hvec_positions(n)
@@ -582,23 +578,31 @@ def _basis_coords(M: np.ndarray) -> np.ndarray:
                                (upper - lower)[n:].imag])
 
 
-def _basis_combination(y: np.ndarray, n: int) -> np.ndarray:
-    """sum_k y_k B_k over the ``_hermitian_basis`` elements, without the basis."""
-    return linalg.hmat(y * _basis_scale(n), n)
+def _pt_permutation(dims: tuple[int, int], which: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(perm, sign)`` with hvec(PT(X)) = sign * hvec(X)[perm]: the signed
+    permutation Q, Q[k, perm[k]] = sign[k], by which the partial transpose PT
+    on factor ``which`` ("A" or "B") acts on ``hvec`` coordinates.
+
+    Read off one index matrix: hvec's p-th position (x, y) is marked p + 1
+    and its mirror (y, x) -(p + 1).  PT of the marks, read at hvec's
+    positions, names the entry each coordinate is taken from; a negative mark
+    is an entry below the diagonal, the conjugate of one above it, so an
+    imaginary coordinate changes sign.  PT is an orthogonal involution, so Q
+    is symmetric.
+    """
+    n = dims[0] * dims[1]
+    x, y = _hvec_positions(n)
+    marks = np.zeros((n, n))
+    marks[x, y] = np.arange(1, x.size + 1)
+    marks[y[n:], x[n:]] = -marks[x[n:], y[n:]]
+    moved = linalg.partial_transpose(marks, dims, which).real[x, y]
+    pos = np.abs(moved).astype(np.intp) - 1
+    perm = np.concatenate([pos, pos[n:] + x.size - n])
+    return perm, np.concatenate([np.ones(x.size), np.sign(moved[n:])])
 
 
 # ---------------------------------------------------------------------------
 # decomposability
-
-
-@lru_cache(maxsize=_TEMPLATES)
-def _decomposability_template(dims: tuple[int, int]) -> SdpProblem:
-    # tr(B_k C1) + tr(PT_B(B_k) C2) == tr(B_k C) for each basis element B_k.
-    D = dims[0] * dims[1]
-    basis = _hermitian_basis(D)
-    basis_pt = linalg.partial_transpose(basis, dims, "B")
-    eqs = tuple(({"cp_part": H, "cocp_part": G}, 0.0) for H, G in zip(basis, basis_pt))
-    return SdpProblem(blocks=(("cp_part", D), ("cocp_part", D)), equalities=eqs)
 
 
 def decomposability_check(P: choi.QuantumMap) -> SdpResult:
@@ -606,12 +610,20 @@ def decomposability_check(P: choi.QuantumMap) -> SdpResult:
 
     Feasible: ``primal`` holds Hermitian PSD Choi matrices ``cp_part`` and
     ``cocp_part`` with ``cp_part + PT_B(cocp_part)`` reconstructing the Choi
-    matrix of P.  Infeasible: ``dual`` is a verified witness state, PSD with
-    PSD partial transpose and trace one, whose overlap with the Choi matrix
-    of P is negative.
+    matrix of P.  Infeasible: ``dual`` is a witness state W, PSD with PSD
+    partial transpose and trace one, whose overlap with the Choi matrix of P
+    is negative beyond its rounding allowance.
     """
     C = linalg.require_hermitian(P.choi)
-    res = solve(_decomposability_template(P.dims)._rebind(b=_basis_coords(C)))
+    D = C.shape[0]
+    N = D * D
+    s = _basis_scale(D)
+    perm, sign = _pt_permutation(P.dims, "B")
+    # tr(B_k C1) + tr(PT_B(B_k) C2) == tr(B_k C) for each basis element B_k:
+    # row k of [diag(s) | diag(s) Q].
+    A = _csr([(np.column_stack([np.arange(N), N + perm]), np.column_stack([s, s * sign]))], 2 * N)
+    blocks = (("cp_part", D), ("cocp_part", D))
+    res = solve(SdpProblem(blocks, A, _basis_coords(C), np.zeros(2 * N)))
 
     if res.status == FEASIBLE:
         C1, C2 = res.primal["cp_part"], res.primal["cocp_part"]
@@ -620,68 +632,45 @@ def decomposability_check(P: choi.QuantumMap) -> SdpResult:
         err = float(np.max(np.abs(recon - C))) / scale
         m1, m2 = linalg.psd_margin(C1), linalg.psd_margin(C2)
         if err <= FEAS_TOL and m1 >= -PSD_TOL and m2 >= -PSD_TOL:
-            return SdpResult(
-                FEASIBLE,
-                {"cp_part": C1, "cocp_part": C2},
-                None,
-                {
-                    **res.residuals,
-                    "reconstruction_error": err,
-                    "cp_margin": m1,
-                    "cocp_margin": m2,
-                },
-            )
-        return SdpResult(
-            INCONCLUSIVE,
-            None,
-            None,
-            {**res.residuals, "reconstruction_error": err},
-            "decomposition fails its re-check",
-        )
+            return SdpResult(FEASIBLE, {"cp_part": C1, "cocp_part": C2}, None, {
+                **res.residuals, "reconstruction_error": err, "cp_margin": m1, "cocp_margin": m2})
+        return SdpResult(INCONCLUSIVE, None, None, {**res.residuals, "reconstruction_error": err},
+                         "decomposition fails its re-check")
 
     if res.status == INFEASIBLE:
-        V = -_basis_combination(res.dual, C.shape[0])
+        V = -linalg.hmat(res.dual * s, D)
         t = float(np.real(np.trace(V)))
         if t <= 0.0:
-            return SdpResult(
-                INCONCLUSIVE, None, None, dict(res.residuals), "witness has non-positive trace"
-            )
+            return SdpResult(INCONCLUSIVE, None, None, dict(res.residuals),
+                             "witness has non-positive trace")
+        # V is PPT only to the solver's tolerance.  W = V + delta I is PPT by
+        # the computed spectra, and tr(W C) >= 0 for every decomposable C, so
+        # only a tr(W C) negative beyond its rounding refutes decomposability.
+        # The eigenvalues and the trace of the product are each within a few
+        # D * eps of the norms involved; an error e in delta moves tr(W C) by
+        # e tr C.
         V = V / t
-        overlap = float(np.real(np.trace(V @ C)))
-        mV = linalg.psd_margin(V)
-        mG = linalg.psd_margin(linalg.partial_transpose(V, P.dims, "B"))
-        if mV >= -PSD_TOL and mG >= -PSD_TOL and overlap < 0.0:
-            return SdpResult(
-                INFEASIBLE,
-                None,
-                V,
-                {
-                    **res.residuals,
-                    "witness_overlap": overlap,
-                    "witness_margin": mV,
-                    "witness_pt_margin": mG,
-                },
-            )
-        return SdpResult(
-            INCONCLUSIVE, None, None, dict(res.residuals), "witness fails its re-check"
-        )
+        mV, mG = linalg.min_eig(V), linalg.min_eig(linalg.partial_transpose(V, P.dims, "B"))
+        delta = max(0.0, -mV, -mG)
+        trace_c = float(np.real(np.trace(C)))
+        overlap = float(np.real(np.trace(V @ C))) + delta * trace_c
+        rounding = 8.0 * D * np.finfo(float).eps * float(np.linalg.norm(V)) * (
+            float(np.linalg.norm(C)) + abs(trace_c))
+        info = {**res.residuals, "witness_overlap": overlap, "witness_margin": mV,
+                "witness_pt_margin": mG, "witness_shift": delta, "rounding_allowance": rounding}
+        if overlap >= -rounding:
+            return SdpResult(INCONCLUSIVE, None, None, info, "witness fails its re-check")
+        if delta > 0.0:  # W / tr W; unshifted, that is V as it stands
+            W = V + delta * np.eye(D)
+            t = float(np.real(np.trace(W)))
+            V, info["witness_overlap"] = W / t, overlap / t
+        return SdpResult(INFEASIBLE, None, V, info)
 
     return res
 
 
 # ---------------------------------------------------------------------------
 # Gaussian split
-
-
-@lru_cache(maxsize=_TEMPLATES)
-def _gaussian_template(n: int) -> SdpProblem:
-    # tr(B_k M) + tr(B_k N) == tr(B_k K) for each basis element B_k of M_2n;
-    # then the imaginary part of M is pinned to -sigma: the trailing basis
-    # elements i E_pq - i E_qp (p < q) give tr(H M) = 2 Im M_pq.
-    basis = _hermitian_basis(2 * n)
-    eqs = [({"part_m": H, "part_n": H}, 0.0) for H in basis]
-    eqs += [({"part_m": H}, 0.0) for H in basis[n * (2 * n + 1) :]]
-    return SdpProblem(blocks=(("part_m", 2 * n), ("part_n", 2 * n)), equalities=tuple(eqs))
 
 
 def gaussian_eb_split(Y, X) -> SdpResult:
@@ -697,6 +686,8 @@ def gaussian_eb_split(Y, X) -> SdpResult:
         raise DimMismatch(f"Y must be square even-dimensional, got {Y.shape}")
     if X.shape != Y.shape:
         raise DimMismatch(f"X shape {X.shape} does not match Y shape {Y.shape}")
+    if not np.all(np.isfinite(X)):
+        raise DomainError("X entries must be finite")
     linalg.require_hermitian(Y)
     scale = max(1.0, float(np.max(np.abs(Y))))
     n = Y.shape[0] // 2
@@ -704,8 +695,18 @@ def gaussian_eb_split(Y, X) -> SdpResult:
     xsx = X @ sig @ X.T
     K = Y - 1j * (sig + xsx)
 
+    width = 4 * n * n
+    s = _basis_scale(2 * n)
+    k = np.arange(width)
+    # tr(B_k M) + tr(B_k N) == tr(B_k K) for each basis element B_k of M_2n:
+    # row k of [diag(s) | diag(s)]; then the imaginary part of M is pinned to
+    # -sigma: the trailing coordinates, of i E_pq - i E_qp (p < q), give
+    # tr(B_k M) = 2 Im M_pq.
+    im = k[n * (2 * n + 1) :]
+    A = _csr([(np.column_stack([k, width + k]), np.column_stack([s, s])),
+              (im[:, None], s[im, None])], 2 * width)
     b = np.concatenate([_basis_coords(K), -2.0 * sig[np.triu_indices(2 * n, 1)]])
-    res = solve(_gaussian_template(n)._rebind(b=b))
+    res = solve(SdpProblem((("part_m", 2 * n), ("part_n", 2 * n)), A, b, np.zeros(2 * width)))
 
     if res.status == FEASIBLE:
         Mt = res.primal["part_m"]
@@ -716,20 +717,10 @@ def gaussian_eb_split(Y, X) -> SdpResult:
         mM = linalg.psd_margin(M - 1j * sig)
         mN = linalg.psd_margin(N - 1j * xsx)
         if mM >= -PSD_TOL and mN >= -PSD_TOL and im_err <= FEAS_TOL * scale:
-            return SdpResult(
-                FEASIBLE,
-                {"M": M, "N": N},
-                None,
-                {
-                    **res.residuals,
-                    "measured_margin": mM,
-                    "remainder_margin": mN,
-                },
-            )
-        return SdpResult(
-            INCONCLUSIVE, None, None, {**res.residuals, "im_error": im_err},
-            "split fails its re-check",
-        )
+            return SdpResult(FEASIBLE, {"M": M, "N": N}, None,
+                             {**res.residuals, "measured_margin": mM, "remainder_margin": mN})
+        return SdpResult(INCONCLUSIVE, None, None, {**res.residuals, "im_error": im_err},
+                         "split fails its re-check")
     return res
 
 
@@ -784,7 +775,7 @@ def cb_split_bound(P: choi.QuantumMap) -> SdpResult:
                          "t" + X: -np.trace(g).real * one}, 0.0))
     blocks = tuple((k, D) for k in ("pa", "na", "pb", "nb")) + (("sa", dout), ("sb", dout),
                                                                  ("ta", 1), ("tb", 1))
-    res = solve(SdpProblem(blocks=blocks, equalities=tuple(eqs), objective={"ta": one, "tb": one}))
+    res = solve(SdpProblem.from_matrices(blocks, eqs, objective={"ta": one, "tb": one}))
     if res.status != FEASIBLE:
         return res
 
@@ -813,17 +804,20 @@ def cb_split_bound(P: choi.QuantumMap) -> SdpResult:
 # counterexample search
 
 
-def _seesaw_problem_parts(P: choi.QuantumMap):
-    """Fixed blocks and equalities of the inner SDP over PPT inputs T."""
-    d = P.din
+def _seesaw_problem(d: int) -> SdpProblem:
+    """The inner SDP over PPT inputs T on M_d, with a zero objective: blocks
+    ``choi_t`` = C_T and ``choi_t_pt`` = PT_B(C_T), both PSD, and tr C_T = d."""
     D = d * d
-    # tr(GH . C_T) - tr(H . G) == 0 couples G to the partial transpose.
-    basis = _hermitian_basis(D)
-    basis_pt = linalg.partial_transpose(basis, (d, d), "B")
-    eqs = [({"choi_t": G, "choi_t_pt": H}, 0.0) for H, G in zip(-basis, basis_pt)]
-    eqs.append(({"choi_t": np.eye(D)}, float(d)))
-    blocks = (("choi_t", D), ("choi_t_pt", D))
-    return blocks, tuple(eqs)
+    N = D * D
+    s = _basis_scale(D)
+    perm, sign = _pt_permutation((d, d), "B")
+    # tr(PT_B(B_k) C_T) - tr(B_k G) == 0 couples G to the partial transpose:
+    # row k of [diag(s) Q | -diag(s)]; the last row is tr C_T == d.
+    A = _csr([(np.column_stack([perm, N + np.arange(N)]), np.column_stack([s * sign, -s])),
+              (np.arange(D)[None, :], np.ones((1, D)))], 2 * N)
+    b = np.zeros(N + 1)
+    b[-1] = d
+    return SdpProblem((("choi_t", D), ("choi_t_pt", D)), A, b, np.zeros(2 * N))
 
 
 def counterexample_search(
@@ -840,7 +834,7 @@ def counterexample_search(
     raises; solver breakdowns are reported in the trace.
     """
     d, dp = P.din, P.dout
-    template = SdpProblem(*_seesaw_problem_parts(P))
+    problem = _seesaw_problem(d)
     id_in = choi.identity_map(d)
     adjP = choi.adjoint(P)
     probe = choi.tensor(id_in, adjP)
@@ -860,7 +854,8 @@ def counterexample_search(
         for k in range(max_rounds):
             F = choi.apply(probe, np.outer(psi, psi.conj()))
             F = (F + F.conj().T) / 2.0
-            res = solve(template._rebind(objective={"choi_t": F}))
+            c = np.concatenate([linalg.hvec(F), np.zeros(F.size)])  # no choi_t_pt term
+            res = solve(dataclasses.replace(problem, c=c))
             if res.status != FEASIBLE:
                 sdp_failures += 1
                 trace.append(

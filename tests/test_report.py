@@ -7,6 +7,7 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_catalog import REGISTRY_CASES
@@ -25,6 +26,11 @@ def assert_identical(a, b):
     if isinstance(a, np.ndarray):
         assert isinstance(b, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape)
         assert a.tobytes() == b.tobytes()
+    elif scipy.sparse.issparse(a):
+        # scipy picks the index dtype; the indices themselves must agree
+        assert type(a) is type(b) and a.shape == b.shape
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+        assert_identical(a.data, b.data)
     elif dataclasses.is_dataclass(a):
         assert type(a) is type(b)
         for f in dataclasses.fields(a):
@@ -51,7 +57,7 @@ def pauli_x_kraus():
 
 def sdp_problem():
     H = linalg.random_hermitian(3, np.random.default_rng(5))
-    return sdp.SdpProblem(
+    return sdp.SdpProblem.from_matrices(
         blocks=(("x", 3), ("y", 2)),
         equalities=(({"x": np.eye(3)}, 1.0), ({"x": H, "y": np.eye(2)}, 0.5)),
         objective={"x": H},
@@ -59,7 +65,7 @@ def sdp_problem():
 
 
 def infeasible_result():
-    prob = sdp.SdpProblem(blocks=(("x", 2),), equalities=(({"x": np.eye(2)}, -1.0),))
+    prob = sdp.SdpProblem.from_matrices(blocks=(("x", 2),), equalities=(({"x": np.eye(2)}, -1.0),))
     return sdp.solve(prob)
 
 
@@ -295,7 +301,8 @@ _VALID = [
     to_json(choi.transposition_map(2)),
     {"kind": "kraus", "ops": [to_json(np.eye(2))]},
     to_json(gaussian.random_cocp_channel(1, 0)),
-    to_json(sdp.SdpProblem(blocks=(("x", 2),), equalities=(({"x": np.eye(2)}, 1.0),))),
+    to_json(sdp.SdpProblem.from_matrices(blocks=(("x", 2),),
+                                         equalities=(({"x": np.eye(2)}, 1.0),))),
     to_json(criteria.SnVerdict(1, 2, ({"name": "dimension-upper", "data": 2},))),
     to_json(Report("op", "pass", [{"name": "v", "data": np.array([1.0, 1j])}], 0, {"t": 1e-9})),
 ]

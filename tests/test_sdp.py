@@ -1,9 +1,15 @@
 """Tests for the block SDP solver and the checks built on it."""
 
+import dataclasses
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebcompose import choi, gaussian, linalg, sdp
 from ebcompose.errors import DimMismatch, DomainError, NotHermitian, PreconditionFailed
@@ -35,8 +41,8 @@ def random_pd(n: int, rng: np.random.Generator) -> np.ndarray:
     return G @ G.conj().T + 0.1 * np.eye(n)
 
 
-def solved_by_wrapper(monkeypatch, call):
-    """The first problem a wrapper hands to ``sdp.solve``, and what it returned."""
+def solves_of(monkeypatch, call):
+    """What ``call`` returned, and each (problem, result) it got from ``sdp.solve``."""
     seen = []
     solve = sdp.solve
 
@@ -45,9 +51,14 @@ def solved_by_wrapper(monkeypatch, call):
         return seen[-1][1]
 
     monkeypatch.setattr(sdp, "solve", spy)
-    call()
+    out = call()
     monkeypatch.setattr(sdp, "solve", solve)
-    return seen[0]
+    return out, seen
+
+
+def solved_by_wrapper(monkeypatch, call):
+    """The first problem a wrapper hands to ``sdp.solve``, and what it returned."""
+    return solves_of(monkeypatch, call)[1][0]
 
 
 def problem_passed_to_solve(monkeypatch, call) -> sdp.SdpProblem:
@@ -58,44 +69,45 @@ def problem_passed_to_solve(monkeypatch, call) -> sdp.SdpProblem:
 class TestProblemValidation:
     def test_duplicate_block_names(self):
         with pytest.raises(PreconditionFailed):
-            sdp.SdpProblem(blocks=(("x", 2), ("x", 3)), equalities=())
+            sdp.SdpProblem.from_matrices(blocks=(("x", 2), ("x", 3)), equalities=())
 
     def test_unknown_block_in_constraint(self):
         with pytest.raises(PreconditionFailed):
-            sdp.SdpProblem(
+            sdp.SdpProblem.from_matrices(
                 blocks=(("x", 2),), equalities=(({"y": np.eye(2)}, 1.0),)
             )
 
     def test_asymmetric_coefficient(self):
         with pytest.raises(NotHermitian):
-            sdp.SdpProblem(
+            sdp.SdpProblem.from_matrices(
                 blocks=(("x", 2),),
                 equalities=(({"x": np.array([[0.0, 1.0], [0.0, 0.0]])}, 1.0),),
             )
 
     def test_coefficient_shape_mismatch(self):
         with pytest.raises(DimMismatch):
-            sdp.SdpProblem(
+            sdp.SdpProblem.from_matrices(
                 blocks=(("x", 3),), equalities=(({"x": np.eye(2)}, 1.0),)
             )
 
     def test_no_blocks(self):
         with pytest.raises(PreconditionFailed):
-            sdp.SdpProblem(blocks=(), equalities=())
+            sdp.SdpProblem.from_matrices(blocks=(), equalities=())
 
     def test_nan_coefficient_is_domain_error(self):
         M = np.eye(2)
         M[0, 1] = M[1, 0] = np.nan
         with pytest.raises(DomainError):
-            sdp.SdpProblem(blocks=(("x", 2),), equalities=(({"x": M}, 1.0),))
+            sdp.SdpProblem.from_matrices(blocks=(("x", 2),), equalities=(({"x": M}, 1.0),))
 
     def test_nan_rhs_is_domain_error(self):
         with pytest.raises(DomainError):
-            sdp.SdpProblem(blocks=(("x", 2),), equalities=(({"x": np.eye(2)}, np.nan),))
+            sdp.SdpProblem.from_matrices(blocks=(("x", 2),),
+                                         equalities=(({"x": np.eye(2)}, np.nan),))
 
     def test_inf_objective_is_domain_error(self):
         with pytest.raises(DomainError):
-            sdp.SdpProblem(
+            sdp.SdpProblem.from_matrices(
                 blocks=(("x", 2),),
                 equalities=(({"x": np.eye(2)}, 1.0),),
                 objective={"x": np.diag([1.0, np.inf])},
@@ -115,20 +127,58 @@ class TestProblemValidation:
         eqs = [({"x": H, "y": H}, 0.0) for H in sdp._hermitian_basis(4)]
         eqs[11] = ({"x": eqs[11][0]["x"], "y": bad}, 0.0)
         with pytest.raises(error):
-            sdp.SdpProblem(blocks=(("x", 4), ("y", 4)), equalities=tuple(eqs))
+            sdp.SdpProblem.from_matrices(blocks=(("x", 4), ("y", 4)), equalities=tuple(eqs))
 
     def test_stored_coefficients_keep_their_form(self):
+        # what is stored is the packed row: hvec of each Hermitian part, blocks end to end
         A = np.array([[1.0, 2.0 + 1e-12], [2.0, 3.0]])
-        prob = sdp.SdpProblem(
+        prob = sdp.SdpProblem.from_matrices(
             blocks=(("x", 2), ("y", 1)),
             equalities=(({"y": [[1.0]], "x": A}, 1.0), ({"x": np.eye(2)}, 2)),
         )
-        (c0, r0), (c1, r1) = prob.equalities
-        assert list(c0) == ["y", "x"] and list(c1) == ["x"]
+        (cols0, vals0, r0), (cols1, vals1, r1) = prob.equalities
         assert (r0, r1) == (1.0, 2.0) and isinstance(r1, float)
-        np.testing.assert_array_equal(c0["x"], (A + A.T) / 2.0)
-        assert c0["x"].shape == (2, 2) and c0["x"].dtype == complex
-        assert not c0["x"].flags.writeable
+        np.testing.assert_array_equal(cols0, [0, 1, 2, 4])
+        np.testing.assert_array_equal(vals0, np.append(linalg.hvec((A + A.T) / 2.0)[:3], 1.0))
+        np.testing.assert_array_equal(cols1, [0, 1])
+        np.testing.assert_array_equal(vals1, [1.0, 1.0])
+        assert prob.A.shape == (2, 5) and prob.A.dtype == float
+        assert not (prob.b.flags.writeable or prob.c.flags.writeable)
+
+    @pytest.mark.parametrize("size", [2.7, True, "2", 0, -1, None])
+    def test_non_integer_block_size(self, size):
+        with pytest.raises(DimMismatch):
+            sdp.SdpProblem(blocks=(("x", size),), A=np.ones((1, 4)), b=[1.0], c=np.zeros(4))
+        with pytest.raises(DimMismatch):
+            sdp.SdpProblem.from_matrices(blocks=(("x", size),), equalities=())
+
+    @pytest.mark.parametrize("blocks", [(("x",),), (("x", 2, 3),), (5,)])
+    def test_malformed_blocks(self, blocks):
+        with pytest.raises(DimMismatch):
+            sdp.SdpProblem(blocks=blocks, A=np.ones((1, 4)), b=[1.0], c=np.zeros(4))
+
+    def test_numpy_integer_block_size(self):
+        prob = sdp.SdpProblem(blocks=(("x", np.int64(2)),), A=np.eye(4)[:1], b=[1.0],
+                              c=np.zeros(4))
+        assert prob.blocks == (("x", 2),) and type(prob.blocks[0][1]) is int
+        assert sdp.solve(prob).status == sdp.FEASIBLE
+
+    @pytest.mark.parametrize(
+        "A, b, c, error",
+        [
+            (np.eye(4)[:1], [1.0, 2.0], np.zeros(4), DimMismatch),
+            (np.eye(5)[:1], [1.0], np.zeros(4), DimMismatch),
+            (np.ones(4), [1.0], np.zeros(4), DimMismatch),
+            (np.eye(4)[:1], [1.0], np.zeros(3), DimMismatch),
+            ([[1.0, 0.0, 0.0, 0.0]], [1.0], np.zeros(4), DomainError),
+            (np.eye(4)[:1] * 1j, [1.0], np.zeros(4), DomainError),
+            (np.eye(4)[:1], [np.inf], np.zeros(4), DomainError),
+            (np.eye(4)[:1], [1.0], np.full(4, np.nan), DomainError),
+        ],
+    )
+    def test_packed_form_is_checked(self, A, b, c, error):
+        with pytest.raises(error):
+            sdp.SdpProblem(blocks=(("x", 2),), A=A, b=b, c=c)
 
 
 class TestPacking:
@@ -152,8 +202,8 @@ class TestPacking:
 
         eqs = [(terms(0.6), float(rng.normal())) for _ in range(7)]
         objective = terms(0.5)
-        prob = sdp.SdpProblem(blocks=tuple(zip(names, dims)), equalities=tuple(eqs),
-                              objective=objective)
+        prob = sdp.SdpProblem.from_matrices(blocks=tuple(zip(names, dims)), equalities=tuple(eqs),
+                                            objective=objective)
 
         offsets = np.cumsum([0] + [n * n for n in dims])
 
@@ -164,22 +214,20 @@ class TestPacking:
                 row[offsets[k] : offsets[k + 1]] = linalg.hvec((M + M.conj().T) / 2.0)
             return row
 
-        A, b, c = prob._packed
-        np.testing.assert_array_equal(A.toarray(), np.array([dense_row(co) for co, _ in eqs]))
-        np.testing.assert_array_equal(b, [r for _, r in eqs])
-        np.testing.assert_array_equal(c, dense_row(objective))
-
-        pairs = [(co, given) for (co, _), (given, _) in zip(prob.equalities, eqs)]
-        for stored, given in pairs + [(prob.objective, objective)]:
-            assert list(stored) == list(given)
-            for name, M in given.items():
-                np.testing.assert_array_equal(stored[name], (M + M.conj().T) / 2.0)
-                assert stored[name].dtype == complex and not stored[name].flags.writeable
+        np.testing.assert_array_equal(prob.A.toarray(),
+                                      np.array([dense_row(co) for co, _ in eqs]))
+        np.testing.assert_array_equal(prob.b, [r for _, r in eqs])
+        np.testing.assert_array_equal(prob.c, dense_row(objective))
+        for (cols, vals, rhs), (coeffs, given) in zip(prob.equalities, eqs):
+            row = dense_row(coeffs)
+            np.testing.assert_array_equal(cols, np.flatnonzero(row))
+            np.testing.assert_array_equal(vals, row[row != 0])
+            assert rhs == given
 
 
 class TestSolve:
     def test_unit_trace_feasible(self):
-        prob = sdp.SdpProblem(
+        prob = sdp.SdpProblem.from_matrices(
             blocks=(("x", 4),), equalities=(({"x": np.eye(4)}, 1.0),)
         )
         res = sdp.solve(prob)
@@ -189,7 +237,7 @@ class TestSolve:
         assert abs(np.trace(X) - 1.0) <= 1e-7 * 2.0
 
     def test_negative_trace_infeasible(self):
-        prob = sdp.SdpProblem(
+        prob = sdp.SdpProblem.from_matrices(
             blocks=(("x", 4),), equalities=(({"x": np.eye(4)}, -1.0),)
         )
         res = sdp.solve(prob)
@@ -202,7 +250,7 @@ class TestSolve:
 
     def test_known_minimum(self):
         C = np.diag([3.0, 1.0, 2.0, 5.0])
-        prob = sdp.SdpProblem(
+        prob = sdp.SdpProblem.from_matrices(
             blocks=(("x", 4),),
             equalities=(({"x": np.eye(4)}, 1.0),),
             objective={"x": C},
@@ -212,7 +260,7 @@ class TestSolve:
         assert res.residuals["objective"] == pytest.approx(1.0, abs=1e-7)
 
     def test_no_equalities_psd_objective_feasible_at_zero(self):
-        prob = sdp.SdpProblem(
+        prob = sdp.SdpProblem.from_matrices(
             blocks=(("x", 2), ("y", 3)), equalities=(),
             objective={"x": np.diag([1.0, 0.0]), "y": np.eye(3)},
         )
@@ -223,7 +271,8 @@ class TestSolve:
 
     def test_no_equalities_unbounded_objective_inconclusive(self):
         # tr(-X) has no minimum over X >= 0
-        prob = sdp.SdpProblem(blocks=(("x", 2),), equalities=(), objective={"x": -np.eye(2)})
+        prob = sdp.SdpProblem.from_matrices(blocks=(("x", 2),), equalities=(),
+                                            objective={"x": -np.eye(2)})
         res = sdp.solve(prob)
         assert res.status == "inconclusive"
         assert res.primal is None
@@ -231,7 +280,7 @@ class TestSolve:
 
     def test_two_blocks_coupled(self):
         # tr(X) - tr(Y) = 1 and tr(X) + tr(Y) = 3: X, Y exist with traces 2, 1.
-        prob = sdp.SdpProblem(
+        prob = sdp.SdpProblem.from_matrices(
             blocks=(("x", 2), ("y", 3)),
             equalities=(
                 ({"x": np.eye(2), "y": -np.eye(3)}, 1.0),
@@ -256,7 +305,7 @@ class TestSolve:
             Ai = (Ai + Ai.T) / 2
             mats.append(Ai)
             b.append(float(np.trace(Ai @ X0)))
-        prob = sdp.SdpProblem(
+        prob = sdp.SdpProblem.from_matrices(
             blocks=(("x", n),),
             equalities=tuple(({"x": Ai}, bi) for Ai, bi in zip(mats, b)),
         )
@@ -269,7 +318,7 @@ class TestSolve:
             assert abs(np.trace(Ai @ X) - bi) <= 1e-7 * scale
 
     def test_iteration_cap_gives_inconclusive(self):
-        prob = sdp.SdpProblem(
+        prob = sdp.SdpProblem.from_matrices(
             blocks=(("x", 4),), equalities=(({"x": np.eye(4)}, 1.0),)
         )
         res = sdp.solve(prob, max_iters=1)
@@ -279,7 +328,7 @@ class TestSolve:
 
     def test_infeasible_needs_verified_certificate(self):
         # Conflicting traces on the same block.
-        prob = sdp.SdpProblem(
+        prob = sdp.SdpProblem.from_matrices(
             blocks=(("x", 3),),
             equalities=(
                 ({"x": np.eye(3)}, 1.0),
@@ -357,11 +406,11 @@ class TestKronOperator:
                 monkeypatch, lambda: sdp.gaussian_eb_split(C.Y, C.X)
             )
         else:
-            blocks, eqs = sdp._seesaw_problem_parts(choi.random_cp_cocp_map(3, 4))
             F = linalg.random_hermitian(9, rng_for(4))
-            problem = sdp.SdpProblem(blocks=blocks, equalities=eqs, objective={"choi_t": F})
+            problem = dataclasses.replace(sdp._seesaw_problem(3),
+                                          c=np.concatenate([linalg.hvec(F), np.zeros(81)]))
         dims = [n for _, n in problem.blocks]
-        A, b, c = problem._packed
+        A = problem.A
         # every constraint family has O(1) nonzeros per row
         assert A.nnz <= 2 * A.shape[0] + max(dims)
         rng = rng_for(11)
@@ -382,7 +431,7 @@ class TestHermitianEmbedding:
     def test_rejects_non_hermitian(self):
         # Complex symmetric but not Hermitian: a real-cast check would pass it.
         with pytest.raises(NotHermitian):
-            sdp.SdpProblem(
+            sdp.SdpProblem.from_matrices(
                 blocks=(("x", 2),),
                 equalities=(({"x": np.array([[0.0, 1j], [1j, 0.0]])}, 1.0),),
             )
@@ -390,7 +439,7 @@ class TestHermitianEmbedding:
     def test_pauli_y_spectrum(self):
         # min tr(sigma_y X) over density matrices is the eigenvalue -1.
         sy = np.array([[0.0, -1j], [1j, 0.0]])
-        prob = sdp.SdpProblem(
+        prob = sdp.SdpProblem.from_matrices(
             blocks=(("x", 2),),
             equalities=(({"x": np.eye(2)}, 1.0),),
             objective={"x": sy},
@@ -406,7 +455,7 @@ class TestHermitianEmbedding:
     @pytest.mark.parametrize("seed", range(50))
     def test_min_eig_preserved(self, seed):
         H = linalg.random_hermitian(5, rng_for(seed))
-        prob = sdp.SdpProblem(
+        prob = sdp.SdpProblem.from_matrices(
             blocks=(("x", 5),), equalities=(({"x": np.eye(5)}, 1.0),), objective={"x": H}
         )
         res = sdp.solve(prob)
@@ -415,12 +464,13 @@ class TestHermitianEmbedding:
 
     def test_round_trip(self, rng):
         H = linalg.random_hermitian(4, rng)
-        prob = sdp.SdpProblem(
+        prob = sdp.SdpProblem.from_matrices(
             blocks=(("x", 4),), equalities=(({"x": np.eye(4)}, 1.0),), objective={"x": H}
         )
         back = from_json(json.loads(json.dumps(to_json(prob))))
-        assert np.array_equal(back.objective["x"], prob.objective["x"])
-        assert np.abs(back.objective["x"].imag).max() > 0.0
+        assert (back.A != prob.A).nnz == 0
+        assert np.array_equal(back.b, prob.b) and np.array_equal(back.c, prob.c)
+        assert np.abs(linalg.hmat(back.c, 4).imag).max() > 0.0
         assert sdp.solve(back).residuals["objective"] == pytest.approx(
             linalg.min_eig(H), abs=1e-7
         )
@@ -468,6 +518,36 @@ class TestDecomposability:
         recon = C1 + linalg.partial_transpose(C2, P.dims, "B")
         err = np.max(np.abs(recon - P.choi)) / (1.0 + np.max(np.abs(P.choi)))
         assert err <= sdp.FEAS_TOL
+
+    @pytest.mark.parametrize("din, dout", [(2, 2), (3, 3), (2, 3), (3, 2), (4, 4), (2, 4)])
+    def test_low_rank_cp_maps_are_not_refuted(self, din, dout):
+        # a CP map is decomposable (C1 = C, C2 = 0); these sit on the boundary,
+        # where the solver's witness is PPT only to its tolerance
+        for seed in range(15):
+            for rank in (1, 2):
+                rng = rng_for(seed)
+                P = choi.choi_from_kraus([rng.normal(size=(dout, din))
+                                          + 1j * rng.normal(size=(dout, din))
+                                          for _ in range(rank)], din, dout)
+                assert sdp.decomposability_check(P).status != sdp.INFEASIBLE, (seed, rank)
+
+    def test_witness_is_ppt_by_its_shift(self):
+        res = sdp.decomposability_check(choi_map())
+        assert res.residuals["witness_shift"] == 0.0
+        assert res.residuals["witness_overlap"] < -res.residuals["rounding_allowance"]
+
+    def test_a_check_keeps_nothing_for_its_dimension(self):
+        sdp.decomposability_check(choi.random_cp_cocp_map(3, 1))
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            assert sdp.decomposability_check(choi.random_cp_cocp_map(5, 2)).status == "feasible"
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1e6
 
     def test_cp_plus_cocp_sum_decomposable(self, rng):
         A = linalg.random_psd(9, rng)
@@ -590,19 +670,6 @@ class TestCbSplitBound:
             sdp.cb_split_bound(choi.QuantumMap(2, 2, J))
 
 
-def count_constructions(monkeypatch) -> list:
-    """Record every ``SdpProblem`` construction from here on."""
-    calls = []
-    post_init = sdp.SdpProblem.__post_init__
-
-    def counting(self):
-        calls.append(len(self.equalities))
-        post_init(self)
-
-    monkeypatch.setattr(sdp.SdpProblem, "__post_init__", counting)
-    return calls
-
-
 def basis_rhs(M):
     """tr(B_k M) over the Hermitian basis, as a dense contraction."""
     return np.einsum("kij,ji->k", sdp._hermitian_basis(M.shape[0]), M).real
@@ -614,7 +681,8 @@ def fresh_decomposability_problem(P):
     basis_pt = linalg.partial_transpose(basis, P.dims, "B")
     eqs = [({"cp_part": H, "cocp_part": G}, float(r))
            for H, G, r in zip(basis, basis_pt, basis_rhs(P.choi))]
-    return sdp.SdpProblem(blocks=(("cp_part", D), ("cocp_part", D)), equalities=tuple(eqs))
+    return sdp.SdpProblem.from_matrices(blocks=(("cp_part", D), ("cocp_part", D)),
+                                        equalities=tuple(eqs))
 
 
 def fresh_gaussian_problem(Y, X):
@@ -625,92 +693,201 @@ def fresh_gaussian_problem(Y, X):
     eqs = [({"part_m": H, "part_n": H}, float(r)) for H, r in zip(basis, basis_rhs(K))]
     iu = np.triu_indices(2 * n, 1)
     eqs += [({"part_m": H}, -2.0 * float(v)) for H, v in zip(basis[-len(iu[0]):], sig[iu])]
-    return sdp.SdpProblem(blocks=(("part_m", 2 * n), ("part_n", 2 * n)), equalities=tuple(eqs))
+    return sdp.SdpProblem.from_matrices(blocks=(("part_m", 2 * n), ("part_n", 2 * n)),
+                                        equalities=tuple(eqs))
 
 
-TEMPLATE_CASES = {
-    "decomposability-d3": (sdp._decomposability_template,
-                           lambda: choi.random_cp_cocp_map(3, 21),
-                           sdp.decomposability_check, fresh_decomposability_problem),
-    "decomposability-d4": (sdp._decomposability_template,
-                           lambda: choi.random_cp_cocp_map(4, 22),
-                           sdp.decomposability_check, fresh_decomposability_problem),
-    "decomposability-choi-witness": (sdp._decomposability_template, choi_map,
-                                     sdp.decomposability_check,
-                                     fresh_decomposability_problem),
+def fresh_seesaw_problem(d):
+    D = d * d
+    basis = sdp._hermitian_basis(D)
+    basis_pt = linalg.partial_transpose(basis, (d, d), "B")
+    eqs = [({"choi_t": G, "choi_t_pt": -H}, 0.0) for H, G in zip(basis, basis_pt)]
+    eqs.append(({"choi_t": np.eye(D)}, float(d)))
+    return sdp.SdpProblem.from_matrices(blocks=(("choi_t", D), ("choi_t_pt", D)),
+                                        equalities=tuple(eqs))
+
+
+def random_cp_map(din, dout, seed):
+    rng = rng_for(seed)
+    return choi.choi_from_kraus([rng.normal(size=(dout, din)) + 1j * rng.normal(size=(dout, din))
+                                 for _ in range(2)], din, dout)
+
+
+REFERENCE_CASES = {
+    "decomposability-cp-2x3": lambda: random_cp_map(2, 3, 23),
+    "decomposability-cp-3x2": lambda: random_cp_map(3, 2, 32),
+    "decomposability-choi-witness": choi_map,
 }
+for _d in (2, 3, 4):
+    REFERENCE_CASES[f"decomposability-d{_d}"] = lambda d=_d: choi.random_cp_cocp_map(d, 20 + d)
 for _n in (1, 2, 3):
-    TEMPLATE_CASES[f"gaussian-n{_n}"] = (
-        sdp._gaussian_template,
-        lambda n=_n: gaussian.random_cocp_channel(n, 30 + n),
-        lambda C: sdp.gaussian_eb_split(C.Y, C.X),
-        lambda C: fresh_gaussian_problem(C.Y, C.X),
-    )
+    REFERENCE_CASES[f"gaussian-n{_n}"] = lambda n=_n: gaussian.random_cocp_channel(n, 30 + n)
 
 
-class TestTemplates:
-    """Each wrapper compiles its problem once per dimension and rebinds the data."""
+def assert_same_solve(problem, got, ref_problem, ref):
+    """The same packed problem, bit for bit, and the same solve to 1e-12."""
+    assert problem.blocks == ref_problem.blocks
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(problem.A, name), getattr(ref_problem.A, name))
+    np.testing.assert_array_equal(problem.b, ref_problem.b)
+    np.testing.assert_array_equal(problem.c, ref_problem.c)
+    assert got.status == ref.status
+    assert got.residuals["iterations"] == ref.residuals["iterations"]
+    if ref.status == sdp.FEASIBLE:
+        scale = max(1.0, max(np.max(np.abs(X)) for X in ref.primal.values()))
+        for name, X in ref.primal.items():
+            assert np.max(np.abs(got.primal[name] - X)) <= 1e-12 * scale
+    else:
+        assert ref.status == sdp.INFEASIBLE
+        scale = max(1.0, np.max(np.abs(ref.dual)))
+        assert np.max(np.abs(got.dual - ref.dual)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("case", sorted(TEMPLATE_CASES))
-    def test_matches_a_fresh_problem(self, case, monkeypatch):
-        template, make, wrapper, fresh = TEMPLATE_CASES[case]
-        template.cache_clear()
-        data = make()
-        calls = count_constructions(monkeypatch)
-        problem, got = solved_by_wrapper(monkeypatch, lambda: wrapper(data))
-        assert len(calls) == 1
-        solved_by_wrapper(monkeypatch, lambda: wrapper(data))
-        assert len(calls) == 1, "a second call with the same dimensions constructed again"
 
-        ref_problem = fresh(data)
-        ref = sdp.solve(ref_problem)
-        (A, b, c), (A_ref, b_ref, c_ref) = problem._packed, ref_problem._packed
-        assert (A != A_ref).nnz == 0
-        np.testing.assert_array_equal(b, b_ref)
-        np.testing.assert_array_equal(c, c_ref)
-        assert len(problem.equalities) == len(ref_problem.equalities)
-        assert [r for _, r in problem.equalities] == [r for _, r in ref_problem.equalities]
-        assert problem.blocks == ref_problem.blocks
+class TestReferenceProblems:
+    """Each family's equalities, written in hvec coordinates, equal the ones
+    packed from its dense Hermitian-basis coefficients."""
 
-        assert got.status == ref.status
-        assert got.residuals["iterations"] == ref.residuals["iterations"]
-        if ref.status == sdp.FEASIBLE:
-            scale = max(1.0, max(np.max(np.abs(X)) for X in ref.primal.values()))
-            for name, X in ref.primal.items():
-                assert np.max(np.abs(got.primal[name] - X)) <= 1e-12 * scale
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_the_dense_reference(self, case, monkeypatch):
+        data = REFERENCE_CASES[case]()
+        if case.startswith("gaussian"):
+            problem, got = solved_by_wrapper(monkeypatch,
+                                             lambda: sdp.gaussian_eb_split(data.Y, data.X))
+            ref_problem = fresh_gaussian_problem(data.Y, data.X)
         else:
-            assert ref.status == sdp.INFEASIBLE
-            scale = max(1.0, np.max(np.abs(ref.dual)))
-            assert np.max(np.abs(got.dual - ref.dual)) <= 1e-12 * scale
+            problem, got = solved_by_wrapper(monkeypatch, lambda: sdp.decomposability_check(data))
+            ref_problem = fresh_decomposability_problem(data)
+        assert_same_solve(problem, got, ref_problem, sdp.solve(ref_problem))
 
-    def test_rebind_checks_only_the_new_data(self):
-        template = sdp._gaussian_template(1)
-        A, b, c = template._packed
-        rebound = template._rebind(b=np.arange(b.size, dtype=float))
-        assert rebound._packed[0] is A and rebound._a_blocks is template._a_blocks
-        assert [r for _, r in rebound.equalities] == list(range(b.size))
-        assert all(new is old for (new, _), (old, _) in
-                   zip(rebound.equalities, template.equalities))
-        np.testing.assert_array_equal(template._packed[1], b)
-        for bad in (np.full(b.size, np.nan), np.full(b.size, np.inf)):
-            with pytest.raises(DomainError):
-                template._rebind(b=bad)
-        with pytest.raises(DimMismatch):
-            template._rebind(b=np.zeros(b.size + 1))
+    def test_search_matches_the_dense_reference(self, monkeypatch):
+        P = choi.random_cp_cocp_map(3, 5)
 
-        objective = {"part_n": np.array([[1.0, 2.0 - 1j], [2.0 + 1j, 0.5]])}
-        rebound = template._rebind(objective=objective)
-        ref = sdp.SdpProblem(blocks=template.blocks, equalities=template.equalities,
-                             objective=objective)
-        np.testing.assert_array_equal(rebound._packed[2], ref._packed[2])
-        assert list(rebound.objective) == ["part_n"]
-        for bad, error in ((np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitian),
-                           (np.diag([1.0, np.nan]), DomainError),
-                           (np.eye(3), DimMismatch)):
-            with pytest.raises(error):
-                template._rebind(objective={"part_m": bad})
-        with pytest.raises(PreconditionFailed):
-            template._rebind(objective={"elsewhere": np.eye(2)})
+        def search():
+            return solves_of(monkeypatch, lambda: sdp.counterexample_search(
+                P, restarts=2, max_rounds=5, seed=3))
+
+        rep, got = search()
+        monkeypatch.setattr(sdp, "_seesaw_problem", fresh_seesaw_problem)
+        ref, want = search()
+        assert rep.status == ref.status and rep.trace == ref.trace
+        assert {r["restart"] for r in rep.trace} == {0, 1}
+        assert len(got) == len(want) >= len(rep.trace)
+        for (problem, res), (ref_problem, ref_res) in zip(got, want):
+            assert_same_solve(problem, res, ref_problem, ref_res)
+
+
+class TestPtPermutation:
+    """hvec(PT(X)) = Q hvec(X) for the signed permutation Q."""
+
+    @pytest.mark.parametrize("which", ["A", "B"])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+    def test_matches_partial_transpose(self, dims, which):
+        n = dims[0] * dims[1]
+        perm, sign = sdp._pt_permutation(dims, which)
+        Q = np.zeros((n * n, n * n))
+        Q[perm, np.arange(n * n)] = sign
+        np.testing.assert_array_equal(Q, Q.T)
+        np.testing.assert_array_equal(Q @ Q, np.eye(n * n))
+        rng = rng_for(n)
+        for _ in range(3):
+            X = linalg.random_hermitian(n, rng)
+            np.testing.assert_array_equal(
+                linalg.hvec(linalg.partial_transpose(X, dims, which)), Q @ linalg.hvec(X))
+
+
+TYPED_ERRORS = (DimMismatch, DomainError, NotHermitian, PreconditionFailed)
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+class TestMalformedInput:
+    """Malformed input raises a typed error and never yields a verdict."""
+
+    @given(st.integers(0, 2**32 - 1), NON_FINITE,
+           st.sampled_from(["A", "sparse A", "b", "c", "b length", "A columns", "A type",
+                            "c shape"]))
+    @settings(max_examples=60, deadline=None)
+    def test_packed_problem(self, seed, bad, defect):
+        rng = rng_for(seed)
+        blocks = (("x", 2), ("y", 1))
+        m = int(rng.integers(1, 5))
+        A, b, c = rng.normal(size=(m, 5)), rng.normal(size=m), rng.normal(size=5)
+        i, j = int(rng.integers(m)), int(rng.integers(5))
+        if defect in ("A", "sparse A"):
+            A[i, j] = bad
+        elif defect == "b":
+            b[i] = bad
+        elif defect == "c":
+            c[j] = bad
+        elif defect == "b length":
+            b = rng.normal(size=m + int(rng.choice([-1, 1])))
+        elif defect == "A columns":
+            A = rng.normal(size=(m, 5 + int(rng.choice([-1, 1, 4]))))
+        elif defect == "A type":
+            A = [A.tolist(), str(A), None, {"A": 1}][j % 4]
+        else:
+            c = rng.normal(size=(5, 1) if j % 2 else 4)
+        sparse = defect == "sparse A" or (defect == "A columns" and j % 2 == 1)
+        if sparse:
+            A = scipy.sparse.csr_array(A)
+        with pytest.raises(TYPED_ERRORS):
+            sdp.SdpProblem(blocks, A, b, c)
+
+    @given(st.integers(0, 2**32 - 1), NON_FINITE,
+           st.sampled_from(["coefficient", "rhs", "objective", "shape"]))
+    @settings(max_examples=40, deadline=None)
+    def test_from_matrices(self, seed, bad, defect):
+        rng = rng_for(seed)
+        blocks = (("x", 3), ("y", 2))
+        eqs = [({"x": linalg.random_hermitian(3, rng), "y": linalg.random_hermitian(2, rng)},
+                float(rng.normal())) for _ in range(3)]
+        objective = {"y": linalg.random_hermitian(2, rng)}
+        k = int(rng.integers(3))
+        M = eqs[k][0]["x"].copy()
+        if defect == "coefficient":
+            M[k, k] = bad
+            eqs[k] = ({"x": M}, eqs[k][1])
+        elif defect == "rhs":
+            eqs[k] = (eqs[k][0], bad)
+        elif defect == "objective":
+            objective = {"y": np.full((2, 2), bad)}
+        else:
+            eqs[k] = ({"x": M[: 1 + k % 2]}, eqs[k][1])
+        with pytest.raises(TYPED_ERRORS):
+            sdp.SdpProblem.from_matrices(blocks, tuple(eqs), objective)
+
+    @given(st.integers(0, 2**32 - 1), NON_FINITE, st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_decomposability_check(self, seed, bad, misshapen):
+        rng = rng_for(seed)
+        din, dout = (int(k) for k in rng.integers(2, 4, size=2))
+        C = linalg.random_psd(din * dout, rng)
+        if misshapen:
+            C = C[:-1]
+        else:
+            i, j = (int(k) for k in rng.integers(din * dout, size=2))
+            C[i, j] = bad
+        with pytest.raises(TYPED_ERRORS):
+            sdp.decomposability_check(choi.QuantumMap(din, dout, C))
+
+    @given(st.integers(0, 2**32 - 1), NON_FINITE,
+           st.sampled_from(["Y", "X", "odd", "mismatch"]))
+    @settings(max_examples=40, deadline=None)
+    def test_gaussian_eb_split(self, seed, bad, defect):
+        rng = rng_for(seed)
+        n = int(rng.integers(1, 4))
+        C = gaussian.random_cocp_channel(n, int(seed % 1000))
+        Y, X = C.Y.copy(), C.X.copy()
+        i, j = (int(k) for k in rng.integers(2 * n, size=2))
+        if defect == "Y":
+            Y[i, j] = Y[j, i] = bad
+        elif defect == "X":
+            X[i, j] = bad
+        elif defect == "odd":
+            Y, X = Y[:-1, :-1], X[:-1, :-1]
+        else:
+            X = X[:, :-1]
+        with pytest.raises(TYPED_ERRORS):
+            sdp.gaussian_eb_split(Y, X)
 
     def test_typed_errors_survive(self):
         nan = np.eye(9, dtype=complex)
@@ -767,28 +944,6 @@ class TestCounterexampleSearch:
         vals = [r["value"] for r in rep.trace if r["value"] is not None]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-7
-
-    def test_search_rebinds_one_problem_per_search(self, monkeypatch):
-        P = choi.random_cp_cocp_map(3, 5)
-        calls = count_constructions(monkeypatch)
-        rep = sdp.counterexample_search(P, restarts=2, max_rounds=5, seed=3)
-        assert len(calls) <= 1
-
-        # reference: a fresh problem from the same fixed equalities every round
-        blocks, eqs = sdp._seesaw_problem_parts(P)
-        monkeypatch.setattr(sdp.SdpProblem, "_rebind", lambda self, objective: sdp.SdpProblem(
-            blocks=blocks, equalities=eqs, objective=objective))
-        ref = sdp.counterexample_search(P, restarts=2, max_rounds=5, seed=3)
-        assert len(calls) > len(ref.trace)
-
-        assert rep.status == ref.status
-        assert [r["status"] for r in rep.trace] == [r["status"] for r in ref.trace]
-        assert {r["restart"] for r in rep.trace} == {0, 1}
-        for got, want in zip(rep.trace, ref.trace):
-            assert got["sdp_objective"] == pytest.approx(want["sdp_objective"], rel=1e-9)
-        best = [next(e["data"] for e in r.evidence if e["name"] == "best-objective")
-                for r in (rep, ref)]
-        assert best[0] == pytest.approx(best[1], rel=1e-9, abs=1e-12)
 
     def test_report_serializes(self):
         rep = sdp.counterexample_search(choi_map(), restarts=1, max_rounds=4, seed=0)
