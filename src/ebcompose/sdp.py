@@ -336,7 +336,7 @@ def _kron_operator(W: np.ndarray) -> np.ndarray:
 
 
 def _schur(A_blocks, Wops) -> np.ndarray:
-    """Schur complement M_ij = sum_k tr(A_ik W_k A_jk W_k), symmetrized.
+    """Schur complement M_ij = sum_k tr(A_ik W_k A_jk W_k), symmetrized in place.
 
     ``A_blocks`` are the sparse column blocks of A, ``Wops`` the matching
     ``_kron_operator`` matrices; each block costs O(nnz(A_k) n_k^2).
@@ -451,6 +451,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
             cho = None
             for _ in range(8):
                 try:
+                    # jitter on a copy's diagonal, factored in place: one m x m array, not four
                     shifted = Schur.copy()
                     shifted[np.diag_indices(m)] += jitter
                     cho = scipy.linalg.cho_factor(shifted, check_finite=False, overwrite_a=True)
