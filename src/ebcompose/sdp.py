@@ -19,10 +19,16 @@ factors and one SVD, X = L L^H, S = R R^H and R^H L = U diag(d) Vh, and no
 eigendecomposition: F = L Vh^H d^-1/2 and F^-1 = d^-1/2 U^H R^H give the
 scaled point F^-1 X F^-H = F^H S F = diag(d), so the Lyapunov solve is
 elementwise.  The scaling X -> W X W, W = F F^H, is one real n^2 x n^2
-matrix, W (x) conj(W) in ``hvec`` coordinates, built in O(n^4); the Schur
-complement A W A^T is assembled from it and the sparse A (Fujisawa, Kojima
-and Nakata, Math. Prog. 79, 1997), so a decomposability check on D x D
-blocks costs O(D^4) outside the Cholesky factorization.
+matrix, W (x) conj(W) in ``hvec`` coordinates, built in O(n^4).  The Schur
+complement A W A^T is assembled from the structure of A (Fujisawa, Kojima
+and Nakata, Math. Prog. 79, 1997), which ``SdpProblem`` reads once: a block
+whose rows each take one signed, scaled coordinate at a permuted matrix
+position (both decomposability blocks) adds its operator built at those
+positions, scaled by its values, and any other block its sparse product.
+Each solve allocates one workspace for the operators, their scratch and a
+Fortran-ordered Schur matrix, which the Cholesky factorization overwrites in
+place, so an iteration makes no m x m temporaries on the decomposability
+path and a check on D x D blocks costs O(D^4) outside the factorization.
 Every verdict is re-checked outside the solver: "feasible" is claimed only
 after the returned blocks pass an independent PSD and residual audit, and
 "infeasible" only with a verified separating functional.  The PSD audits
@@ -36,7 +42,7 @@ import dataclasses
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -107,7 +113,9 @@ class SdpProblem:
         for name, value in (("blocks", blocks), ("A", A), ("b", b), ("c", c)):
             object.__setattr__(self, name, value)
         offsets = np.cumsum([0] + [n * n for _, n in blocks])
-        object.__setattr__(self, "_a_blocks", [A[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])])
+        a_blocks = [A[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+        object.__setattr__(self, "_a_blocks", [_read_positions(Ak, n) or Ak
+                                               for Ak, (_, n) in zip(a_blocks, blocks)])
 
     @classmethod
     def from_matrices(cls, blocks, equalities, objective: Optional[Mapping] = None) -> SdpProblem:
@@ -229,6 +237,37 @@ def _csr(groups, width: int):
     return scipy.sparse.csr_array((vals, cols, indptr), shape=(counts.size, width))
 
 
+class _Positions(NamedTuple):
+    """A column block of A that moves ``hvec`` positions, in CSR order.
+
+    Row i is ``vals[i]`` times coordinate ``cols[i]``, of row i's own kind
+    (diagonal, real or imaginary), and ``cols`` is a permutation.  The real
+    and the imaginary row of position p read one position pi(p), whose
+    entries are ``(x[p], y[p])``.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def _read_positions(Ak, n: int) -> Optional[_Positions]:
+    """``_Positions`` of the CSR column block ``Ak`` of an n x n block, or None."""
+    m, k = n * n, n * (n - 1) // 2
+    if Ak.shape[0] != m or np.any(np.diff(Ak.indptr) != 1):
+        return None
+    cols, kinds = Ak.indices, [n, n + k]
+    rows = np.arange(m)
+    if (np.array_equal(np.searchsorted(kinds, cols, "right"), np.searchsorted(kinds, rows, "right"))
+            and np.array_equal(cols[n + k:] - k, cols[n : n + k])
+            and np.array_equal(np.sort(cols), rows)):
+        x, y = _hvec_positions(n)
+        pi = cols[: n + k]
+        return _Positions(x[pi], y[pi], cols, Ak.data)
+    return None
+
+
 def _pack(mats: Sequence[np.ndarray]) -> np.ndarray:
     """``linalg.hvec`` coordinates of Hermitian blocks, or stacks of them, end to end."""
     return np.concatenate([linalg.hvec(M) for M in mats], axis=-1)
@@ -302,49 +341,92 @@ def _hvec_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _kron_operator(W: np.ndarray) -> np.ndarray:
-    """Real n^2 x n^2 matrix of u -> hvec(W hmat(u) W), built in O(n^4).
+def _kron_scratch_size(n: int) -> int:
+    """Complex entries of scratch ``_kron_operator`` takes for blocks of side <= n."""
+    p = n * (n + 1) // 2
+    return p * (3 * p - n)
+
+
+def _kron_operator(W: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray,
+                   work: np.ndarray) -> np.ndarray:
+    """Real n^2 x n^2 matrix of u -> hvec(W hmat(u) W) at positions (x, y),
+    built in O(n^4) into ``out``.
 
     This is W (x) conj(W) in ``hvec`` coordinates.  Column j is W B_j W for
     the j-th ``hvec`` basis element B_j, read at the entries ``hvec`` reads.
-    Index both the basis elements and the read entries by positions (x, y),
-    x <= y.  Since (W E_rs W)_xy = W_xr W_sy, the products T1 = W_xr W_sy
-    and T2 = W_xs W_ry give every entry: E_rr yields T1, (E_rs + E_sr)/sqrt2
-    yields (T1 + T2)/sqrt2 and i(E_rs - E_sr)/sqrt2 yields i(T1 - T2)/sqrt2.
-    The diagonal rows keep the real part, the upper rows sqrt2 times the real
-    and the imaginary part.
+    Index both the basis elements and the read entries by positions (x, y):
+    the n diagonal ones, then n(n-1)/2 with x < y.  Since (W E_rs W)_xy =
+    W_xr W_sy, the products T1 = W_xr W_sy and T2 = W_xs W_ry give every
+    entry: E_rr yields T1, (E_rs + E_sr)/sqrt2 yields (T1 + T2)/sqrt2 and
+    i(E_rs - E_sr)/sqrt2 yields i(T1 - T2)/sqrt2.  The diagonal rows keep the
+    real part, the upper rows sqrt2 times the real and the imaginary part.
+
+    At ``_hvec_positions(n)`` this is the operator itself; at the positions
+    pi(p) of a ``_Positions`` block it is the operator with rows and columns
+    permuted by that block's ``cols``.  T1 and T2 and their gathers are
+    views of ``work`` (see ``_kron_scratch_size``), filled by ``np.take`` in
+    "clip" mode, which writes to ``out=`` without buffering.
     """
-    n = W.shape[0]
-    k = n * (n - 1) // 2
-    x, y = _hvec_positions(n)
+    n, p = W.shape[0], x.size
+    k = p - n
+    T1 = work[: p * p].reshape(p, p)
+    gather = work[p * p : 2 * p * p]
+    T2 = work[2 * p * p : p * (3 * p - n)].reshape(p, k)
     Wx, Wy = W[x], W.T[y]
-    T1 = Wx[:, x] * Wy[:, y]
-    T2 = Wx[:, y[n:]] * Wy[:, x[n:]]  # upper columns only; T2 = T1 at r = s
+    np.multiply(np.take(Wx, x, axis=1, out=T1, mode="clip"),
+                np.take(Wy, y, axis=1, out=gather.reshape(p, p), mode="clip"), out=T1)
+    # upper columns only; T2 = T1 at r = s
+    np.multiply(np.take(Wx, y[n:], axis=1, out=T2, mode="clip"),
+                np.take(Wy, x[n:], axis=1, out=gather[: p * k].reshape(p, k), mode="clip"),
+                out=T2)
     T1u = T1[:, n:]
     r2 = np.sqrt(2.0)
-    d, re, im = slice(0, n), slice(n, n + k), slice(n + k, None)
-    out = np.empty((n * n, n * n))
+    d, re, im = slice(0, n), slice(n, p), slice(p, None)
     out[d, d] = T1[:n, :n].real
-    out[re, d] = r2 * T1[n:, :n].real
-    out[im, d] = r2 * T1[n:, :n].imag
-    np.add(T1u.real, T2.real, out=out[: n + k, re])
-    np.subtract(T2.imag, T1u.imag, out=out[: n + k, im])
+    np.multiply(T1[n:, :n].real, r2, out=out[re, d])
+    np.multiply(T1[n:, :n].imag, r2, out=out[im, d])
+    np.add(T1u.real, T2.real, out=out[:p, re])
+    np.subtract(T2.imag, T1u.imag, out=out[:p, im])
     np.add(T1u[n:].imag, T2[n:].imag, out=out[im, re])
     np.subtract(T1u[n:].real, T2[n:].real, out=out[im, im])
     out[d, n:] /= r2
     return out
 
 
-def _schur(A_blocks, Wops) -> np.ndarray:
-    """Schur complement M_ij = sum_k tr(A_ik W_k A_jk W_k), symmetrized in place.
+def _schur(a_blocks, ops, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Schur complement M_ij = sum_k tr(A_ik W_k A_jk W_k), written into the
+    Fortran-ordered m x m ``out``, which ``scipy.linalg.cho_factor`` then
+    factors in place.
 
-    ``A_blocks`` are the sparse column blocks of A, ``Wops`` the matching
-    ``_kron_operator`` matrices; each block costs O(nnz(A_k) n_k^2).
+    ``a_blocks`` are ``SdpProblem._a_blocks``, ``ops`` the matching
+    ``_kron_operator`` matrices.  A ``_Positions`` block A_k = diag(v) P,
+    with P the permutation to ``cols``, adds (v v^T) o K for its operator K,
+    built at the block's positions, in up to three O(m^2) passes; a later
+    block's term is scaled in ``work``, free once the operators are built
+    (scratch for side sqrt(m) holds more than m^2 floats).  These terms are
+    left as they fall, symmetric up to rounding, since the Cholesky
+    factorization reads one triangle.  A sparse block adds A_k (A_k W_k)^T
+    in O(nnz(A_k) n_k^2), and without a ``_Positions`` block the sum is
+    symmetrized.
     """
-    M = sum(Ak @ (Ak @ Wk).T for Ak, Wk in zip(A_blocks, Wops))
-    M = M.T + M
-    M *= 0.5
-    return M
+    sparse = [Ak @ (Ak @ op).T for Ak, op in zip(a_blocks, ops) if not isinstance(Ak, _Positions)]
+    if len(sparse) == len(ops):
+        M = sum(sparse)
+        np.add(M.T, M, out=out)
+        out *= 0.5
+        return out
+    # out.T is C-ordered like the operators, so each pass runs in memory order
+    total = term = out.T
+    for Ak, op in zip(a_blocks, ops):
+        if isinstance(Ak, _Positions):
+            np.multiply(op, Ak.vals[:, None], out=term)
+            term *= Ak.vals
+            if term is not total:
+                total += term
+            term = work.view(float)[: total.size].reshape(total.shape)
+    for S in sparse:
+        out += S
+    return out
 
 
 def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
@@ -368,7 +450,21 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
 
     AT = A.T
     offsets = np.cumsum([0] + [n * n for n in dims])
-    spans = list(zip(offsets, offsets[1:]))
+    # Per block: the coordinates its operator acts on and its build positions.
+    gathers, positions = [], []
+    for Ak, n, lo, hi in zip(problem._a_blocks, dims, offsets, offsets[1:]):
+        moved = isinstance(Ak, _Positions)
+        gathers.append(lo + Ak.cols if moved else slice(lo, hi))
+        positions.append((Ak.x, Ak.y) if moved else _hvec_positions(n))
+    # One workspace per solve, which every iteration reuses and the return
+    # frees whole: the kron scratch, the Schur matrix and the operators.  glibc
+    # trims its heap only past twice the largest block it has freed, so the
+    # next solve finds this one in place rather than faulting it in again.
+    cuts = np.cumsum([0, 2 * _kron_scratch_size(max(dims)), m * m] + [n**4 for n in dims])
+    arena = np.empty(cuts[-1])
+    work = arena[: cuts[1]].view(complex)
+    schur = arena[cuts[1] : cuts[2]].reshape((m, m), order="F")
+    ops = [arena[lo:hi].reshape(n * n, n * n) for n, lo, hi in zip(dims, cuts[2:], cuts[3:])]
 
     x = _pack([np.eye(n) for n in dims])
     s = x.copy()
@@ -435,29 +531,37 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
             # Nesterov-Todd scaling per block, in the frame where the scaled
             # point F^-1 X F^-H = F^H S F = diag(d) is diagonal.
             Fs, Finvs, dls = zip(*map(_nt_scaling, _unpack(x, dims), _unpack(s, dims)))
-            Wops = [_kron_operator(F @ F.conj().T) for F in Fs]
+            for F, op, (px, py) in zip(Fs, ops, positions):
+                _kron_operator(F @ F.conj().T, px, py, op, work)
             # K X K^H = I for K in Kx, K S K^H = I for K in Ks.
             Kx = [Fi / np.sqrt(d)[:, None] for Fi, d in zip(Finvs, dls)]
             Ks = [F.conj().T / np.sqrt(d)[:, None] for F, d in zip(Fs, dls)]
 
             def apply_w(u):
-                # u -> hvec(W hmat(u) W) per block.
-                return np.concatenate([Wk @ u[lo:hi] for Wk, (lo, hi) in zip(Wops, spans)])
+                # u -> hvec(W hmat(u) W) per block; an operator built at a
+                # block's positions acts on its permuted coordinates.
+                out = np.empty(N)
+                for op, g in zip(ops, gathers):
+                    out[g] = op @ u[g]
+                return out
 
-            # Schur complement, factored once per iteration.
+            # Schur complement, factored once per iteration in place; a failed
+            # factorization leaves the buffer overwritten, so each attempt
+            # rebuilds it from the operators.
             wc = apply_w(c)
-            Schur = _schur(problem._a_blocks, Wops)
-            jitter = 1e-14 * (1.0 + float(np.trace(Schur)) / max(m, 1))
-            cho = None
+            jitter = cho = None
             for _ in range(8):
+                _schur(problem._a_blocks, ops, schur, work)
+                if jitter is None:
+                    jitter = 1e-14 * (1.0 + float(np.trace(schur)) / m)
+                else:
+                    jitter *= 100.0
+                schur[np.diag_indices(m)] += jitter
                 try:
-                    # jitter on a copy's diagonal, factored in place: one m x m array, not four
-                    shifted = Schur.copy()
-                    shifted[np.diag_indices(m)] += jitter
-                    cho = scipy.linalg.cho_factor(shifted, check_finite=False, overwrite_a=True)
+                    cho = scipy.linalg.cho_factor(schur, check_finite=False, overwrite_a=True)
                     break
                 except scipy.linalg.LinAlgError:
-                    jitter *= 100.0
+                    pass
             if cho is None:
                 raise np.linalg.LinAlgError("Schur complement not factorable")
 
@@ -680,7 +784,11 @@ def gaussian_eb_split(Y, X) -> SdpResult:
     Existence of such a split certifies entanglement breaking for the
     Gaussian channel with matrices (X, Y).  Feasible: ``primal`` holds the
     real symmetric parts {"M": M, "N": N}, re-audited on the complex side.
+    Complex-typed Y or X raises DomainError: casting would drop the
+    imaginary part.
     """
+    if np.iscomplexobj(Y) or np.iscomplexobj(X):
+        raise DomainError("Y and X must be real")
     Y = np.asarray(Y, dtype=float)
     X = np.asarray(X, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != Y.shape[1] or Y.shape[0] % 2:

@@ -380,6 +380,29 @@ class TestNtScaling:
             sdp._nt_scaling(X, S)
 
 
+def kron_operator(W, x=None, y=None):
+    """``sdp._kron_operator`` into fresh buffers, at ``hvec``'s positions by default."""
+    n = W.shape[0]
+    if x is None:
+        x, y = sdp._hvec_positions(n)
+    return sdp._kron_operator(W, x, y, np.empty((n * n, n * n)),
+                              np.empty(sdp._kron_scratch_size(n), complex))
+
+
+def block_operators(problem, Ws):
+    """Each block's operator as ``sdp.solve`` builds it: at a ``_Positions``
+    block's positions, else at ``hvec``'s."""
+    return [kron_operator(W, Ak.x, Ak.y) if isinstance(Ak, sdp._Positions) else kron_operator(W)
+            for Ak, W in zip(problem._a_blocks, Ws)]
+
+
+def pt_block(dims, which):
+    """The CSR column block diag(s) Q of the partial transpose on ``which``."""
+    n = dims[0] * dims[1]
+    perm, sign = sdp._pt_permutation(dims, which)
+    return sdp._csr([(perm[:, None], (sdp._basis_scale(n) * sign)[:, None])], n * n)
+
+
 class TestKronOperator:
     """The Schur complement from one Kronecker-form operator per block."""
 
@@ -389,14 +412,52 @@ class TestKronOperator:
         ref = np.stack(
             [linalg.hvec(W @ linalg.hmat(e, n) @ W) for e in np.eye(n * n)], axis=1
         )
-        got = sdp._kron_operator(W)
+        got = kron_operator(W)
         assert got.shape == (n * n, n * n) and got.dtype == float
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("case", ["decomposability", "gaussian-split", "counterexample"])
+    @pytest.mark.parametrize("which", ["A", "B"])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+    def test_built_at_positions_is_the_permuted_operator(self, dims, which):
+        n = dims[0] * dims[1]
+        block = sdp._read_positions(pt_block(dims, which), n)
+        np.testing.assert_array_equal(block.cols, sdp._pt_permutation(dims, which)[0])
+        W = random_pd(n, rng_for(n))
+        c = block.cols
+        np.testing.assert_array_equal(kron_operator(W, block.x, block.y), kron_operator(W)[c][:, c])
+
+    def test_reads_position_blocks_from_A_alone(self, monkeypatch):
+        def moved(problem):
+            return [isinstance(Ak, sdp._Positions) for Ak in problem._a_blocks]
+
+        for din, dout in ((2, 3), (3, 2), (3, 3)):
+            P = choi.random_cp_cocp_map(3, 1) if din == dout else random_cp_map(din, dout, 5)
+            problem = problem_passed_to_solve(monkeypatch, lambda: sdp.decomposability_check(P))
+            assert moved(problem) == [True, True]
+            assert moved(fresh_decomposability_problem(P)) == [True, True]
+        C = gaussian.random_cocp_channel(2, 4)
+        problem = problem_passed_to_solve(monkeypatch, lambda: sdp.gaussian_eb_split(C.Y, C.X))
+        assert moved(problem) == [False, False]
+        assert moved(sdp._seesaw_problem(3)) == [False, False]
+        problem = problem_passed_to_solve(
+            monkeypatch, lambda: sdp.cb_split_bound(choi.random_cp_cocp_map(2, 3)))
+        assert not any(moved(problem))
+        # one nonzero per row: a swap of two diagonal coordinates moves
+        # positions; a diagonal row reading a real coordinate, or a real and an
+        # imaginary row of one position reading two, does not
+        assert sdp._read_positions(scipy.sparse.csr_array(np.eye(4)[[1, 0, 2, 3]]), 2)
+        assert sdp._read_positions(scipy.sparse.csr_array(np.eye(4)[[2, 1, 0, 3]]), 2) is None
+        cols = [0, 1, 2, 3, 4, 5, 7, 6, 8]
+        assert sdp._read_positions(scipy.sparse.csr_array(np.eye(9)[cols]), 3) is None
+
+    @pytest.mark.parametrize("case", ["decomposability", "decomposability-2x3",
+                                      "decomposability-3x2", "gaussian-split", "counterexample",
+                                      "cb-split"])
     def test_schur_matches_dense_reference(self, case, monkeypatch):
-        if case == "decomposability":
-            P = choi.random_cp_cocp_map(3, 4)
+        if case.startswith("decomposability"):
+            P = {"decomposability": lambda: choi.random_cp_cocp_map(3, 4),
+                 "decomposability-2x3": lambda: random_cp_map(2, 3, 23),
+                 "decomposability-3x2": lambda: random_cp_map(3, 2, 32)}[case]()
             problem = problem_passed_to_solve(
                 monkeypatch, lambda: sdp.decomposability_check(P)
             )
@@ -405,24 +466,75 @@ class TestKronOperator:
             problem = problem_passed_to_solve(
                 monkeypatch, lambda: sdp.gaussian_eb_split(C.Y, C.X)
             )
+        elif case == "cb-split":
+            P = choi.random_cp_cocp_map(2, 6)
+            problem = problem_passed_to_solve(monkeypatch, lambda: sdp.cb_split_bound(P))
         else:
             F = linalg.random_hermitian(9, rng_for(4))
             problem = dataclasses.replace(sdp._seesaw_problem(3),
                                           c=np.concatenate([linalg.hvec(F), np.zeros(81)]))
         dims = [n for _, n in problem.blocks]
         A = problem.A
-        # every constraint family has O(1) nonzeros per row
-        assert A.nnz <= 2 * A.shape[0] + max(dims)
+        if case != "cb-split":
+            # every hot constraint family has O(1) nonzeros per row
+            assert A.nnz <= 2 * A.shape[0] + max(dims)
         rng = rng_for(11)
         Ws = [random_pd(n, rng) for n in dims]
-        offsets = np.cumsum([0] + [n * n for n in dims])
-        A_blocks = [A[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])]
-        got = sdp._schur(A_blocks, [sdp._kron_operator(W) for W in Ws])
+        m = A.shape[0]
+        got = np.full((m, m), np.nan, order="F")
+        sdp._schur(problem._a_blocks, block_operators(problem, Ws), got,
+                   np.empty(sdp._kron_scratch_size(max(dims)), complex))
         Ad = A.toarray()
         op_w_A = sdp._pack([W @ M @ W for W, M in zip(Ws, sdp._unpack(Ad, dims))])
         ref = Ad @ op_w_A.T
         ref = (ref + ref.T) / 2.0
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", ["decomposability", "gaussian-split"])
+    def test_failed_factorization_retries_on_the_rebuilt_matrix(self, case, monkeypatch):
+        if case == "decomposability":
+            P = choi.random_cp_cocp_map(3, 6)
+
+            def call():
+                return sdp.decomposability_check(P)
+        else:
+            C = gaussian.random_cocp_channel(2, 6)
+
+            def call():
+                return sdp.gaussian_eb_split(C.Y, C.X)
+        want = call()
+        solve, schur, cho_factor = sdp.solve, sdp._schur, scipy.linalg.cho_factor
+        built, factored = [], []
+
+        def spy_solve(problem, **kwargs):
+            factored.clear()
+            return solve(problem, **kwargs)
+
+        def spy_schur(*args):
+            out = schur(*args)
+            built.append(out.copy())
+            return out
+
+        def fails_once(a, **kwargs):
+            factored.append(a.copy())
+            if len(factored) == 1:
+                a.fill(np.nan)  # as a factorization that broke off midway
+                raise scipy.linalg.LinAlgError("not positive definite")
+            return cho_factor(a, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve", spy_solve)
+        monkeypatch.setattr(sdp, "_schur", spy_schur)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fails_once)
+        got = call()
+        assert got.status == want.status
+        first, retry = factored[:2]
+        # the first iteration's two builds: before the first attempt and the retry
+        np.testing.assert_array_equal(built[0], built[1])
+        off = ~np.eye(len(retry), dtype=bool)
+        np.testing.assert_array_equal(retry[off], built[1][off])
+        jitter = np.diag(first) - np.diag(built[0])
+        assert np.all(jitter > 0.0)
+        np.testing.assert_allclose(np.diag(retry) - np.diag(built[1]), 100.0 * jitter, rtol=0.1)
 
 
 class TestHermitianEmbedding:
@@ -870,7 +982,7 @@ class TestMalformedInput:
             sdp.decomposability_check(choi.QuantumMap(din, dout, C))
 
     @given(st.integers(0, 2**32 - 1), NON_FINITE,
-           st.sampled_from(["Y", "X", "odd", "mismatch"]))
+           st.sampled_from(["Y", "X", "odd", "mismatch", "complex-Y", "complex-X"]))
     @settings(max_examples=40, deadline=None)
     def test_gaussian_eb_split(self, seed, bad, defect):
         rng = rng_for(seed)
@@ -882,6 +994,10 @@ class TestMalformedInput:
             Y[i, j] = Y[j, i] = bad
         elif defect == "X":
             X[i, j] = bad
+        elif defect == "complex-Y":  # Hermitian, so only the type is at fault
+            Y = Y + 1j * (np.eye(2 * n, k=1) - np.eye(2 * n, k=-1))
+        elif defect == "complex-X":
+            X = X + 5j * np.eye(2 * n)
         elif defect == "odd":
             Y, X = Y[:-1, :-1], X[:-1, :-1]
         else:
