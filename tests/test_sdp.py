@@ -452,7 +452,7 @@ class TestKronOperator:
 
     @pytest.mark.parametrize("case", ["decomposability", "decomposability-2x3",
                                       "decomposability-3x2", "gaussian-split", "counterexample",
-                                      "cb-split"])
+                                      "cb-split", "mixed"])
     def test_schur_matches_dense_reference(self, case, monkeypatch):
         if case.startswith("decomposability"):
             P = {"decomposability": lambda: choi.random_cp_cocp_map(3, 4),
@@ -469,13 +469,19 @@ class TestKronOperator:
         elif case == "cb-split":
             P = choi.random_cp_cocp_map(2, 6)
             problem = problem_passed_to_solve(monkeypatch, lambda: sdp.cb_split_bound(P))
+        elif case == "mixed":  # a block that moves positions beside a sparse one
+            A = np.hstack([np.diag([1.0, -2.0, 0.5, 3.0])[:, [1, 0, 2, 3]],
+                           rng_for(3).normal(size=(4, 1))])
+            problem = sdp.SdpProblem((("x", 2), ("y", 1)), A, np.ones(4), np.zeros(5))
+            assert isinstance(problem._a_blocks[0], sdp._Positions)
+            assert not isinstance(problem._a_blocks[1], sdp._Positions)
         else:
             F = linalg.random_hermitian(9, rng_for(4))
             problem = dataclasses.replace(sdp._seesaw_problem(3),
                                           c=np.concatenate([linalg.hvec(F), np.zeros(81)]))
         dims = [n for _, n in problem.blocks]
         A = problem.A
-        if case != "cb-split":
+        if case not in ("cb-split", "mixed"):
             # every hot constraint family has O(1) nonzeros per row
             assert A.nnz <= 2 * A.shape[0] + max(dims)
         rng = rng_for(11)
