@@ -109,6 +109,14 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
+@lru_cache(maxsize=None)
+def _diagonal(n: int) -> np.ndarray:
+    # Shared by every caller, hence read-only.
+    i = np.arange(n)
+    i.setflags(write=False)
+    return i
+
+
 def hvec(H) -> np.ndarray:
     """Isometric real coordinates of Hermitian matrices, over (..., n, n) stacks.
 
@@ -156,7 +164,8 @@ def hmat(v, n: int) -> np.ndarray:
     iu = _triu(n)
     k = len(iu[0])
     H = np.zeros(v.shape[:-1] + (n, n), dtype=complex)
-    H[..., np.arange(n), np.arange(n)] = v[..., :n]
+    i = _diagonal(n)
+    H[..., i, i] = v[..., :n]
     up = (v[..., n : n + k] + 1j * v[..., n + k :]) / np.sqrt(2.0)
     H[..., iu[0], iu[1]] = up
     H[..., iu[1], iu[0]] = up.conj()

@@ -14,12 +14,18 @@ coordinates directly, in O(D^2): the Hermitian basis element B_k is s_k
 times the k-th ``hvec`` unit vector (s from ``_basis_scale``), and the
 partial transpose permutes ``hvec`` coordinates up to sign, hvec(PT(X)) =
 Q hvec(X) (``_pt_permutation``), so each of their equalities has one
-nonzero per block.  Per iteration each block's scaling takes two Cholesky
-factors and one SVD, X = L L^H, S = R R^H and R^H L = U diag(d) Vh, and no
-eigendecomposition: F = L Vh^H d^-1/2 and F^-1 = d^-1/2 U^H R^H give the
-scaled point F^-1 X F^-H = F^H S F = diag(d), so the Lyapunov solve is
-elementwise.  The scaling X -> W X W, W = F F^H, is one real n^2 x n^2
-matrix, W (x) conj(W) in ``hvec`` coordinates, built in O(n^4).  The Schur
+nonzero per block.  The solver works per size group, stacked: blocks of one
+size n form a group that moves through each per-block stage as one
+(k, n, n) stack, in one numpy or LAPACK call per group rather than per block.
+Per iteration each block's scaling takes two Cholesky factors and one SVD,
+X = L L^H, S = R R^H and R^H L = U diag(d) Vh, and no eigendecomposition:
+F = L Vh^H d^-1/2 and F^-1 = d^-1/2 U^H R^H give the scaled point
+F^-1 X F^-H = F^H S F = diag(d), so the Lyapunov solve and the Mehrotra
+corrector are elementwise, and the step search takes one batched
+``eigvalsh`` over a group's 2k scaled directions.  The scaling X -> W X W,
+W = F F^H, is one real n^2 x n^2 matrix per block, W (x) conj(W) in ``hvec``
+coordinates, built in O(n^4); a group's operators lie in one
+(k, n^2, n^2) stack, applied in one batched product.  The Schur
 complement A W A^T is assembled from the structure of A (Fujisawa, Kojima
 and Nakata, Math. Prog. 79, 1997), which ``SdpProblem`` reads once: a block
 whose rows each take one signed, scaled coordinate at a permuted matrix
@@ -30,7 +36,8 @@ Fortran-ordered Schur matrix, which the Cholesky factorization overwrites in
 place, so an iteration makes no m x m temporaries on the decomposability
 path and a check on D x D blocks costs O(D^4) outside the factorization.
 Every verdict is re-checked outside the solver: "feasible" is claimed only
-after the returned blocks pass an independent PSD and residual audit, and
+after the returned blocks pass an independent residual and PSD audit (the
+residual first, so a candidate that misses it costs no spectrum), and
 "infeasible" only with a verified separating functional.  The PSD audits
 are ``linalg.psd_margin`` against ``PSD_TOL``, which is ``linalg.TOL_PSD``
 itself: the package's one PSD rule.
@@ -268,13 +275,9 @@ def _read_positions(Ak, n: int) -> Optional[_Positions]:
     return None
 
 
-def _pack(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """``linalg.hvec`` coordinates of Hermitian blocks, or stacks of them, end to end."""
-    return np.concatenate([linalg.hvec(M) for M in mats], axis=-1)
-
-
 def _unpack(v: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
-    """Inverse of ``_pack``: the Hermitian blocks of sides ``dims``."""
+    """The Hermitian blocks of sides ``dims`` from their ``linalg.hvec``
+    coordinates, laid end to end in v."""
     out, lo = [], 0
     for n in dims:
         out.append(linalg.hmat(v[..., lo : lo + n * n], n))
@@ -286,28 +289,37 @@ def _unpack(v: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
 # independent verification of solver claims
 
 
-def _verify_feasible(A, b, dims, xs, obj=None):
-    """Audit a primal candidate: PSD blocks and equality residuals."""
-    mats = _unpack(xs, dims)
-    margin = min((linalg.psd_margin(M) for M in mats), default=0.0)
+def _verify_feasible(A, b, dims, xs, obj=None, early=False):
+    """Audit a primal candidate: equality residuals, then PSD blocks.
+
+    Returns ``(ok, mats, info)``.  An ``early`` candidate, one found before
+    the solver's endgame, must meet 1e-2 ``FEAS_TOL`` and 1e-1 ``PSD_TOL``.
+    The residual, one sparse product, is tested first, and a candidate
+    beyond it is rejected with no spectrum computed and ``mats`` None.
+    """
+    feas_tol, psd_tol = (1e-2 * FEAS_TOL, 1e-1 * PSD_TOL) if early else (FEAS_TOL, PSD_TOL)
     if b.size:
         rel = float(np.max(np.abs(A @ xs - b))) / (1.0 + float(np.max(np.abs(b))))
     else:
         rel = 0.0
-    ok = margin >= -PSD_TOL and rel <= FEAS_TOL
+    if not rel <= feas_tol:
+        return False, None, {"equality_residual": rel}
+    mats = _unpack(xs, dims)
+    margin = min(linalg.psd_margin(M) for M in mats)
     info = {"primal_psd_margin": float(margin), "equality_residual": rel}
     if obj is not None:
         info["objective"] = float(obj @ xs)
-    return ok, mats, info
+    return margin >= -psd_tol, mats, info
 
 
-def _verify_farkas(A, b, dims, y):
-    """Audit an infeasibility certificate: -A*(y) PSD and b.y > 0."""
+def _verify_farkas(AT, b, dims, y):
+    """Audit an infeasibility certificate: -A*(y) PSD and b.y > 0, given
+    AT, the transpose of A."""
     gap = float(b @ y)
     if not np.isfinite(gap) or gap <= 0.0:
         return False, {}
     yn = y / gap
-    slack = _unpack(-(A.T @ yn), dims)
+    slack = _unpack(-(AT @ yn), dims)
     margin = min((linalg.psd_margin(M) for M in slack), default=0.0)
     ok = margin >= -PSD_TOL
     return ok, {"farkas_gap": 1.0, "farkas_slack_margin": float(margin)}
@@ -317,16 +329,27 @@ def _verify_farkas(A, b, dims, y):
 # homogeneous self-dual interior-point core
 
 
+def _ct(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return M.conj().swapaxes(-1, -2)
+
+
 def _nt_scaling(X: np.ndarray, S: np.ndarray):
-    """Nesterov-Todd factor ``(F, F_inv, d)`` of one block, as in the module
-    docstring.  Raises LinAlgError unless X and S are positive definite."""
+    """Nesterov-Todd factors ``(F, F_inv, d)`` of a block or a (k, n, n) stack
+    of blocks, as in the module docstring.  Raises LinAlgError unless every X
+    and S is positive definite."""
     L = np.linalg.cholesky(X)
     R = np.linalg.cholesky(S)
-    U, d, Vh = np.linalg.svd(R.conj().T @ L)
-    if not d[-1] > 0.0:
+    U, d, Vh = np.linalg.svd(_ct(R) @ L)
+    if not np.all(d[..., -1] > 0.0):
         raise np.linalg.LinAlgError("iterate left the interior of the cone")
     r = 1.0 / np.sqrt(d)
-    return (L @ Vh.conj().T) * r, r[:, None] * (U.conj().T @ R.conj().T), d
+    return (L @ _ct(Vh)) * r[..., None, :], r[..., :, None] * (_ct(U) @ _ct(R)), d
+
+
+def _diag(v: np.ndarray) -> np.ndarray:
+    """Diagonal matrix of each row of v, as ``np.diag`` on each."""
+    return v[..., :, None] * np.eye(v.shape[-1])
 
 
 @lru_cache(maxsize=None)
@@ -450,23 +473,58 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
 
     AT = A.T
     offsets = np.cumsum([0] + [n * n for n in dims])
-    # Per block: the coordinates its operator acts on and its build positions.
-    gathers, positions = [], []
-    for Ak, n, lo, hi in zip(problem._a_blocks, dims, offsets, offsets[1:]):
-        moved = isinstance(Ak, _Positions)
-        gathers.append(lo + Ak.cols if moved else slice(lo, hi))
-        positions.append((Ak.x, Ak.y) if moved else _hvec_positions(n))
+    # Blocks of one size form a group, which moves through every stage below
+    # as one (k, n, n) stack; the operators and ``a_blocks`` are listed group
+    # by group.
+    sizes = list(dict.fromkeys(dims))
+    groups = [[j for j, n in enumerate(dims) if n == size] for size in sizes]
+    order = [j for group in groups for j in group]
+    a_blocks = [problem._a_blocks[j] for j in order]
+    # Each operator's build positions, and per group the coordinates of x its
+    # blocks take (``coords``) and those their operators act on (``gathers``):
+    # a position block's operator, built at its positions, acts on them
+    # permuted to its ``cols``.
+    positions = [(Ak.x, Ak.y) if isinstance(Ak, _Positions) else _hvec_positions(dims[j])
+                 for j, Ak in zip(order, a_blocks)]
+    cols = [Ak.cols if isinstance(Ak, _Positions) else np.arange(n * n)
+            for Ak, n in zip(problem._a_blocks, dims)]
+    coords = [offsets[group][:, None] + np.arange(n * n) for n, group in zip(sizes, groups)]
+    pair_coords = [np.stack([g, N + g]) for g in coords]
+    gathers = [offsets[group][:, None] + np.stack([cols[j] for j in group]) for group in groups]
     # One workspace per solve, which every iteration reuses and the return
-    # frees whole: the kron scratch, the Schur matrix and the operators.  glibc
-    # trims its heap only past twice the largest block it has freed, so the
-    # next solve finds this one in place rather than faulting it in again.
-    cuts = np.cumsum([0, 2 * _kron_scratch_size(max(dims)), m * m] + [n**4 for n in dims])
+    # frees whole: the kron scratch, the Schur matrix and the operators, one
+    # (k, n^2, n^2) stack per group.  glibc trims its heap only past twice the
+    # largest block it has freed, so the next solve finds this one in place
+    # rather than faulting it in again.
+    cuts = np.cumsum([0, 2 * _kron_scratch_size(max(dims)), m * m]
+                     + [len(group) * n**4 for n, group in zip(sizes, groups)])
     arena = np.empty(cuts[-1])
     work = arena[: cuts[1]].view(complex)
     schur = arena[cuts[1] : cuts[2]].reshape((m, m), order="F")
-    ops = [arena[lo:hi].reshape(n * n, n * n) for n, lo, hi in zip(dims, cuts[2:], cuts[3:])]
+    op_stacks = [arena[lo:hi].reshape(len(group), n * n, n * n)
+                 for n, group, lo, hi in zip(sizes, groups, cuts[2:], cuts[3:])]
+    ops = [op for stack in op_stacks for op in stack]
 
-    x = _pack([np.eye(n) for n in dims])
+    def unpack(u, v):
+        # per group, the (2, k, n, n) stack of its blocks of u and of v
+        uv = np.concatenate([u, v])
+        return [linalg.hmat(uv[g], n) for n, g in zip(sizes, pair_coords)]
+
+    def pack(stacks):
+        out = np.empty(N)
+        for g, M in zip(coords, stacks):
+            out[g] = linalg.hvec(M)
+        return out
+
+    def apply_w(u):
+        # u -> hvec(W hmat(u) W) per block; an operator built at a block's
+        # positions acts on its permuted coordinates.
+        out = np.empty(N)
+        for op, g in zip(op_stacks, gathers):
+            out[g] = np.matmul(op, u[g][..., None])[..., 0]
+        return out
+
+    x = np.concatenate([linalg.hvec(np.eye(n)) for n in dims])
     s = x.copy()
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
@@ -478,25 +536,13 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
         # objective is present, a closed duality gap.  Before the endgame
         # only high-precision candidates are accepted, so that boundary
         # solutions keep polishing instead of exiting at contract tolerance.
-        feas_tol = FEAS_TOL if endgame else 1e-2 * FEAS_TOL
-        psd_tol = PSD_TOL if endgame else 1e-1 * PSD_TOL
         if tau > 1e-9:
             if not has_obj or (x @ s) / (tau * tau) <= 1e-8 * (1.0 + abs(c @ x) / tau):
-                ok, mats, info = _verify_feasible(
-                    A, b, dims, x / tau, obj=c if has_obj else None
-                )
-                certified = (
-                    info["primal_psd_margin"] >= -psd_tol
-                    and info["equality_residual"] <= feas_tol
-                )
-                if ok and certified:
-                    return SdpResult(
-                        FEASIBLE,
-                        dict(zip(names, mats)),
-                        y / tau,
-                        {**diag, **info},
-                    )
-        ok, info = _verify_farkas(A, b, dims, y)
+                ok, mats, info = _verify_feasible(A, b, dims, x / tau, c if has_obj else None,
+                                                  early=not endgame)
+                if ok:
+                    return SdpResult(FEASIBLE, dict(zip(names, mats)), y / tau, {**diag, **info})
+        ok, info = _verify_farkas(AT, b, dims, y)
         if ok:
             return SdpResult(INFEASIBLE, None, y.copy(), {**diag, **info})
         return None
@@ -528,22 +574,14 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
                 reason = "gap closed without a certifiable verdict"
                 break
 
-            # Nesterov-Todd scaling per block, in the frame where the scaled
+            # Nesterov-Todd scaling per group, in the frame where the scaled
             # point F^-1 X F^-H = F^H S F = diag(d) is diagonal.
-            Fs, Finvs, dls = zip(*map(_nt_scaling, _unpack(x, dims), _unpack(s, dims)))
-            for F, op, (px, py) in zip(Fs, ops, positions):
-                _kron_operator(F @ F.conj().T, px, py, op, work)
-            # K X K^H = I for K in Kx, K S K^H = I for K in Ks.
-            Kx = [Fi / np.sqrt(d)[:, None] for Fi, d in zip(Finvs, dls)]
-            Ks = [F.conj().T / np.sqrt(d)[:, None] for F, d in zip(Fs, dls)]
-
-            def apply_w(u):
-                # u -> hvec(W hmat(u) W) per block; an operator built at a
-                # block's positions acts on its permuted coordinates.
-                out = np.empty(N)
-                for op, g in zip(ops, gathers):
-                    out[g] = op @ u[g]
-                return out
+            Fs, Finvs, dls = zip(*(_nt_scaling(*XS) for XS in unpack(x, s)))
+            for W, op, (px, py) in zip((W for F in Fs for W in F @ _ct(F)), ops, positions):
+                _kron_operator(W, px, py, op, work)
+            # K X K^H = I for K in a group's first stack, K S K^H = I in its second.
+            Ks = [np.stack([Fi, _ct(F)]) / np.sqrt(d)[..., None]
+                  for F, Fi, d in zip(Fs, Finvs, dls)]
 
             # Schur complement, factored once per iteration in place; a failed
             # factorization leaves the buffer overwritten, so each attempt
@@ -551,7 +589,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
             wc = apply_w(c)
             jitter = cho = None
             for _ in range(8):
-                _schur(problem._a_blocks, ops, schur, work)
+                _schur(a_blocks, ops, schur, work)
                 if jitter is None:
                     jitter = 1e-14 * (1.0 + float(np.trace(schur)) / m)
                 else:
@@ -565,19 +603,20 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
             if cho is None:
                 raise np.linalg.LinAlgError("Schur complement not factorable")
 
-            bw = b - A @ wc
-            dy2 = scipy.linalg.cho_solve(cho, bw + 2.0 * (A @ wc), check_finite=False)
+            awc = A @ wc
+            bw = b - awc
+            dy2 = scipy.linalg.cho_solve(cho, bw + 2.0 * awc, check_finite=False)
             # dy2 solves M dy2 = b + A(WcW); bw + 2 A wc == b + A wc.
             alpha_g = float(c @ wc) + kappa / tau
 
-            def direction(eta, rhs_blocks, rtk):
+            def direction(eta, rhs_stacks, rtk):
                 # diag(d) G + G diag(d) = 2 R per scaled-frame block R.
                 r1 = -eta * Rp
                 r2 = -eta * Rd
                 r3 = -eta * Rg
-                ghat = _pack([
-                    F @ (2.0 * Rk / (d[:, None] + d[None, :])) @ F.conj().T
-                    for F, d, Rk in zip(Fs, dls, rhs_blocks)
+                ghat = pack([
+                    F @ (2.0 * R / (d[..., :, None] + d[..., None, :])) @ _ct(F)
+                    for F, d, R in zip(Fs, dls, rhs_stacks)
                 ])
                 wr2 = apply_w(r2)
                 rhs1 = r1 - A @ ghat - A @ wr2
@@ -592,10 +631,11 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
                 return dx, dy, ds, dtau, dkappa
 
             def max_step(dx, ds, dt, dk):
-                # Largest alpha <= 1 keeping X, S, tau and kappa nonnegative.
+                # Largest alpha <= 1 keeping X, S, tau and kappa nonnegative:
+                # one spectrum per group over its 2k scaled directions.
                 alpha = 1.0
-                for K, dM in zip(Kx + Ks, _unpack(dx, dims) + _unpack(ds, dims)):
-                    lam = float(np.linalg.eigvalsh(K @ dM @ K.conj().T)[0])
+                for K, dM in zip(Ks, unpack(dx, ds)):
+                    lam = float(np.min(np.linalg.eigvalsh(K @ dM @ _ct(K))[..., 0]))
                     if lam < 0:
                         alpha = min(alpha, -1.0 / lam)
                 for v, dv in ((tau, dt), (kappa, dk)):
@@ -604,7 +644,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
                 return alpha
 
             # Predictor (affine scaling) direction.
-            aff_rhs = [-np.diag(d**2) for d in dls]
+            aff_rhs = [-_diag(d**2) for d in dls]
             dxa, dya, dsa, dta, dka = direction(1.0, aff_rhs, -tau * kappa)
             a_aff = max_step(dxa, dsa, dta, dka)
 
@@ -616,10 +656,10 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
 
             # Corrector with Mehrotra second-order term in the scaled frame.
             corr_rhs = []
-            for F, Fi, d, dX, dS in zip(Fs, Finvs, dls, _unpack(dxa, dims), _unpack(dsa, dims)):
-                Dx = Fi @ dX @ Fi.conj().T
-                Ds = F.conj().T @ dS @ F
-                corr_rhs.append(np.diag(sigma * mu - d**2) - (Dx @ Ds + Ds @ Dx) / 2.0)
+            for F, Fi, d, (dX, dS) in zip(Fs, Finvs, dls, unpack(dxa, dsa)):
+                Dx = Fi @ dX @ _ct(Fi)
+                Ds = _ct(F) @ dS @ F
+                corr_rhs.append(_diag(sigma * mu - d**2) - (Dx @ Ds + Ds @ Dx) / 2.0)
             rtk = sigma * mu - tau * kappa - dta * dka
             dx, dy, ds, dt, dk = direction(1.0 - sigma, corr_rhs, rtk)
             alpha = 0.98 * max_step(dx, ds, dt, dk)

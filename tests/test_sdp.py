@@ -11,7 +11,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebcompose import choi, gaussian, linalg, sdp
+from ebcompose import catalog, choi, gaussian, linalg, sdp
 from ebcompose.errors import DimMismatch, DomainError, NotHermitian, PreconditionFailed
 from ebcompose.report import Report, from_json, to_json
 
@@ -345,6 +345,71 @@ class TestSolve:
         assert linalg.psd_margin(slack) >= -1e-9
 
 
+def mixed_problem(dims, seed=19):
+    """A feasible problem on blocks of sizes ``dims``: random dense equalities
+    through an interior point, minimizing the sum of the traces."""
+    rng = rng_for(seed)
+    x0 = np.concatenate([linalg.hvec(linalg.random_psd(n, rng) + np.eye(n)) for n in dims])
+    A = rng.normal(size=(2 * len(dims) + 4, x0.size))
+    c = np.concatenate([linalg.hvec(np.eye(n)) for n in dims])
+    return sdp.SdpProblem(tuple((f"x{j}", n) for j, n in enumerate(dims)), A, A @ x0, c)
+
+
+class TestMixedSizes:
+    """Blocks of one size move through the solver as one stack, whatever the
+    mix of sizes.  Statuses, iteration counts and values were recorded with
+    the solver that took each block alone."""
+
+    @pytest.mark.parametrize("dims, objective", [((3, 3, 2, 1), 27.904377426805105),
+                                                 ((2, 3, 1, 3), 25.611352895462495)])
+    def test_hand_built_problem(self, dims, objective):
+        res = sdp.solve(mixed_problem(dims))
+        assert res.status == sdp.FEASIBLE and res.residuals["iterations"] == 10.0
+        assert res.residuals["objective"] == pytest.approx(objective, rel=1e-9)
+        assert [res.primal[f"x{j}"].shape for j in range(len(dims))] == [(n, n) for n in dims]
+
+    def test_interleaved_sizes_solve_as_grouped(self):
+        # the blocks of (2, 3, 1, 3) listed size by size as (3, 3, 2, 1)
+        problem = mixed_problem((2, 3, 1, 3))
+        order = [1, 3, 0, 2]
+        offsets = np.cumsum([0] + [n * n for _, n in problem.blocks])
+        cols = np.concatenate([np.arange(offsets[j], offsets[j + 1]) for j in order])
+        grouped = sdp.SdpProblem(tuple(problem.blocks[j] for j in order),
+                                 problem.A.toarray()[:, cols], problem.b, problem.c[cols])
+        got, want = sdp.solve(problem), sdp.solve(grouped)
+        assert got.status == want.status == sdp.FEASIBLE
+        assert got.residuals["iterations"] == want.residuals["iterations"]
+        for name, X in want.primal.items():
+            assert np.max(np.abs(got.primal[name] - X)) <= 1e-9 * max(1.0, np.max(np.abs(X)))
+
+    def test_cb_split_bound_three_groups(self, monkeypatch):
+        P = catalog.holevo_werner(3, 0.6).map
+        problem, _ = solved_by_wrapper(monkeypatch, lambda: sdp.cb_split_bound(P))
+        assert [n for _, n in problem.blocks] == [9, 9, 9, 9, 3, 3, 1, 1]
+        res = sdp.cb_split_bound(P)
+        assert res.status == sdp.FEASIBLE and res.residuals["iterations"] == 8.0
+        assert res.residuals["upper_bound"] == pytest.approx(2.4000000003152633, rel=1e-9)
+
+
+class TestPrimalAudit:
+    def test_residual_is_tested_before_any_spectrum(self, monkeypatch):
+        problem = mixed_problem((3, 3, 2, 1))
+        res = sdp.solve(problem)
+        xs = np.concatenate([linalg.hvec(res.primal[name]) for name in problem.names])
+        dims = [n for _, n in problem.blocks]
+        spectra = []
+        margin = linalg.psd_margin
+        monkeypatch.setattr(linalg, "psd_margin", lambda M: spectra.append(M) or margin(M))
+        ok, mats, info = sdp._verify_feasible(problem.A, problem.b, dims, xs)
+        assert ok and len(mats) == len(spectra) == 4
+        assert info["primal_psd_margin"] >= -sdp.PSD_TOL
+        for bad in (xs + 1e-3, np.full_like(xs, np.nan)):
+            spectra.clear()
+            ok, mats, info = sdp._verify_feasible(problem.A, problem.b, dims, bad)
+            assert not ok and mats is None and spectra == []
+            assert list(info) == ["equality_residual"]
+
+
 def reference_nt_point(X, S):
     """W = X^1/2 (X^1/2 S X^1/2)^-1/2 X^1/2, the point with W S W = X, by eigh."""
 
@@ -378,6 +443,26 @@ class TestNtScaling:
         X, S = (bad, good) if which == "X" else (good, bad)
         with pytest.raises(np.linalg.LinAlgError):
             sdp._nt_scaling(X, S)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_stack_matches_each_block(self, k, n):
+        rng = rng_for(10 * k + n)
+        X = np.stack([random_pd(n, rng) for _ in range(k)])
+        S = np.stack([random_pd(n, rng) for _ in range(k)])
+        stacked = sdp._nt_scaling(X, S)
+        for j in range(k):
+            for got, want in zip(stacked, sdp._nt_scaling(X[j], S[j])):
+                assert got[j].shape == want.shape
+                assert np.max(np.abs(got[j] - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+        bad = np.eye(n, dtype=complex)
+        bad[-1, -1] = -1e-3
+        for member in range(k):
+            for which in ("X", "S"):
+                Xb, Sb = X.copy(), S.copy()
+                (Xb if which == "X" else Sb)[member] = bad
+                with pytest.raises(np.linalg.LinAlgError):
+                    sdp._nt_scaling(Xb, Sb)
 
 
 def kron_operator(W, x=None, y=None):
@@ -491,7 +576,8 @@ class TestKronOperator:
         sdp._schur(problem._a_blocks, block_operators(problem, Ws), got,
                    np.empty(sdp._kron_scratch_size(max(dims)), complex))
         Ad = A.toarray()
-        op_w_A = sdp._pack([W @ M @ W for W, M in zip(Ws, sdp._unpack(Ad, dims))])
+        op_w_A = np.concatenate(
+            [linalg.hvec(W @ M @ W) for W, M in zip(Ws, sdp._unpack(Ad, dims))], axis=-1)
         ref = Ad @ op_w_A.T
         ref = (ref + ref.T) / 2.0
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
