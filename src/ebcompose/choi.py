@@ -18,7 +18,6 @@ from . import linalg
 from .errors import DimMismatch, LinearityViolation, NotPSD
 
 LINEARITY_TOL = 1e-8  # relative, choi_from_action's spot-check
-RANK_TOL = 1e-8  # singular values counted by operator_schmidt_rank, relative
 KRAUS_TOL = 1e-10  # kraus_operators' eigenvalue cut, stricter than is_cp
 
 
@@ -157,11 +156,8 @@ def is_cocp(T: QuantumMap) -> bool:
 
 
 def operator_schmidt_rank(T: QuantumMap) -> int:
-    """Rank of T as a linear operator: singular values of the realigned Choi."""
-    s = np.linalg.svd(linalg.realign(T.choi, T.dims), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
+    """Rank of T as a linear operator: ``linalg.numerical_rank`` of the realigned Choi."""
+    return linalg.numerical_rank(linalg.realign(T.choi, T.dims))
 
 
 def kraus_operators(T: QuantumMap) -> list[np.ndarray]:

@@ -3,9 +3,11 @@
 ``ebcompose verify-example <name>`` re-runs the defining checks of one
 catalog entry (plus the switch construction) and exits 0 only when every
 check passes; ``ebcompose gaussian`` does the same for a seeded random
-completely copositive Gaussian channel.  ``--json-out PATH`` additionally
-writes the run as a ``report.Report`` (one evidence entry per check),
-encoded with ``report.to_json``.
+completely copositive Gaussian channel.  Each suite declares only the flags
+it reads (``_SUITES``), so any other flag is a usage error (exit 2).
+``--json-out PATH`` additionally writes the run as a ``report.Report`` (one
+evidence entry per check), encoded with ``report.to_json``; its seed is
+``--seed``, or None for a suite that takes no seed.
 """
 
 from __future__ import annotations
@@ -199,22 +201,31 @@ def _suite_gaussian(args) -> list[dict]:
     return checks
 
 
-_SUITES: dict[str, Callable] = {
-    "holevo-werner": _suite_holevo_werner,
-    "rank3": _suite_rank3,
-    "antisym": _suite_antisym,
-    "tau-n": _suite_tau_n,
-    "choi-witness": _suite_choi_witness,
-    "switch": _suite_switch,
+_FLAGS = {
+    "d": dict(type=int, default=3, help="matrix dimension (default 3)"),
+    "p": dict(type=float, default=0.25, help="family parameter (default 0.25)"),
+    "n": dict(type=int, default=1, help="tensor power or mode count (default 1)"),
+    "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+}
+
+# verify-example name -> (suite, the flags it reads, help)
+_SUITES: dict[str, tuple[Callable, tuple[str, ...], str]] = {
+    "antisym": (_suite_antisym, ("d",), "antisymmetric and symmetric projection maps"),
+    "choi-witness": (_suite_choi_witness, ("seed",), "Choi's positive, non-decomposable map"),
+    "holevo-werner": (_suite_holevo_werner, ("d", "p"), "Holevo-Werner maps Tr[X] I - p X^T"),
+    "rank3": (_suite_rank3, (), "the operator-rank-3 2-EB example"),
+    "switch": (_suite_switch, ("d", "seed"), "switch map of two random CP + coCP maps"),
+    "tau-n": (_suite_tau_n, ("d", "n"), "the tau_n maps and their squares"),
 }
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--d", type=int, default=3, help="matrix dimension (default 3)")
-    parser.add_argument("--p", type=float, default=0.25, help="family parameter (default 0.25)")
-    parser.add_argument("--n", type=int, default=1, help="tensor power or mode count (default 1)")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+def _add_suite(sub, name: str, op: str, suite: Callable, flags: tuple[str, ...],
+               summary: str) -> None:
+    parser = sub.add_parser(name, help=summary)
+    for flag in flags:
+        parser.add_argument(f"--{flag}", **_FLAGS[flag])
     parser.add_argument("--json-out", metavar="PATH", help="write the JSON report to PATH")
+    parser.set_defaults(op=op, suite=suite)
 
 
 def _run(op: str, suite: Callable, args) -> int:
@@ -226,7 +237,7 @@ def _run(op: str, suite: Callable, args) -> int:
         print(f"[{tag}] {c['name']} {detail}".rstrip())
     print(f"{op}: {'all checks passed' if passed else 'CHECKS FAILED'}")
     if args.json_out:
-        report = Report(op, "pass" if passed else "fail", checks, args.seed,
+        report = Report(op, "pass" if passed else "fail", checks, getattr(args, "seed", None),
                         {"tol_psd": linalg.TOL_PSD})
         with open(args.json_out, "w") as fh:
             json.dump(to_json(report), fh, indent=2)
@@ -241,19 +252,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify-example", help="re-run the checks of one named example")
-    verify.add_argument("name", choices=sorted(_SUITES))
-    _add_common_flags(verify)
-
-    gauss = sub.add_parser("gaussian", help="check a seeded random coCP Gaussian channel")
-    _add_common_flags(gauss)
+    examples = verify.add_subparsers(dest="name", required=True, metavar="name")
+    for name, (suite, flags, summary) in _SUITES.items():
+        _add_suite(examples, name, f"verify-example:{name}", suite, flags, summary)
+    _add_suite(sub, "gaussian", "gaussian", _suite_gaussian, ("n", "seed"),
+               "check a seeded random coCP Gaussian channel")
 
     args = parser.parse_args(argv)
-    if args.command == "verify-example":
-        op, suite = f"verify-example:{args.name}", _SUITES[args.name]
-    else:
-        op, suite = "gaussian", _suite_gaussian
     try:
-        return _run(op, suite, args)
+        return _run(args.op, args.suite, args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

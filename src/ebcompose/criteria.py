@@ -10,8 +10,10 @@ Werner- and isotropic-type states, and a product-state pursuit for the rest.
 
 Verdicts are :class:`~ebcompose.report.Report` objects carrying named
 evidence, so "unknown" is always distinguishable from a certified answer.
-PSD and PPT tests use ``linalg.is_psd``; the other tolerances are the
-constants below, not arguments.
+PSD and PPT tests use ``linalg.is_psd`` and ranks ``linalg.numerical_rank``.
+The other tolerances, and the search lengths that no caller sets, are the
+constants below, not arguments: an argument can set how much a search
+explores (a budget, a seed), never the bar its result must clear.
 """
 
 from __future__ import annotations
@@ -37,13 +39,16 @@ from .errors import (
 )
 from .report import Report
 
-SCHMIDT_TOL = 1e-10  # Schmidt coefficients counted by schmidt_rank, relative
 PT_INVARIANCE_TOL = 1e-9  # ||PT(X) - X|| <= PT_INVARIANCE_TOL * max(1, ||X||)
 WITNESS_TOL = 1e-9  # a k-positivity witness needs <psi|C|psi> < -WITNESS_TOL
 CCNR_TOL = 1e-9  # realignment_criterion passes a realigned trace norm <= 1 + CCNR_TOL
 FIDELITY_TIE_TOL = 1e-12  # sn_lower_fidelity: fidelity ties this close do not raise the bound
 JOHNSTON_TOL = 1e-12  # johnston_block_check: ||X||^2 <= rhs + JOHNSTON_TOL * max(1, |rhs|)
 ATOM_FLOOR = 1e-12  # the pursuit keeps an atom only above weight ATOM_FLOOR * ||X||
+SEP_RESIDUAL_TOL = 1e-7  # a decomposition is returned only with ||residual|| <= this * ||X||
+REFIT_EVERY = 50  # the pursuit refits all weights after every REFIT_EVERY new atoms
+KPOS_RESTARTS = 32  # k_positivity_falsify's default number of seesaw restarts
+KPOS_ITERS = 200  # seesaw rounds per k_positivity_falsify restart
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ UNKNOWN = "unknown"
 
 
 def schmidt_rank(psi, dims: Sequence[int]) -> int:
-    """Number of Schmidt coefficients of a vector above ``SCHMIDT_TOL`` relative.
+    """Schmidt rank of a vector: ``linalg.numerical_rank`` of its dA x dB reshape.
 
     A vector whose length is not dA * dB raises DimMismatch; non-finite
     entries raise DomainError.
@@ -95,12 +100,7 @@ def schmidt_rank(psi, dims: Sequence[int]) -> int:
     v = np.asarray(psi, dtype=complex)
     if v.size != dA * dB:
         raise DimMismatch(f"vector of length {v.size} does not match dims {tuple(dims)}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("vector entries must be finite")
-    s = np.linalg.svd(v.reshape(dA, dB), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > SCHMIDT_TOL * s[0]))
+    return linalg.numerical_rank(v.reshape(dA, dB))
 
 
 def _require_count(name: str, value, minimum: int) -> None:
@@ -242,24 +242,20 @@ def subblock_sn_audit(X: BipartiteState, l: int) -> dict:
 
 
 def k_positivity_falsify(
-    T: QuantumMap,
-    k: int,
-    restarts: int = 32,
-    iters: int = 200,
-    seed: int = 0,
+    T: QuantumMap, k: int, restarts: int = KPOS_RESTARTS, seed: int = 0
 ) -> Optional[np.ndarray]:
     """Search for a Schmidt-rank-<=k unit vector with <psi|C_T|psi> < -WITNESS_TOL.
 
     Heuristic falsification of k-positivity (block positivity of the Choi
-    matrix on rank-<=k vectors): a returned witness is re-verified
-    independently; absence of a witness proves nothing.
+    matrix on rank-<=k vectors), ``KPOS_ITERS`` seesaw rounds per restart:
+    a returned witness is re-verified independently; absence of a witness
+    proves nothing.
     """
     C = linalg.require_hermitian(T.choi)
     d1, d2 = T.din, T.dout
     if not (1 <= k <= min(d1, d2)):
         raise DomainError(f"k={k} outside [1, {min(d1, d2)}]")
     _require_count("restarts", restarts, 1)
-    _require_count("iters", iters, 1)
 
     # warm start from the bottom eigenvector, Schmidt-truncated to rank k
     w, V = np.linalg.eigh(C)
@@ -273,7 +269,8 @@ def k_positivity_falsify(
     a_starts = np.ascontiguousarray(np.stack(a_list)).astype(np.complex128)
     b_starts = np.ascontiguousarray(np.stack(b_list)).astype(np.complex128)
 
-    _, psi = _kernels.kpos_seesaw(np.ascontiguousarray(C), d1, d2, k, a_starts, b_starts, iters)
+    _, psi = _kernels.kpos_seesaw(np.ascontiguousarray(C), d1, d2, k, a_starts, b_starts,
+                                  KPOS_ITERS)
 
     # independent verification: project exactly onto Schmidt rank <= k, then
     # re-evaluate; only a still-negative value counts
@@ -423,7 +420,7 @@ def depolarizing_ball_bounds(T: QuantumMap) -> BallBounds:
     return BallBounds(float(lower), _float_up(sum(terms) + r))
 
 
-def two_eb_ball_certificate(T: QuantumMap, seed: int = 0) -> bool:
+def two_eb_ball_certificate(T: QuantumMap) -> bool:
     """Depolarizing-ball certificate of 2-entanglement breaking.
 
     A Hermiticity-preserving map with ||T - Tr(.) I||_{inf->inf} <= 1/2 is
@@ -440,8 +437,8 @@ def two_eb_ball_certificate(T: QuantumMap, seed: int = 0) -> bool:
     Maps outside the ball can still be 2-EB.  As a fallback the
     certificate accepts any map shown entanglement breaking outright: CP,
     coCP, and a verified separable decomposition of the Choi matrix (EB
-    implies n-EB for every n); ``seed`` seeds that search.  A False is
-    inconclusive, not a refutation.  Non-square maps raise DimMismatch, a
+    implies n-EB for every n).  A False is inconclusive, not a
+    refutation.  Non-square maps raise DimMismatch, a
     Choi matrix beyond ``linalg.TOL_HERM`` of Hermitian NotHermitian; one
     within it but not exactly Hermitian gives False, since a map that does
     not preserve Hermiticity is not positive, let alone 2-EB.
@@ -464,7 +461,7 @@ def two_eb_ball_certificate(T: QuantumMap, seed: int = 0) -> bool:
     if not (is_cp(T) and is_cocp(T)):
         return False
     state = BipartiteState((T.din, T.dout), T.choi / np.trace(T.choi).real)
-    return heuristic_sep_certify(state, seed=seed) is not None
+    return heuristic_sep_certify(state) is not None
 
 
 def johnston_block_check(rho, X, sigma) -> bool:
@@ -494,17 +491,16 @@ def two_eb_rank_certificate(T: QuantumMap) -> bool:
     return operator_schmidt_rank(T) <= 3 and is_cp(T)
 
 
-def two_eb_d3_certificate(T: QuantumMap, restarts: int = 32, iters: int = 200, seed: int = 0) -> Report:
+def two_eb_d3_certificate(T: QuantumMap) -> Report:
     """2-EB decision for maps on M_3: 2-positive and 2-copositive iff 2-EB.
 
-    CP + coCP certifies at once; otherwise heuristic searches look for a
-    2-positivity witness (unless T is CP) and a 2-copositivity witness
-    (unless T is coCP).  Finding neither gives "unknown".
+    CP + coCP certifies at once; otherwise ``k_positivity_falsify`` at its
+    default budget looks for a 2-positivity witness (unless T is CP; seed 0)
+    and a 2-copositivity witness (unless T is coCP; seed 1).  Finding
+    neither gives "unknown".
     """
     if T.din != 3 or T.dout != 3:
         raise DimOutOfRange("the exact characterization applies to maps on M_3")
-    _require_count("restarts", restarts, 1)
-    _require_count("iters", iters, 1)
 
     def report(status, name, data):
         sense = {"name": "sense", "data": "2-EB"}
@@ -518,14 +514,15 @@ def two_eb_d3_certificate(T: QuantumMap, restarts: int = 32, iters: int = 200, s
     witness = None
     if not cp:
         M, name = T, "two-positivity-witness"
-        witness = k_positivity_falsify(M, 2, restarts, iters, seed)
+        witness = k_positivity_falsify(M, 2)
     if witness is None and not cocp:
         M, name = compose(transposition_map(3), T), "two-copositivity-witness"
-        witness = k_positivity_falsify(M, 2, restarts, iters, seed + 1)
+        witness = k_positivity_falsify(M, 2, seed=1)
     if witness is not None:
         value = float((witness.conj() @ (M.choi @ witness)).real)
         return report(NOT_EB_CERTIFIED, name, {"value": value, "vector": witness})
-    return report(UNKNOWN, "no-witness-within-budget", {"restarts": restarts, "iters": iters})
+    budget = {"restarts": KPOS_RESTARTS, "iters": KPOS_ITERS}
+    return report(UNKNOWN, "no-witness-within-budget", budget)
 
 
 def d4_ptinv_2eb_certificate(S: QuantumMap, T: QuantumMap) -> bool:
@@ -713,11 +710,7 @@ def _polish_refit(X, A, B):
 
 
 def heuristic_sep_certify(
-    X: BipartiteState,
-    budget: int = 5000,
-    seed: int = 0,
-    target_rel: float = 1e-7,
-    refit_every: int = 50,
+    X: BipartiteState, budget: int = 5000, seed: int = 0
 ) -> Optional[SepDecomposition]:
     """Separable decomposition: a closed-form twirl rung, then a randomized
     greedy product-state pursuit with NNLS refits.
@@ -729,20 +722,21 @@ def heuristic_sep_certify(
     In the pursuit, atom t is the product vector v_t = A[t] (x) B[t] of two
     stacks.  NNLS fits weights w over the projectors v_t v_t^dagger; between
     refits the residual X - sum_t w_t v_t v_t^dagger is updated by rank-one
-    terms.
+    terms, and all weights are refit after every ``REFIT_EVERY`` new atoms.
+    ``budget`` caps the atoms searched, and ``seed`` draws the random starts.
 
-    Returns a verified separable decomposition with relative residual below
-    ``target_rel`` (operator norm), or None; absence is inconclusive, not a
-    verdict.
+    Returns a verified separable decomposition whose residual has operator
+    norm at most ``SEP_RESIDUAL_TOL`` times that of X, or None; absence is
+    inconclusive, not a verdict.  No argument moves that bound.  A negative
+    budget raises DomainError.
     """
-    if budget < 0 or refit_every < 1 or not (math.isfinite(target_rel) and target_rel > 0):
-        raise DomainError(f"need budget >= 0, refit_every >= 1 and finite target_rel > 0, "
-                          f"got {budget}, {refit_every}, {target_rel}")
+    if budget < 0:
+        raise DomainError(f"need budget >= 0, got {budget}")
     dA, dB = X.dims
     scale = linalg.operator_norm(X.mat)
     if scale == 0.0:
         return SepDecomposition(np.zeros(0), np.zeros((0, dA)), np.zeros((0, dB)), 0.0, 0)
-    target = target_rel * scale
+    target = SEP_RESIDUAL_TOL * scale
     twirled = _twirl_decomposition(X, target)
     if twirled is not None:
         return twirled
@@ -768,7 +762,7 @@ def heuristic_sep_certify(
             w = np.append(w, float(val))
             v = np.outer(a, b).ravel()
             R -= w[-1] * np.outer(v, v.conj())
-            if len(w) % refit_every != 0:
+            if len(w) % REFIT_EVERY != 0:
                 continue
         else:
             # the greedy weights have gone stale: after an exact refit a

@@ -23,6 +23,9 @@ TOL_PSD = 1e-9
 # A matrix counts as Hermitian iff max |M - M^dagger| <= TOL_HERM * max(1, max |M|).
 TOL_HERM = 1e-10
 
+# numerical_rank counts singular values above RANK_TOL times the largest.
+RANK_TOL = 1e-10
+
 
 def _as_matrix(M, stack: bool = False) -> np.ndarray:
     # A matrix, or with ``stack`` a (..., rows, cols) stack of them.
@@ -101,20 +104,16 @@ def is_psd(M) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Shared by every caller, hence read-only.
+def hvec_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entries (x, y) that ``hvec`` reads from an n x n matrix: the diagonal,
+    then the strict upper triangle in row-major order.  Cached and shared by
+    every caller, hence read-only."""
     iu = np.triu_indices(n, 1)
-    for a in iu:
-        a.setflags(write=False)
-    return iu
-
-
-@lru_cache(maxsize=None)
-def _diagonal(n: int) -> np.ndarray:
-    # Shared by every caller, hence read-only.
-    i = np.arange(n)
-    i.setflags(write=False)
-    return i
+    x = np.concatenate([np.arange(n), iu[0]])
+    y = np.concatenate([np.arange(n), iu[1]])
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return x, y
 
 
 def hvec(H) -> np.ndarray:
@@ -123,13 +122,14 @@ def hvec(H) -> np.ndarray:
     The n^2 coordinates are the diagonal, then sqrt(2) times the real parts
     and then sqrt(2) times the imaginary parts of the strict upper triangle
     (row-major), so that hvec(A) @ hvec(B) == tr(A B) for Hermitian A, B.
-    Only the upper triangle is read.
+    Only the entries at ``hvec_positions`` are read.
     """
     H = np.asarray(H)
-    iu = _triu(H.shape[-1])
-    up = H[..., iu[0], iu[1]]
-    diag = np.diagonal(H, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, np.sqrt(2.0) * up.real, np.sqrt(2.0) * up.imag], axis=-1)
+    n = H.shape[-1]
+    x, y = hvec_positions(n)
+    up = H[..., x, y]
+    return np.concatenate([up[..., :n].real, np.sqrt(2.0) * up[..., n:].real,
+                           np.sqrt(2.0) * up[..., n:].imag], axis=-1)
 
 
 def hvec_projectors(V) -> np.ndarray:
@@ -161,15 +161,24 @@ def hmat(v, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (n * n,):
         raise DimMismatch(f"expected {n * n} coordinates, got shape {v.shape}")
-    iu = _triu(n)
-    k = len(iu[0])
+    x, y = hvec_positions(n)
+    xu, yu = x[n:], y[n:]
+    k = xu.size
     H = np.zeros(v.shape[:-1] + (n, n), dtype=complex)
-    i = _diagonal(n)
-    H[..., i, i] = v[..., :n]
+    H.reshape(v.shape[:-1] + (n * n,))[..., :: n + 1] = v[..., :n]
     up = (v[..., n : n + k] + 1j * v[..., n + k :]) / np.sqrt(2.0)
-    H[..., iu[0], iu[1]] = up
-    H[..., iu[1], iu[0]] = up.conj()
+    H[..., xu, yu] = up
+    H[..., yu, xu] = up.conj()
     return H
+
+
+def numerical_rank(M) -> int:
+    """Number of singular values of a matrix above ``RANK_TOL`` times the
+    largest; 0 for a zero matrix."""
+    s = np.linalg.svd(_as_matrix(M), compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 def kron(A, B) -> np.ndarray:

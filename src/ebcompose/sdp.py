@@ -48,7 +48,6 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -71,6 +70,9 @@ PSD_TOL = linalg.TOL_PSD
 
 # Relative duality measure mu/mu0 at which the solver enters its endgame.
 GAP_TOL = 1e-9
+
+# Interior-point iterations ``solve`` takes at most; the last five are its endgame.
+MAX_ITERS = 200
 
 # Counterexample search: an eigenvalue below SEARCH_VALUE_TOL is a violation;
 # a restart ends after SEARCH_PATIENCE rounds improving by < SEARCH_IMPROVE_TOL.
@@ -269,7 +271,7 @@ def _read_positions(Ak, n: int) -> Optional[_Positions]:
     if (np.array_equal(np.searchsorted(kinds, cols, "right"), np.searchsorted(kinds, rows, "right"))
             and np.array_equal(cols[n + k:] - k, cols[n : n + k])
             and np.array_equal(np.sort(cols), rows)):
-        x, y = _hvec_positions(n)
+        x, y = linalg.hvec_positions(n)
         pi = cols[: n + k]
         return _Positions(x[pi], y[pi], cols, Ak.data)
     return None
@@ -352,18 +354,6 @@ def _diag(v: np.ndarray) -> np.ndarray:
     return v[..., :, None] * np.eye(v.shape[-1])
 
 
-@lru_cache(maxsize=None)
-def _hvec_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Entries (x, y) that ``linalg.hvec`` reads: the diagonal, then the strict
-    # upper triangle in row-major order.
-    iu = np.triu_indices(n, 1)
-    x = np.concatenate([np.arange(n), iu[0]])
-    y = np.concatenate([np.arange(n), iu[1]])
-    x.setflags(write=False)
-    y.setflags(write=False)
-    return x, y
-
-
 def _kron_scratch_size(n: int) -> int:
     """Complex entries of scratch ``_kron_operator`` takes for blocks of side <= n."""
     p = n * (n + 1) // 2
@@ -384,7 +374,7 @@ def _kron_operator(W: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray,
     i(E_rs - E_sr)/sqrt2 yields i(T1 - T2)/sqrt2.  The diagonal rows keep the
     real part, the upper rows sqrt2 times the real and the imaginary part.
 
-    At ``_hvec_positions(n)`` this is the operator itself; at the positions
+    At ``linalg.hvec_positions(n)`` this is the operator itself; at the positions
     pi(p) of a ``_Positions`` block it is the operator with rows and columns
     permuted by that block's ``cols``.  T1 and T2 and their gathers are
     views of ``work`` (see ``_kron_scratch_size``), filled by ``np.take`` in
@@ -452,10 +442,10 @@ def _schur(a_blocks, ops, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
+def solve(problem: SdpProblem) -> SdpResult:
     """Solve a block SDP, returning only audited verdicts.
 
-    At most ``max_iters`` interior-point iterations are taken.  Numerical
+    At most ``MAX_ITERS`` interior-point iterations are taken.  Numerical
     breakdown is reported as "inconclusive" with diagnostics; it never raises.
     """
     names, dims = problem.names, [dim for _, dim in problem.blocks]
@@ -484,7 +474,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
     # blocks take (``coords``) and those their operators act on (``gathers``):
     # a position block's operator, built at its positions, acts on them
     # permuted to its ``cols``.
-    positions = [(Ak.x, Ak.y) if isinstance(Ak, _Positions) else _hvec_positions(dims[j])
+    positions = [(Ak.x, Ak.y) if isinstance(Ak, _Positions) else linalg.hvec_positions(dims[j])
                  for j, Ak in zip(order, a_blocks)]
     cols = [Ak.cols if isinstance(Ak, _Positions) else np.arange(n * n)
             for Ak, n in zip(problem._a_blocks, dims)]
@@ -551,7 +541,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
     reason = "iteration limit reached"
     it = 0
     try:
-        for it in range(1, max_iters + 1):
+        for it in range(1, MAX_ITERS + 1):
             mu = (float(x @ s) + tau * kappa) / nu
             Rp = A @ x - b * tau
             Rd = -(AT @ y) + c * tau - s
@@ -565,7 +555,7 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
                 "dual_infeas": float(np.linalg.norm(Rd)),
             }
 
-            endgame = mu <= GAP_TOL * mu0 or it > max_iters - 5
+            endgame = mu <= GAP_TOL * mu0 or it > MAX_ITERS - 5
             if mu <= 0.5e-2 * mu0 or endgame:
                 result = attempt_classify(diag, endgame)
                 if result is not None:
@@ -716,7 +706,7 @@ def _basis_coords(M: np.ndarray) -> np.ndarray:
     that overflows is left infinite for ``SdpProblem`` to reject.
     """
     n = M.shape[-1]
-    x, y = _hvec_positions(n)
+    x, y = linalg.hvec_positions(n)
     upper, lower = M[x, y], M[y, x]
     with np.errstate(over="ignore", invalid="ignore"):
         return np.concatenate([upper[:n].real, (upper + lower)[n:].real,
@@ -736,7 +726,7 @@ def _pt_permutation(dims: tuple[int, int], which: str) -> tuple[np.ndarray, np.n
     is symmetric.
     """
     n = dims[0] * dims[1]
-    x, y = _hvec_positions(n)
+    x, y = linalg.hvec_positions(n)
     marks = np.zeros((n, n))
     marks[x, y] = np.arange(1, x.size + 1)
     marks[y[n:], x[n:]] = -marks[x[n:], y[n:]]

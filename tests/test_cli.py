@@ -25,6 +25,21 @@ FAST_COMMANDS = [
 ]
 
 
+# A flag that a suite does not read is not declared for it.
+UNREAD_FLAGS = [
+    ["verify-example", "rank3", "--d", "4"],
+    ["verify-example", "rank3", "--seed", "1"],
+    ["verify-example", "holevo-werner", "--n", "2"],
+    ["verify-example", "holevo-werner", "--seed", "1"],
+    ["verify-example", "antisym", "--p", "0.5"],
+    ["verify-example", "tau-n", "--seed", "1"],
+    ["verify-example", "choi-witness", "--d", "4"],
+    ["verify-example", "switch", "--n", "2"],
+    ["gaussian", "--p", "0.3"],
+    ["gaussian", "--d", "2"],
+]
+
+
 class TestCommands:
     @pytest.mark.parametrize("argv", FAST_COMMANDS, ids=" ".join)
     def test_suites_pass(self, argv, capsys):
@@ -34,8 +49,7 @@ class TestCommands:
         assert "FAIL" not in out
 
     def test_inconclusive_split_reports_fail(self, monkeypatch, capsys):
-        solve = cli.sdp.solve
-        monkeypatch.setattr(cli.sdp, "solve", lambda problem: solve(problem, max_iters=1))
+        monkeypatch.setattr(cli.sdp, "MAX_ITERS", 1)
         assert cli.main(["gaussian", "--n", "1", "--seed", "4"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] composition-eb" in out
@@ -48,6 +62,13 @@ class TestCommands:
     def test_bad_parameter_exits_2(self, capsys):
         assert cli.main(["verify-example", "holevo-werner", "--p", "1.5"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=" ".join)
+    def test_unread_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_unknown_example_rejected(self):
         with pytest.raises(SystemExit):
@@ -77,7 +98,15 @@ class TestJsonReport:
         assert all({"name", "passed", "data"} <= set(c) for c in report["evidence"])
         back = from_json(report)
         assert isinstance(back, Report)
-        assert back.status == "pass" and back.seed == 0
+        # rank3 takes no --seed, so its report names no seed
+        assert back.status == "pass" and back.seed is None
+
+    def test_seeded_suite_reports_its_seed(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert cli.main(["verify-example", "switch", "--d", "2", "--seed", "3",
+                         "--json-out", str(out)]) == 0
+        capsys.readouterr()
+        assert from_json(json.loads(out.read_text())).seed == 3
 
     def test_sym_separable_reports_term_count(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -263,18 +263,22 @@ class TestSearchBudgets:
 
     @pytest.mark.parametrize("kwargs", BAD_SEARCH_BUDGETS, ids=budget_id)
     def test_k_positivity_falsify(self, kwargs):
-        with pytest.raises(DomainError):
+        # restarts is still an argument and checked; iters is KPOS_ITERS
+        error = TypeError if "iters" in kwargs else DomainError
+        with pytest.raises(error):
             criteria.k_positivity_falsify(holevo_werner(3, 0.9), 2, **kwargs)
 
     @pytest.mark.parametrize("kwargs", BAD_SEARCH_BUDGETS, ids=budget_id)
     def test_two_eb_d3_certificate(self, kwargs):
-        with pytest.raises(DomainError):
+        # the d = 3 search budget is fixed (KPOS_RESTARTS, KPOS_ITERS), so any
+        # value of a budget is a TypeError, malformed or not
+        with pytest.raises(TypeError):
             criteria.two_eb_d3_certificate(holevo_werner(3, 0.9), **kwargs)
 
     @pytest.mark.parametrize("kwargs", BAD_SEARCH_BUDGETS, ids=budget_id)
     def test_two_eb_d3_certificate_on_cp_cocp_map(self, kwargs):
-        # the budget is checked before the CP + coCP shortcut skips the search
-        with pytest.raises(DomainError):
+        # rejected even where the CP + coCP shortcut would skip the search
+        with pytest.raises(TypeError):
             criteria.two_eb_d3_certificate(choi.depolarizing_map(3), **kwargs)
 
     def test_integer_budgets_of_any_integer_type(self):
@@ -307,7 +311,7 @@ class TestKPositivityFalsify:
     def test_cp_maps_have_no_witness(self, rng):
         for seed in range(5):
             T = choi.random_cp_cocp_map(3, seed)
-            assert criteria.k_positivity_falsify(T, 2, restarts=8, iters=60) is None
+            assert criteria.k_positivity_falsify(T, 2, restarts=8) is None
 
     def test_witnesses_are_sound(self):
         # every returned witness must re-verify: rank <= k and negative value
@@ -594,6 +598,18 @@ class TestTwoEbRankCertificate:
         assert choi.operator_schmidt_rank(T) == 3
         assert criteria.two_eb_rank_certificate(T)
 
+    def test_small_fourth_component_is_counted(self, rng):
+        # the operator rank uses the same 1e-10 relative cut as schmidt_rank, so a
+        # fourth product term at 1e-9 relative is rank 4, not certified
+        C = sum(np.kron(linalg.random_psd(3, rng), linalg.random_psd(3, rng))
+                for _ in range(3))
+        P, Q = linalg.random_psd(3, rng), linalg.random_psd(3, rng)
+        top = np.linalg.svd(linalg.realign(C, (3, 3)), compute_uv=False)[0]
+        C4 = C + 1e-9 * top * np.kron(P, Q) / (np.linalg.norm(P) * np.linalg.norm(Q))
+        T = choi.QuantumMap(3, 3, C4)
+        assert choi.operator_schmidt_rank(T) == 4
+        assert not criteria.two_eb_rank_certificate(T)
+
     def test_low_rank_non_positive_map_rejected(self):
         # T(X) = (Tr X - 2 x_00) I has operator rank 1 but is not positive
         T = choi.choi_from_action(lambda X: (np.trace(X) - 2 * X[0, 0]) * np.eye(3), 3, 3)
@@ -671,8 +687,10 @@ class TestTwoEbD3Certificate:
         # 2 Tr[X] I - X is 2-positive and 2-copositive (boundary cases) but
         # not CP, so neither the witness search nor the exact regime applies
         T = choi.choi_from_action(lambda X: 2.0 * np.trace(X) * np.eye(3) - X, 3, 3)
-        v = criteria.two_eb_d3_certificate(T, restarts=8, iters=60)
+        v = criteria.two_eb_d3_certificate(T)
         assert v.status == criteria.UNKNOWN
+        budget = {"restarts": criteria.KPOS_RESTARTS, "iters": criteria.KPOS_ITERS}
+        assert {e["name"]: e["data"] for e in v.evidence}["no-witness-within-budget"] == budget
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(DimOutOfRange):
@@ -933,22 +951,24 @@ class TestStackedPolish:
 
 
 class TestHeuristicSepCertifyArguments:
+    # budget is checked; the refit period and the residual bound are the
+    # constants REFIT_EVERY and SEP_RESIDUAL_TOL, so any value of them is a TypeError
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs,error",
         [
-            {"refit_every": 0},
-            {"refit_every": -3},
-            {"budget": -5},
-            {"target_rel": float("nan")},
-            {"target_rel": float("inf")},
-            {"target_rel": 0.0},
-            {"target_rel": -1e-7},
+            ({"refit_every": 0}, TypeError),
+            ({"refit_every": -3}, TypeError),
+            ({"budget": -5}, DomainError),
+            ({"target_rel": float("nan")}, TypeError),
+            ({"target_rel": float("inf")}, TypeError),
+            ({"target_rel": 0.0}, TypeError),
+            ({"target_rel": -1e-7}, TypeError),
         ],
         ids=["refit-every-zero", "refit-every-negative", "budget-negative", "target-nan",
              "target-inf", "target-zero", "target-negative"],
     )
-    def test_out_of_domain_raises(self, kwargs):
-        with pytest.raises(DomainError):
+    def test_out_of_domain_raises(self, kwargs, error):
+        with pytest.raises(error):
             criteria.heuristic_sep_certify(criterion_05_state(0), **kwargs)
 
     def test_zero_budget_still_refits_the_seed_atoms(self):

@@ -305,6 +305,17 @@ class TestHvec:
         with pytest.raises(DimMismatch):
             linalg.hmat(np.zeros(5), 2)
 
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_positions_are_the_read_entries(self, n):
+        # hvec reads exactly the entries at hvec_positions, in their order
+        x, y = linalg.hvec_positions(n)
+        assert not (x.flags.writeable or y.flags.writeable)
+        H = np.arange(n * n).reshape(n, n) * (1 + 1j)
+        v = linalg.hvec(H)
+        np.testing.assert_array_equal(v[:n], H[x[:n], y[:n]].real)
+        np.testing.assert_array_equal(v[n : x.size], np.sqrt(2.0) * H[x[n:], y[n:]].real)
+        assert np.all(x[:n] == y[:n]) and np.all(x[n:] < y[n:])
+
     @pytest.mark.parametrize("n", [1, 2, 3, 9, 16, 25])
     def test_projectors_bit_identical_to_stack(self, n):
         rng = np.random.default_rng(n)
@@ -312,6 +323,21 @@ class TestHvec:
         stack = V[:, :, None] * V[:, None, :].conj()
         np.testing.assert_array_equal(linalg.hvec_projectors(V), linalg.hvec(stack))
         np.testing.assert_array_equal(linalg.hvec_projectors(V[3]), linalg.hvec(stack[3]))
+
+
+class TestNumericalRank:
+    def test_counts_relative_to_the_largest(self):
+        s = np.diag([2.0, 2.0 * 1.5 * linalg.RANK_TOL, 2.0 * 0.5 * linalg.RANK_TOL])
+        assert linalg.numerical_rank(s) == 2
+        assert linalg.numerical_rank(1e6 * s) == 2
+
+    def test_zero_and_empty(self):
+        assert linalg.numerical_rank(np.zeros((3, 2))) == 0
+        assert linalg.numerical_rank(np.zeros((0, 4))) == 0
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(DomainError):
+            linalg.numerical_rank(np.array([[1.0, np.nan]]))
 
 
 class TestRandomHelpers:

@@ -121,9 +121,7 @@ CASES = {
     ),
     "report-d3-copositivity-witness": lambda tmp: criteria.two_eb_d3_certificate(hw(3, 0.9)),
     "report-d3-unknown": lambda tmp: criteria.two_eb_d3_certificate(
-        choi.choi_from_action(lambda X: 2.0 * np.trace(X) * np.eye(3) - X, 3, 3),
-        restarts=8,
-        iters=60,
+        choi.choi_from_action(lambda X: 2.0 * np.trace(X) * np.eye(3) - X, 3, 3)
     ),
     "report-counterexample-search": lambda tmp: sdp.counterexample_search(
         catalog.choi_map_witness().map, restarts=1, max_rounds=4

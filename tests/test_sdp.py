@@ -317,11 +317,12 @@ class TestSolve:
         for Ai, bi in zip(mats, b):
             assert abs(np.trace(Ai @ X) - bi) <= 1e-7 * scale
 
-    def test_iteration_cap_gives_inconclusive(self):
+    def test_iteration_cap_gives_inconclusive(self, monkeypatch):
         prob = sdp.SdpProblem.from_matrices(
             blocks=(("x", 4),), equalities=(({"x": np.eye(4)}, 1.0),)
         )
-        res = sdp.solve(prob, max_iters=1)
+        monkeypatch.setattr(sdp, "MAX_ITERS", 1)
+        res = sdp.solve(prob)
         assert res.status == "inconclusive"
         assert res.reason
         assert all(isinstance(v, float) for v in res.residuals.values())
@@ -469,7 +470,7 @@ def kron_operator(W, x=None, y=None):
     """``sdp._kron_operator`` into fresh buffers, at ``hvec``'s positions by default."""
     n = W.shape[0]
     if x is None:
-        x, y = sdp._hvec_positions(n)
+        x, y = linalg.hvec_positions(n)
     return sdp._kron_operator(W, x, y, np.empty((n * n, n * n)),
                               np.empty(sdp._kron_scratch_size(n), complex))
 

@@ -19,6 +19,34 @@ MODULES = (linalg, choi, criteria, sdp, gaussian, catalog)
 TOLERANCE_NAME = re.compile(r"tol|threshold|target_rel")
 
 
+def _maximally_entangled_state():
+    return criteria.BipartiteState((3, 3), linalg.max_entangled_projector(3) / 3)
+
+
+def _hw():
+    return catalog.holevo_werner(3, 0.25).map
+
+
+def _one_trace_problem():
+    return sdp.SdpProblem.from_matrices((("x", 2),), (({"x": np.eye(2)}, 1.0),))
+
+
+# Each call passes a parameter that no caller outside the tests set; each was
+# removed and its value kept as a module constant, so each call is a TypeError.
+REMOVED_PARAMETERS = {
+    "heuristic_sep_certify-target_rel":
+        lambda: criteria.heuristic_sep_certify(_maximally_entangled_state(), target_rel=0.5),
+    "heuristic_sep_certify-refit_every":
+        lambda: criteria.heuristic_sep_certify(_maximally_entangled_state(), refit_every=10),
+    "two_eb_ball_certificate-seed": lambda: criteria.two_eb_ball_certificate(_hw(), seed=1),
+    "two_eb_d3_certificate-restarts": lambda: criteria.two_eb_d3_certificate(_hw(), restarts=8),
+    "two_eb_d3_certificate-iters": lambda: criteria.two_eb_d3_certificate(_hw(), iters=60),
+    "two_eb_d3_certificate-seed": lambda: criteria.two_eb_d3_certificate(_hw(), seed=1),
+    "k_positivity_falsify-iters": lambda: criteria.k_positivity_falsify(_hw(), 1, iters=60),
+    "solve-max_iters": lambda: sdp.solve(_one_trace_problem(), max_iters=1),
+}
+
+
 def _callables(module):
     """Every function and class defined in module, and every method of those classes."""
     for name, obj in vars(module).items():
@@ -34,7 +62,7 @@ def _callables(module):
 
 
 class TestNoToleranceKnobs:
-    def test_only_the_pursuit_stopping_rule_is_settable(self):
+    def test_no_parameter_is_a_tolerance(self):
         found = set()
         for module in MODULES:
             for qualname, fn in _callables(module):
@@ -43,7 +71,19 @@ class TestNoToleranceKnobs:
                 except (TypeError, ValueError):
                     continue
                 found |= {(qualname, p) for p in params if TOLERANCE_NAME.search(p)}
-        assert found == {("ebcompose.criteria.heuristic_sep_certify", "target_rel")}
+        assert found == set()
+
+    @pytest.mark.parametrize("call", REMOVED_PARAMETERS.values(), ids=REMOVED_PARAMETERS)
+    def test_removed_parameter_is_a_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_maximally_entangled_state_gets_no_decomposition(self):
+        # a relative residual of 0.5 once passed as a "decomposition" here (13
+        # atoms, residual 1/3); the state is NPT, so the pursuit must fail
+        X = _maximally_entangled_state()
+        assert not criteria.is_ppt_state(X)
+        assert criteria.heuristic_sep_certify(X) is None
 
     def test_sdp_psd_tol_is_the_linalg_rule(self):
         assert sdp.PSD_TOL is linalg.TOL_PSD
