@@ -23,7 +23,7 @@ import numpy as np
 
 from . import choi, linalg
 from .choi import QuantumMap
-from .errors import DimMismatch, DomainError
+from .errors import DimMismatch, DomainError, is_count
 
 ParamValue = Union[int, float]
 
@@ -53,8 +53,8 @@ def holevo_werner(d: int, p: float) -> NamedMap:
     exactly for p <= 1/d (the partially transposed Choi matrix has smallest
     eigenvalue 1 - p*d), and 2-entanglement breaking exactly for p <= 1/2.
     """
-    if d < 2:
-        raise DomainError(f"dimension {d} is below 2")
+    if not is_count(d, 2):
+        raise DomainError(f"dimension {d!r} is not an integer >= 2")
     p = float(p)
     if not np.isfinite(p) or not -1.0 <= p <= 1.0:
         raise DomainError(f"parameter p={p} outside [-1, 1]")
@@ -117,8 +117,8 @@ def antisym_sym_maps(d: int) -> tuple[NamedMap, NamedMap]:
     ``1/(d(d-1))``; S has a separable Choi matrix, so it is entanglement
     breaking.
     """
-    if d < 2:
-        raise DomainError(f"dimension {d} is below 2")
+    if not is_count(d, 2):
+        raise DomainError(f"dimension {d!r} is not an integer >= 2")
     eye = np.eye(d * d, dtype=complex)
     flip = linalg.flip_operator(d)
     alpha = (eye - flip) / (d * (d - 1))
@@ -137,10 +137,10 @@ def tau_n_map(d: int, n: int) -> NamedMap:
     over their sum.  The mixture has positive partial transpose for every
     ``(d, n)`` in range even though ``alpha^(x n)`` alone does not.
     """
-    if d < 2:
-        raise DomainError(f"dimension {d} is below 2")
-    if n < 1:
-        raise DomainError(f"tensor power {n} is below 1")
+    if not is_count(d, 2):
+        raise DomainError(f"dimension {d!r} is not an integer >= 2")
+    if not is_count(n, 1):
+        raise DomainError(f"tensor power {n!r} is not an integer >= 1")
     if d**n > 9:
         raise DomainError(f"ambient dimension {d**n} exceeds the supported 9")
     a, s = antisym_sym_maps(d)
@@ -222,8 +222,8 @@ def annihilation_identity_check(
     Draws ``trials`` Haar-random pure states on the joint input space and
     accepts when every relative deviation stays within ``ANNIHILATION_TOL``.
     """
-    if trials < 1:
-        raise DomainError(f"trial count {trials} is below 1")
+    if not is_count(trials, 1):
+        raise DomainError(f"trial count {trials!r} is not an integer >= 1")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -240,10 +240,6 @@ _BUILDERS: dict[str, Callable[[Mapping[str, ParamValue]], NamedMap]] = {
     "tau-n": lambda ps: tau_n_map(int(ps["d"]), int(ps["n"])),
     "choi-witness": lambda ps: choi_map_witness(),
 }
-
-
-def catalog_names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
 
 
 def build(

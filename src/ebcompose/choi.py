@@ -2,23 +2,23 @@
 
 A map L: M_din -> M_dout is represented canonically by its Choi matrix
 C_L = sum_ij |i><j| (x) L(|i><j|), an operator on C^din (x) C^dout.  The
-entry convention is C[(i,a),(j,b)] = L(|i><j|)[a,b].  CP and coCP use the
-PSD rule of ``linalg.is_psd``; the other tolerances are the constants below.
+entry convention is C[(i,a),(j,b)] = L(|i><j|)[a,b].  Maps are built from
+a Choi matrix, a linear callable or Kraus operators.  CP and coCP use the
+PSD rule of ``linalg.is_psd``; the linearity spot-check's tolerance is the
+constant below.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatch, LinearityViolation, NotPSD
+from .errors import DimMismatch, LinearityViolation, is_count
 
 LINEARITY_TOL = 1e-8  # relative, choi_from_action's spot-check
-KRAUS_TOL = 1e-10  # kraus_operators' eigenvalue cut, stricter than is_cp
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,10 @@ class QuantumMap:
     choi: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for k in (self.din, self.dout):
-            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-                raise DimMismatch(
-                    f"map dimensions must be positive integers, got ({self.din!r}, {self.dout!r})"
-                )
+        if not (is_count(self.din, 1) and is_count(self.dout, 1)):
+            raise DimMismatch(
+                f"map dimensions must be positive integers, got ({self.din!r}, {self.dout!r})"
+            )
         object.__setattr__(self, "din", int(self.din))
         object.__setattr__(self, "dout", int(self.dout))
         C = np.array(self.choi, dtype=complex)
@@ -160,21 +159,6 @@ def operator_schmidt_rank(T: QuantumMap) -> int:
     return linalg.numerical_rank(linalg.realign(T.choi, T.dims))
 
 
-def kraus_operators(T: QuantumMap) -> list[np.ndarray]:
-    """Kraus decomposition of a CP map from the Choi eigendecomposition."""
-    w, V = linalg.eig_hermitian(T.choi)
-    cut = KRAUS_TOL * max(1.0, float(np.max(np.abs(w))))
-    if w[0] < -cut:
-        raise NotPSD(f"Choi matrix has negative eigenvalue {w[0]:.3e}; map is not CP")
-    ops = []
-    for k in range(w.size):
-        if w[k] > cut:
-            # eigenvector v with v[(i,a)] = K[a,i] gives T(X) = sum K X K†
-            K = np.sqrt(w[k]) * V[:, k].reshape(T.din, T.dout).T
-            ops.append(K)
-    return ops
-
-
 def choi_from_kraus(ops: Sequence[np.ndarray], din: int, dout: int) -> QuantumMap:
     """Assemble the Choi matrix of X -> sum_k K_k X K_k†."""
     C = np.zeros((din * dout, din * dout), dtype=complex)
@@ -216,8 +200,10 @@ def random_cp_cocp_map(d: int, seed: int) -> QuantumMap:
     the Choi matrix and its partial transpose (at most 500 rounds); a final
     uniform identity shift lifts both spectra to be exactly nonnegative
     (the shift commutes with partial transposition).  The result is scaled
-    to trace d.
+    to trace d.  A d that is not an integer >= 1 raises DimMismatch.
     """
+    if not is_count(d, 1):
+        raise DimMismatch(f"map dimension must be a positive integer, got {d!r}")
     rng = np.random.default_rng(seed)
     dims = (d, d)
     C = linalg.random_psd(d * d, rng)

@@ -1,10 +1,10 @@
 """Entanglement and Schmidt-number criteria.
 
-Exact decisions where the regime allows (PPT at 2x2 / 2x3), the
-2-entanglement-breaking certificates (depolarizing ball, operator rank,
-dimension-3 characterization, dimension-4 PT-invariance), Schmidt-number
-bounds (fidelity witness, trimming, iteration, sub-blocks, PT-invariance),
-heuristic k-positivity falsification, and separability certification:
+The PPT and realignment tests, the 2-entanglement-breaking certificates
+(depolarizing ball, operator rank, dimension-3 characterization,
+dimension-4 PT-invariance), Schmidt-number tools (the fidelity lower bound,
+sub-blocks, the trimming bound and the iteration count), heuristic
+k-positivity falsification, and separability certification:
 a closed-form twirl decomposition over mutually unbiased bases for PPT
 Werner- and isotropic-type states, and a product-state pursuit for the rest.
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -30,13 +29,7 @@ from scipy.optimize import nnls
 
 from . import _kernels, linalg, sdp
 from .choi import QuantumMap, compose, is_cocp, is_cp, operator_schmidt_rank, transposition_map
-from .errors import (
-    DimMismatch,
-    DimOutOfRange,
-    DomainError,
-    IndexOutOfRange,
-    NotPSD,
-)
+from .errors import DimMismatch, DimOutOfRange, DomainError, IndexOutOfRange, NotPSD, is_count
 from .report import Report
 
 PT_INVARIANCE_TOL = 1e-9  # ||PT(X) - X|| <= PT_INVARIANCE_TOL * max(1, ||X||)
@@ -71,19 +64,6 @@ class BipartiteState:
         object.__setattr__(self, "dims", (int(dA), int(dB)))
 
 
-@dataclass(frozen=True)
-class SnVerdict:
-    """Schmidt-number bracket with the evidence that produced it."""
-
-    lower: int
-    upper: int
-    certificates: tuple = ()
-
-    def __post_init__(self):
-        if not (1 <= self.lower <= self.upper):
-            raise DomainError(f"inconsistent bracket [{self.lower}, {self.upper}]")
-
-
 # Report statuses of the entanglement-breaking decisions below.
 EB_CERTIFIED = "EB-certified"
 NOT_EB_CERTIFIED = "notEB-certified"
@@ -103,31 +83,9 @@ def schmidt_rank(psi, dims: Sequence[int]) -> int:
     return linalg.numerical_rank(v.reshape(dA, dB))
 
 
-def _require_count(name: str, value, minimum: int) -> None:
-    """DomainError unless value is an integer (not a bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
 def is_ppt_state(X: BipartiteState) -> bool:
     """Positive partial transpose on factor A."""
     return linalg.is_psd(linalg.partial_transpose(X.mat, X.dims, "A"))
-
-
-def sep_decision_low_dim(X: BipartiteState) -> Report:
-    """Exact separability decision in the 2x2 / 2x3 PPT regime."""
-    if X.dims not in ((2, 2), (2, 3), (3, 2)):
-        raise DimOutOfRange(f"exact PPT decision only at 2x2/2x3, got {X.dims}")
-    pt = linalg.partial_transpose(X.mat, X.dims, "A")
-    w, V = linalg.eig_hermitian(pt)
-    if linalg.is_psd(pt):
-        return Report("sep_decision_low_dim", EB_CERTIFIED, (
-            {"name": "exact-regime", "data": {"rule": "PPT is separability at these dimensions"}},
-            {"name": "pt-min-eig", "data": float(w[0])},
-        ))
-    return Report("sep_decision_low_dim", NOT_EB_CERTIFIED, (
-        {"name": "npt-witness", "data": {"pt_min_eig": float(w[0]), "eigvec": V[:, 0]}},
-    ))
 
 
 def realignment_criterion(X: BipartiteState) -> bool:
@@ -162,32 +120,6 @@ def _pt_invariant(M: np.ndarray, dims: Sequence[int], which: str) -> bool:
     return dev <= PT_INVARIANCE_TOL * max(1.0, linalg.operator_norm(M))
 
 
-def sn_upper_pt_invariant(X: BipartiteState) -> Optional[int]:
-    """dA - 1 upper bound when X is invariant under partial transposition."""
-    dA, dB = X.dims
-    if dA > dB:
-        raise DimMismatch("PT-invariance bound assumes dA <= dB")
-    return dA - 1 if _pt_invariant(X.mat, X.dims, "A") else None
-
-
-def sn_verdict(X: BipartiteState) -> SnVerdict:
-    """Bracket the Schmidt number with every applicable bound."""
-    dA, dB = X.dims
-    certificates = []
-    lower = 1
-    if dA == dB:
-        lower = sn_lower_fidelity(X)
-        certificates.append({"name": "fidelity-lower", "data": lower})
-    upper = min(dA, dB)
-    certificates.append({"name": "dimension-upper", "data": upper})
-    if dA <= dB:
-        pt_bound = sn_upper_pt_invariant(X)
-        if pt_bound is not None:
-            upper = min(upper, max(1, pt_bound))
-            certificates.append({"name": "pt-invariant-upper", "data": pt_bound})
-    return SnVerdict(lower, upper, tuple(certificates))
-
-
 def subblock(X: BipartiteState, indices: Sequence[int]) -> BipartiteState:
     """Principal sub-block over a subset of factor-A basis indices (0-based)."""
     dA, dB = X.dims
@@ -198,47 +130,6 @@ def subblock(X: BipartiteState, indices: Sequence[int]) -> BipartiteState:
     Y = T.take(idx, axis=0).take(idx, axis=2)
     m = len(idx)
     return BipartiteState((m, dB), Y.reshape(m * dB, m * dB))
-
-
-def subblock_sn_audit(X: BipartiteState, l: int) -> dict:
-    """Check the sub-block Schmidt-number bound at level l on every subset.
-
-    Sub-blocks over index subsets of size dA - l + 2 must have Schmidt number
-    at least LB - l + 2 where LB is the fidelity lower bound of X; whenever
-    the implied bound is >= 2 the sub-block is checked for an NPT certificate
-    of entanglement, otherwise the subset is flagged unknown.
-    """
-    dA, dB = X.dims
-    if dA > dB:
-        raise DimMismatch("sub-block audit assumes dA <= dB")
-    lb = sn_lower_fidelity(X) if dA == dB else 1
-    if not (1 <= l <= max(1, lb)):
-        raise DomainError(f"level l={l} outside [1, {lb}]")
-    size = dA - l + 2
-    implied = lb - l + 2
-    report = {"l": int(l), "subset_size": int(size), "implied_lower": int(implied), "subsets": []}
-    if size > dA:
-        report["all_certified"] = True
-        report["note"] = "no subsets of the required size; trivially consistent"
-        return report
-    from itertools import combinations
-
-    all_ok = True
-    for subset in combinations(range(dA), size):
-        Y = subblock(X, subset)
-        pt = linalg.partial_transpose(Y.mat, Y.dims, "A")
-        pt_min, npt = linalg.min_eig(pt), not linalg.is_psd(pt)
-        if implied >= 2:
-            status = "certified-entangled" if npt else "unknown"
-        else:
-            status = "trivially-consistent"
-        all_ok = all_ok and status != "unknown"
-        report["subsets"].append(
-            {"indices": list(subset), "pt_min_eig": float(pt_min), "npt": bool(npt),
-             "status": status}
-        )
-    report["all_certified"] = bool(all_ok)
-    return report
 
 
 def k_positivity_falsify(
@@ -253,9 +144,10 @@ def k_positivity_falsify(
     """
     C = linalg.require_hermitian(T.choi)
     d1, d2 = T.din, T.dout
-    if not (1 <= k <= min(d1, d2)):
-        raise DomainError(f"k={k} outside [1, {min(d1, d2)}]")
-    _require_count("restarts", restarts, 1)
+    if not (is_count(k, 1) and k <= min(d1, d2)):
+        raise DomainError(f"k={k!r} is not an integer in [1, {min(d1, d2)}]")
+    if not is_count(restarts, 1):
+        raise DomainError(f"restarts must be an integer >= 1, got {restarts!r}")
 
     # warm start from the bottom eigenvector, Schmidt-truncated to rank k
     w, V = np.linalg.eigh(C)
@@ -324,9 +216,10 @@ def deviation_from_depolarizing(
     """
     if T.din != T.dout:
         raise DimMismatch("deviation from depolarizing needs a square map")
-    _require_count("samples", samples, 0)
-    _require_count("restarts", restarts, 1)
-    _require_count("iters", iters, 1)
+    for name, value, minimum in (("samples", samples, 0), ("restarts", restarts, 1),
+                                 ("iters", iters, 1)):
+        if not is_count(value, minimum):
+            raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     d = T.din
     C4 = (T.choi - np.eye(d * d)).reshape(d, d, d, d)
     fwd = np.ascontiguousarray(C4.transpose(1, 3, 0, 2).reshape(d * d, d * d))
@@ -540,15 +433,17 @@ def d4_ptinv_2eb_certificate(S: QuantumMap, T: QuantumMap) -> bool:
 
 def sn_trim_bound(l: int, n: int) -> int:
     """Schmidt-number ceiling after an n-EB map acts on one side."""
-    if l < 1 or n < 1:
-        raise DomainError("trim bound needs l, n >= 1")
+    if not (is_count(l, 1) and is_count(n, 1)):
+        raise DomainError(f"trim bound needs integers l, n >= 1, got l={l!r}, n={n!r}")
     return max(l - n + 1, 1)
 
 
 def iteration_count(d: int, n: int) -> int:
     """Compositions of n-EB maps needed to reach entanglement breaking."""
-    if d < 2 or not (2 <= n <= d):
-        raise DomainError(f"iteration count needs d >= 2 and 2 <= n <= d, got d={d}, n={n}")
+    if not (is_count(d, 2) and is_count(n, 2) and n <= d):
+        raise DomainError(
+            f"iteration count needs integers d >= 2 and 2 <= n <= d, got d={d!r}, n={n!r}"
+        )
     return -((d - 1) // -(n - 1))
 
 
@@ -727,11 +622,11 @@ def heuristic_sep_certify(
 
     Returns a verified separable decomposition whose residual has operator
     norm at most ``SEP_RESIDUAL_TOL`` times that of X, or None; absence is
-    inconclusive, not a verdict.  No argument moves that bound.  A negative
-    budget raises DomainError.
+    inconclusive, not a verdict.  No argument moves that bound.  A budget
+    that is not an integer >= 0 raises DomainError.
     """
-    if budget < 0:
-        raise DomainError(f"need budget >= 0, got {budget}")
+    if not is_count(budget, 0):
+        raise DomainError(f"budget must be an integer >= 0, got {budget!r}")
     dA, dB = X.dims
     scale = linalg.operator_norm(X.mat)
     if scale == 0.0:

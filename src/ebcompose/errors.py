@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for counts."""
+
+import numbers
 
 
 class NotHermitian(ValueError):
@@ -35,3 +37,13 @@ class LinearityViolation(ValueError):
 
 class PreconditionFailed(ValueError):
     """A documented operation precondition does not hold."""
+
+
+def is_count(value, minimum: int) -> bool:
+    """True iff value is an integer of any integral type, not a bool, and >= minimum.
+
+    The package checks the dimensions, mode counts, search budgets and levels
+    its callers pass with this; each caller raises its own typed error when
+    it is False.
+    """
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= minimum

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg, sdp
-from .errors import DimMismatch, DomainError, ModeMismatch, NotHermitian, PreconditionFailed
+from .errors import (
+    DimMismatch, DomainError, ModeMismatch, NotHermitian, PreconditionFailed, is_count,
+)
 
 # Y counts as symmetric iff max |Y - Y^T| <= SYMMETRY_TOL * max(1, max |Y|); 100x
 # stricter than linalg.TOL_HERM.
@@ -30,9 +32,9 @@ class GaussianChannel:
     valid: bool = field(init=False)
 
     def __post_init__(self):
+        if not is_count(self.n, 1):
+            raise DimMismatch(f"mode count must be a positive integer, got {self.n!r}")
         n = int(self.n)
-        if n < 1:
-            raise DimMismatch(f"mode count must be positive, got {n}")
         X = np.asarray(self.X, dtype=float)
         Y = np.asarray(self.Y, dtype=float)
         if X.shape != (2 * n, 2 * n) or Y.shape != (2 * n, 2 * n):
@@ -132,8 +134,8 @@ def random_cocp_channel(n: int, seed: int) -> GaussianChannel:
     the smallest multiple of the identity that gives both conditions an
     absolute eigenvalue margin of at least 0.01.
     """
-    if n < 1:
-        raise DimMismatch(f"mode count must be positive, got {n}")
+    if not is_count(n, 1):
+        raise DimMismatch(f"mode count must be a positive integer, got {n!r}")
     rng = np.random.default_rng(seed)
     two_n = 2 * n
     X = rng.uniform(-1.0, 1.0, size=(two_n, two_n))

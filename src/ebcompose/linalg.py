@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, NotHermitian
+from .errors import DimMismatch, DomainError, NotHermitian, is_count
 
 # A Hermitian M counts as PSD iff psd_margin(M) >= -TOL_PSD.
 TOL_PSD = 1e-9
@@ -49,13 +49,6 @@ def _check_bipartite(A: np.ndarray, dims: Sequence[int]) -> tuple[int, int]:
     if dA < 1 or dB < 1 or dA * dB != n:
         raise DimMismatch(f"dims {dims} do not factor ambient dimension {n}")
     return dA, dB
-
-
-def hermiticity_defect(M) -> float:
-    """Max-entry magnitude of M - M^dagger."""
-    A = _as_matrix(M)
-    _check_square(A)
-    return float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
 
 
 def require_hermitian(M) -> np.ndarray:
@@ -181,11 +174,6 @@ def numerical_rank(M) -> int:
     return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def kron(A, B) -> np.ndarray:
-    """Kronecker product with complex promotion."""
-    return np.kron(_as_matrix(A), _as_matrix(B))
-
-
 def operator_norm(M) -> float:
     """Largest singular value."""
     A = _as_matrix(M)
@@ -228,8 +216,8 @@ def flip_operator(d: int) -> np.ndarray:
 
 def symplectic_form(n: int) -> np.ndarray:
     """Standard symplectic form on n modes, block-diagonal [[0,1],[-1,0]] per mode."""
-    if n < 1:
-        raise DomainError(f"mode count must be positive, got {n}")
+    if not is_count(n, 1):
+        raise DomainError(f"mode count must be a positive integer, got {n!r}")
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * n, 2 * n))
     for k in range(n):

@@ -46,7 +46,6 @@ itself: the package's one PSD rule.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -55,7 +54,7 @@ import scipy.linalg
 import scipy.sparse
 
 from . import choi, linalg
-from .errors import DimMismatch, DomainError, PreconditionFailed
+from .errors import DimMismatch, DomainError, PreconditionFailed, is_count
 from .report import Report
 
 FEASIBLE = "feasible"
@@ -221,7 +220,7 @@ def _check_blocks(blocks) -> tuple[tuple[str, int], ...]:
     if len(set(names)) != len(names):
         raise PreconditionFailed("block names must be unique")
     for name, dim in blocks:
-        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        if not is_count(dim, 1):
             raise DimMismatch(f"block {name!r} needs a positive integer size, got {dim!r}")
     return tuple((name, int(dim)) for name, dim in blocks)
 
@@ -969,9 +968,13 @@ def counterexample_search(
     up to ``max_rounds`` rounds in each of ``restarts`` seeded restarts.
     The objective is non-increasing across rounds.  On finding a negative
     value the composition P after T is handed to ``decomposability_check``
-    and its verdict, with verified evidence, enters the report.  Never
-    raises; solver breakdowns are reported in the trace.
+    and its verdict, with verified evidence, enters the report.  Budgets
+    must be integers >= 0 (DomainError otherwise); past that check it never
+    raises, and solver breakdowns are reported in the trace.
     """
+    for name, value in (("restarts", restarts), ("max_rounds", max_rounds)):
+        if not is_count(value, 0):
+            raise DomainError(f"{name} must be an integer >= 0, got {value!r}")
     d, dp = P.din, P.dout
     problem = _seesaw_problem(d)
     id_in = choi.identity_map(d)

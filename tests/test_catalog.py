@@ -40,16 +40,6 @@ class TestRegistry:
         assert np.array_equal(first.map.choi, second.map.choi)
         assert first.map.dims == second.map.dims
 
-    def test_catalog_names(self):
-        assert set(catalog.catalog_names()) == {
-            "holevo-werner",
-            "rank3",
-            "antisym",
-            "sym",
-            "tau-n",
-            "choi-witness",
-        }
-
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError):
             catalog.build("mystery-map")
@@ -125,7 +115,8 @@ class TestRank3Example:
         assert linalg.min_eig(pt) < -0.1
 
     def test_hermitian(self):
-        assert linalg.hermiticity_defect(catalog.rank3_example().map.choi) == 0.0
+        C = catalog.rank3_example().map.choi
+        assert np.max(np.abs(C - C.conj().T)) == 0.0
 
     def test_corner_entries(self):
         C = catalog.rank3_example().map.choi

@@ -1,0 +1,54 @@
+"""Every count the package takes (dimension, mode count, budget, level) follows
+one rule, ``errors.is_count``: an integer of any integral type, not a bool, at
+least a minimum.  A value that breaks it raises the typed error the same call
+raises for an out-of-range integer, never a builtin error or a silent run."""
+
+import numpy as np
+import pytest
+
+from ebcompose import catalog, choi, criteria, gaussian, linalg, sdp
+from ebcompose.errors import DimMismatch, DomainError
+
+
+def _state():
+    return criteria.BipartiteState((2, 2), np.eye(4) / 4)
+
+
+def _hw():
+    return catalog.holevo_werner(3, 0.3).map
+
+
+BAD_COUNTS = {
+    "heuristic_sep_certify-budget=2.5":
+        (lambda: criteria.heuristic_sep_certify(_state(), budget=2.5), DomainError),
+    "heuristic_sep_certify-budget=True":
+        (lambda: criteria.heuristic_sep_certify(_state(), budget=True), DomainError),
+    "k_positivity_falsify-k=2.5": (lambda: criteria.k_positivity_falsify(_hw(), 2.5), DomainError),
+    "annihilation_identity_check-trials=2.5":
+        (lambda: catalog.annihilation_identity_check(_hw(), _hw(), trials=2.5), DomainError),
+    "annihilation_identity_check-trials=True":
+        (lambda: catalog.annihilation_identity_check(_hw(), _hw(), trials=True), DomainError),
+    "holevo_werner-d=2.5": (lambda: catalog.holevo_werner(2.5, 0.1), DomainError),
+    "antisym_sym_maps-d=2.5": (lambda: catalog.antisym_sym_maps(2.5), DomainError),
+    "tau_n_map-d=2.5": (lambda: catalog.tau_n_map(2.5, 1), DomainError),
+    "tau_n_map-n=1.5": (lambda: catalog.tau_n_map(2, 1.5), DomainError),
+    "random_cp_cocp_map-d=2.5": (lambda: choi.random_cp_cocp_map(2.5, 0), DimMismatch),
+    "random_cocp_channel-n=1.5": (lambda: gaussian.random_cocp_channel(1.5, 0), DimMismatch),
+    "GaussianChannel-n=1.5":
+        (lambda: gaussian.GaussianChannel(1.5, np.eye(2), np.eye(2)), DimMismatch),
+    "symplectic_form-n=1.5": (lambda: linalg.symplectic_form(1.5), DomainError),
+    "counterexample_search-restarts=-1":
+        (lambda: sdp.counterexample_search(_hw(), restarts=-1), DomainError),
+    "counterexample_search-restarts=2.5":
+        (lambda: sdp.counterexample_search(_hw(), restarts=2.5), DomainError),
+    "counterexample_search-max_rounds=2.5":
+        (lambda: sdp.counterexample_search(_hw(), max_rounds=2.5), DomainError),
+    "sn_trim_bound-l=2.5": (lambda: criteria.sn_trim_bound(2.5, 1), DomainError),
+    "iteration_count-d=3.5": (lambda: criteria.iteration_count(3.5, 2), DomainError),
+}
+
+
+@pytest.mark.parametrize("call,error", BAD_COUNTS.values(), ids=BAD_COUNTS)
+def test_non_integer_count_raises_the_typed_error(call, error):
+    with pytest.raises(error):
+        call()

@@ -59,38 +59,6 @@ class TestIsPptState:
             assert criteria.is_ppt_state(state((2, 3), np.kron(A, B)))
 
 
-class TestSepDecisionLowDim:
-    def test_max_entangled_not_eb(self):
-        v = criteria.sep_decision_low_dim(state((2, 2), linalg.max_entangled_projector(2)))
-        assert v.status == criteria.NOT_EB_CERTIFIED
-
-    def test_product_state_eb(self, rng):
-        A = linalg.random_psd(2, rng)
-        B = linalg.random_psd(3, rng)
-        v = criteria.sep_decision_low_dim(state((2, 3), np.kron(A, B)))
-        assert v.status == criteria.EB_CERTIFIED
-
-    def test_rejects_large_dims(self):
-        with pytest.raises(DimOutOfRange):
-            criteria.sep_decision_low_dim(state((3, 3), np.eye(9)))
-
-    def test_agrees_with_ppt_on_random_2x3(self, rng):
-        # at 2x3 the decision and the PPT test are the same predicate
-        for k in range(1000):
-            X = random_state((2, 3), rng, rank=(k % 6) + 1)
-            verdict = criteria.sep_decision_low_dim(X)
-            assert (verdict.status == criteria.EB_CERTIFIED) == criteria.is_ppt_state(X)
-
-    def test_npt_witness_evidence_reconstructs(self, rng):
-        omega = linalg.max_entangled_projector(2)
-        v = criteria.sep_decision_low_dim(state((2, 2), omega))
-        data = {e["name"]: e["data"] for e in v.evidence}
-        w = np.array(data["npt-witness"]["eigvec"])
-        pt = linalg.partial_transpose(omega, (2, 2), "A")
-        assert (w.conj() @ pt @ w).real == pytest.approx(data["npt-witness"]["pt_min_eig"])
-        assert data["npt-witness"]["pt_min_eig"] < 0
-
-
 class TestRealignmentCriterion:
     def test_product_state_passes(self, rng):
         A = linalg.random_psd(3, rng)
@@ -131,38 +99,6 @@ class TestSnLowerFidelity:
             criteria.sn_lower_fidelity(state((2, 3), np.eye(6)))
 
 
-class TestSnUpperPtInvariant:
-    def test_identity_state(self):
-        assert criteria.sn_upper_pt_invariant(state((3, 3), np.eye(9))) == 2
-
-    def test_max_entangled_absent(self):
-        X = state((3, 3), linalg.max_entangled_projector(3))
-        assert criteria.sn_upper_pt_invariant(X) is None
-
-    def test_pt_symmetrized_random(self, rng):
-        rho = linalg.random_psd(9, rng)
-        S = (rho + linalg.partial_transpose(rho, (3, 3), "A")) / 2
-        S = S + (abs(min(0.0, linalg.min_eig(S))) + 1e-6) * np.eye(9)
-        assert criteria.sn_upper_pt_invariant(state((3, 3), S)) == 2
-
-
-class TestSnVerdict:
-    def test_bracket_monotone_on_random_states(self, rng):
-        for _ in range(20):
-            v = criteria.sn_verdict(random_state((3, 3), rng))
-            assert 1 <= v.lower <= v.upper <= 3
-
-    def test_max_entangled_bracket_is_tight(self):
-        v = criteria.sn_verdict(state((3, 3), linalg.max_entangled_projector(3)))
-        assert (v.lower, v.upper) == (3, 3)
-
-    def test_pt_invariant_state_capped(self):
-        v = criteria.sn_verdict(state((3, 3), np.eye(9)))
-        assert v.upper == 2
-        names = {e["name"] for e in v.certificates}
-        assert "pt-invariant-upper" in names
-
-
 class TestSubblock:
     def test_full_index_set_is_identity(self, rng):
         X = random_state((3, 3), rng)
@@ -186,42 +122,15 @@ class TestSubblock:
         with pytest.raises(IndexOutOfRange):
             criteria.subblock(state((3, 3), np.eye(9)), bad)
 
-
-class TestSubblockSnAudit:
-    def test_max_entangled_d3_all_npt(self):
-        X = state((3, 3), linalg.max_entangled_projector(3))
-        report = criteria.subblock_sn_audit(X, 3)
-        assert report["subset_size"] == 2
-        assert len(report["subsets"]) == 3
-        assert all(s["npt"] for s in report["subsets"])
-        assert report["all_certified"]
-
-    def test_max_entangled_d4_all_npt(self):
-        X = state((4, 4), linalg.max_entangled_projector(4))
-        report = criteria.subblock_sn_audit(X, 4)
-        assert len(report["subsets"]) == 6
-        assert all(s["status"] == "certified-entangled" for s in report["subsets"])
-
-    def test_separable_level_one_trivially_consistent(self, rng):
-        A = linalg.random_psd(3, rng)
-        B = linalg.random_psd(3, rng)
-        report = criteria.subblock_sn_audit(state((3, 3), np.kron(A, B)), 1)
-        assert report["all_certified"]
-        assert report["subsets"] == []
-
-    def test_level_above_lower_bound_rejected(self):
-        with pytest.raises(DomainError):
-            criteria.subblock_sn_audit(state((3, 3), np.eye(9) / 9), 2)
-
-    def test_near_max_entangled_states_certify(self, rng):
+    def test_near_max_entangled_two_subblocks_are_npt(self, rng):
         # fidelity lower bound 3 forces every 2-element sub-block NPT
         for _ in range(50):
             noise = linalg.random_psd(9, rng)
             X = state((3, 3), 0.95 * linalg.max_entangled_projector(3) / 3
                       + 0.05 * noise / np.trace(noise).real)
             assert criteria.sn_lower_fidelity(X) == 3
-            report = criteria.subblock_sn_audit(X, 3)
-            assert report["all_certified"], report
+            for subset in ((0, 1), (0, 2), (1, 2)):
+                assert not criteria.is_ppt_state(criteria.subblock(X, subset)), subset
 
 
 class TestSchmidtRank:

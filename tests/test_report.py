@@ -76,10 +76,6 @@ def sep_decomposition():
     return criteria.heuristic_sep_certify(criteria.BipartiteState((2, 2), X))
 
 
-def state(dims, mat):
-    return criteria.BipartiteState(dims, mat / np.trace(mat).real)
-
-
 def hw(d, p):
     return catalog.holevo_werner(d, p).map
 
@@ -105,13 +101,6 @@ CASES = {
     "sep-decomposition": lambda tmp: sep_decomposition(),
     "sep-decomposition-empty": lambda tmp: criteria.heuristic_sep_certify(
         criteria.BipartiteState((2, 3), np.zeros((6, 6)))
-    ),
-    "sn-verdict": lambda tmp: criteria.sn_verdict(
-        state((3, 3), choi.random_cp_cocp_map(3, 2).choi)
-    ),
-    "report-sep-certified": lambda tmp: criteria.sep_decision_low_dim(state((2, 2), np.eye(4))),
-    "report-sep-npt": lambda tmp: criteria.sep_decision_low_dim(
-        state((2, 2), linalg.max_entangled_projector(2))
     ),
     "report-d3-certified": lambda tmp: criteria.two_eb_d3_certificate(
         choi.random_cp_cocp_map(3, 0)
@@ -170,29 +159,20 @@ class TestRoundTrip:
 class TestRefutationEvidence:
     """Witness vectors survive the codec and re-verify from the decoded data."""
 
-    @pytest.mark.parametrize(
-        "branch", ["npt", "two-positivity-witness", "two-copositivity-witness"]
-    )
+    @pytest.mark.parametrize("branch", ["two-positivity-witness", "two-copositivity-witness"])
     def test_witness_re_verifies_after_json(self, branch):
-        if branch == "npt":
-            X = state((2, 2), linalg.max_entangled_projector(2))
-            rep = criteria.sep_decision_low_dim(X)
-            M = linalg.partial_transpose(X.mat, X.dims, "A")
-            name, key, dims = "npt-witness", "eigvec", X.dims
-        else:
-            T = choi.transposition_map(3) if branch == "two-positivity-witness" else hw(3, 0.9)
-            rep = criteria.two_eb_d3_certificate(T)
-            M = T.choi if branch == "two-positivity-witness" else choi.compose(
-                choi.transposition_map(3), T
-            ).choi
-            name, key, dims = branch, "vector", (3, 3)
+        T = choi.transposition_map(3) if branch == "two-positivity-witness" else hw(3, 0.9)
+        rep = criteria.two_eb_d3_certificate(T)
+        M = T.choi if branch == "two-positivity-witness" else choi.compose(
+            choi.transposition_map(3), T
+        ).choi
         assert rep.status == criteria.NOT_EB_CERTIFIED
         back = from_json(json.loads(json.dumps(to_json(rep))))
         evidence = {e["name"]: e["data"] for e in back.evidence}
-        psi = np.array(evidence[name][key], dtype=complex)
+        psi = np.array(evidence[branch]["vector"], dtype=complex)
         value = float((psi.conj() @ (M @ psi)).real)
         assert value < -1e-9
-        assert criteria.schmidt_rank(psi, dims) <= 2
+        assert criteria.schmidt_rank(psi, (3, 3)) <= 2
 
 
 MALFORMED = {
@@ -210,8 +190,9 @@ MALFORMED = {
     "im-shape": ({"re": [1.0, 2.0], "im": [1.0]}, DimMismatch),
     "vector-not-flat": ({"re": [[1.0], [2.0]]}, DimMismatch),
     "non-numeric-entry": ({"rows": 1, "cols": 1, "re": [["x"]]}, DomainError),
-    "wrong-field-type": ({"kind": "SnVerdict", "lower": "1", "upper": 2, "certificates": []},
-                         DomainError),
+    "wrong-field-type": (
+        {"kind": "BipartiteState", "dims": ["a", "b"], "mat": to_json(np.eye(4))}, DomainError
+    ),
     "choi-wrong-size": (
         {"kind": "QuantumMap", "din": 2, "dout": 2,
          "choi": {"rows": 1, "cols": 1, "re": [[1.0]]}},
@@ -301,7 +282,7 @@ _VALID = [
     to_json(gaussian.random_cocp_channel(1, 0)),
     to_json(sdp.SdpProblem.from_matrices(blocks=(("x", 2),),
                                          equalities=(({"x": np.eye(2)}, 1.0),))),
-    to_json(criteria.SnVerdict(1, 2, ({"name": "dimension-upper", "data": 2},))),
+    to_json(criteria.BipartiteState((2, 2), np.eye(4) / 4)),
     to_json(Report("op", "pass", [{"name": "v", "data": np.array([1.0, 1j])}], 0, {"t": 1e-9})),
 ]
 

@@ -116,18 +116,6 @@ class TestPsdRule:
         assert linalg.is_psd(M) is expected
         assert (linalg.psd_margin(M) >= -linalg.TOL_PSD) is expected
 
-    def test_subblock_audit_uses_the_rule_on_each_partial_transpose(self, rng):
-        for _ in range(10):
-            noise = linalg.random_psd(9, rng)
-            X = criteria.BipartiteState(
-                (3, 3), 0.9 * linalg.max_entangled_projector(3) / 3 + 0.1 * noise / np.trace(noise).real
-            )
-            report = criteria.subblock_sn_audit(X, 3)
-            for entry in report["subsets"]:
-                Y = criteria.subblock(X, entry["indices"])
-                pt = linalg.partial_transpose(Y.mat, Y.dims, "A")
-                assert entry["npt"] == (not linalg.is_psd(pt))
-
 
 class TestGaussianReAudit:
     def test_cocp_margin_just_below_the_rule_is_inconclusive(self, monkeypatch):
