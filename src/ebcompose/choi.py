@@ -68,6 +68,8 @@ def transposition_map(d: int) -> QuantumMap:
 
 def depolarizing_map(d: int) -> QuantumMap:
     """X -> Tr[X] * identity; Choi is I (x) I."""
+    if not is_count(d, 1):
+        raise DimMismatch(f"dimension must be a positive integer, got {d!r}")
     return QuantumMap(d, d, np.eye(d * d, dtype=complex))
 
 

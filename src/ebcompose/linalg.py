@@ -45,10 +45,10 @@ def _check_square(A: np.ndarray) -> int:
 
 def _check_bipartite(A: np.ndarray, dims: Sequence[int]) -> tuple[int, int]:
     n = _check_square(A)
-    dA, dB = int(dims[0]), int(dims[1])
-    if dA < 1 or dB < 1 or dA * dB != n:
+    dA, dB = dims[0], dims[1]
+    if not (is_count(dA, 1) and is_count(dB, 1) and dA * dB == n):
         raise DimMismatch(f"dims {dims} do not factor ambient dimension {n}")
-    return dA, dB
+    return int(dA), int(dB)
 
 
 def require_hermitian(M) -> np.ndarray:
@@ -192,8 +192,14 @@ def block_norm_sum(M, dims: Sequence[int]) -> float:
     return float(np.linalg.svd(blocks, compute_uv=False)[..., 0].sum())
 
 
+def _require_dim(d) -> None:
+    if not is_count(d, 1):
+        raise DimMismatch(f"dimension must be a positive integer, got {d!r}")
+
+
 def max_entangled_vector(d: int) -> np.ndarray:
     """Unnormalized |Omega> = sum_i |i>|i> on C^d x C^d."""
+    _require_dim(d)
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0
     return v
@@ -207,6 +213,7 @@ def max_entangled_projector(d: int) -> np.ndarray:
 
 def flip_operator(d: int) -> np.ndarray:
     """Swap F = sum_ij |ij><ji|; the Choi matrix of transposition."""
+    _require_dim(d)
     F = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):

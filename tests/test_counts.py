@@ -45,6 +45,17 @@ BAD_COUNTS = {
         (lambda: sdp.counterexample_search(_hw(), max_rounds=2.5), DomainError),
     "sn_trim_bound-l=2.5": (lambda: criteria.sn_trim_bound(2.5, 1), DomainError),
     "iteration_count-d=3.5": (lambda: criteria.iteration_count(3.5, 2), DomainError),
+    "flip_operator-d=2.5": (lambda: linalg.flip_operator(2.5), DimMismatch),
+    "flip_operator-d=0": (lambda: linalg.flip_operator(0), DimMismatch),
+    "max_entangled_vector-d=2.5": (lambda: linalg.max_entangled_vector(2.5), DimMismatch),
+    "max_entangled_projector-d=2.5": (lambda: linalg.max_entangled_projector(2.5), DimMismatch),
+    "identity_map-d=2.5": (lambda: choi.identity_map(2.5), DimMismatch),
+    "transposition_map-d=2.5": (lambda: choi.transposition_map(2.5), DimMismatch),
+    "depolarizing_map-d=2.5": (lambda: choi.depolarizing_map(2.5), DimMismatch),
+    "partial_transpose-dims=(2.0, 3.0)":
+        (lambda: linalg.partial_transpose(np.eye(6), (2.0, 3.0)), DimMismatch),
+    "BipartiteState-dims=(2.0, 2.0)":
+        (lambda: criteria.BipartiteState((2.0, 2.0), np.eye(4) / 4), DimMismatch),
 }
 
 
@@ -52,3 +63,9 @@ BAD_COUNTS = {
 def test_non_integer_count_raises_the_typed_error(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_integral_dimensions_of_any_type_are_accepted():
+    assert linalg.flip_operator(np.int64(2)).shape == (4, 4)
+    assert criteria.BipartiteState((np.int64(2), 2), np.eye(4) / 4).dims == (2, 2)
+    assert linalg.partial_transpose(np.eye(6), (np.int32(2), 3)).shape == (6, 6)

@@ -240,6 +240,113 @@ class TestKPositivityFalsify:
         with pytest.raises(DomainError):
             criteria.k_positivity_falsify(choi.identity_map(3), 4)
 
+    @staticmethod
+    def _record(monkeypatch):
+        """Record the restart count of each kpos_seesaw call and each random-start draw."""
+        seesaw, draw = criteria._kernels.kpos_seesaw, criteria._kpos_random_starts
+        seen = {"seesaw": [], "draws": 0}
+
+        def recording_seesaw(C, d1, d2, k, a_starts, b_starts, iters):
+            seen["seesaw"].append(len(a_starts))
+            return seesaw(C, d1, d2, k, a_starts, b_starts, iters)
+
+        def recording_draw(*args):
+            seen["draws"] += 1
+            return draw(*args)
+
+        monkeypatch.setattr(criteria._kernels, "kpos_seesaw", recording_seesaw)
+        monkeypatch.setattr(criteria, "_kpos_random_starts", recording_draw)
+        return seen
+
+    @pytest.mark.parametrize("p", [0.55, 0.75, 0.9, None])
+    def test_warm_start_alone_is_the_witness(self, monkeypatch, p):
+        # the copositivity search of HW(3, p > 1/2) and the transposition:
+        # the bottom eigenvector, truncated to rank 2, reaches the optimum
+        if p is None:
+            M, optimum = choi.transposition_map(3), -1.0
+        else:
+            M, optimum = choi.compose(choi.transposition_map(3), holevo_werner(3, p)), 1 - 2 * p
+        seen = self._record(monkeypatch)
+        psi = criteria.k_positivity_falsify(M, 2, seed=1)
+        assert seen == {"seesaw": [1], "draws": 0}
+        assert (psi.conj() @ M.choi @ psi).real == pytest.approx(optimum, abs=1e-12)
+
+    @pytest.mark.parametrize("restarts,seesaw,draws", [(5, [1, 4], 1), (1, [1], 0)])
+    def test_no_warm_witness_runs_the_other_restarts(self, monkeypatch, restarts, seesaw, draws):
+        seen = self._record(monkeypatch)
+        assert criteria.k_positivity_falsify(choi.identity_map(3), 2, restarts=restarts) is None
+        assert seen == {"seesaw": seesaw, "draws": draws}
+
+    @pytest.mark.parametrize("d1,d2,k,restarts,seed", [(3, 3, 2, 32, 0), (2, 4, 1, 5, 7)])
+    def test_cached_starts(self, d1, d2, k, restarts, seed):
+        a_starts, b_starts = criteria._kpos_random_starts(d1, d2, k, restarts, seed)
+        assert a_starts.shape == (restarts - 1, d1, k) and b_starts.shape == (restarts - 1, k, d2)
+        assert not a_starts.flags.writeable and not b_starts.flags.writeable
+        for r, s in enumerate(np.random.SeedSequence(seed).spawn(restarts - 1)):
+            gen = np.random.default_rng(s)
+            a = gen.normal(size=(d1, k)) + 1j * gen.normal(size=(d1, k))
+            b = gen.normal(size=(k, d2)) + 1j * gen.normal(size=(k, d2))
+            assert a_starts[r].tobytes() == a.tobytes() and b_starts[r].tobytes() == b.tobytes()
+        again = criteria._kpos_random_starts(d1, d2, k, restarts, seed)
+        assert again[0] is a_starts and again[1] is b_starts
+
+    @staticmethod
+    def _one_batch(T, k, restarts=criteria.KPOS_RESTARTS, seed=0):
+        """The search as a single batch of all restarts, with its verification."""
+        C = linalg.require_hermitian(T.choi)
+        d1, d2 = T.din, T.dout
+        w, V = np.linalg.eigh(C)
+        U0, s0, Vh0 = np.linalg.svd(V[:, 0].reshape(d1, d2))
+        a_list = [U0[:, :k] * np.sqrt(s0[:k])]
+        b_list = [(np.sqrt(s0[:k])[:, None]) * Vh0[:k, :]]
+        for s in np.random.SeedSequence(seed).spawn(restarts - 1):
+            gen = np.random.default_rng(s)
+            a_list.append(gen.normal(size=(d1, k)) + 1j * gen.normal(size=(d1, k)))
+            b_list.append(gen.normal(size=(k, d2)) + 1j * gen.normal(size=(k, d2)))
+        a_starts = np.ascontiguousarray(np.stack(a_list)).astype(np.complex128)
+        b_starts = np.ascontiguousarray(np.stack(b_list)).astype(np.complex128)
+        _, psi = criteria._kernels.kpos_seesaw(np.ascontiguousarray(C), d1, d2, k, a_starts,
+                                               b_starts, criteria.KPOS_ITERS)
+        Up, sp, Vhp = np.linalg.svd(psi.reshape(d1, d2))
+        M = (Up[:, :k] * sp[:k]) @ Vhp[:k, :]
+        nrm = np.linalg.norm(M)
+        if nrm == 0.0:
+            return None
+        psi = (M / nrm).ravel()
+        value = float((psi.conj() @ (C @ psi)).real)
+        if value < -criteria.WITNESS_TOL and criteria.schmidt_rank(psi, (d1, d2)) <= k:
+            return psi
+        return None
+
+    @staticmethod
+    def _shifted_map(d, seed, shift):
+        """Random Hermitian Choi matrix on C^d (x) C^d with bottom eigenvalue -shift."""
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        H = (G + G.conj().T) / 2
+        return choi.QuantumMap(d, d, H - (np.linalg.eigvalsh(H)[0] + shift) * np.eye(d * d))
+
+    def test_matches_one_batch_of_all_restarts(self):
+        # d = 2, 3, 4 in turn; bottom eigenvalue -0.05, -1 or -2; k from 1 to d
+        cases = [(self._shifted_map(2 + s % 3, s, (0.05, 1.0, 2.0)[s // 3 % 3]),
+                  1 + s // 9 % (2 + s % 3), s) for s in range(90)]
+        # maps where only a random restart finds the witness
+        cases += [(self._shifted_map(d, s, shift), 1, s)
+                  for d, s, shift in ((3, 289, 1.0), (4, 236, 2.0), (3, 301, 2.0))]
+        cases += [(choi.transposition_map(d), k, 5) for d in (2, 3, 4) for k in range(1, d + 1)]
+        cases += [(choi.compose(choi.transposition_map(3), holevo_werner(3, p)), 2, seed)
+                  for p in (0.2, 0.5, 0.7) for seed in (0, 1)]
+        assert len(cases) >= 100
+        random_only = 0
+        for T, k, seed in cases:
+            expected = self._one_batch(T, k, seed=seed)
+            got = criteria.k_positivity_falsify(T, k, seed=seed)
+            assert (got is None) == (expected is None), (T.dims, k, seed)
+            if criteria.k_positivity_falsify(T, k, restarts=1) is None:
+                assert got is None or got.tobytes() == expected.tobytes(), (T.dims, k, seed)
+                random_only += got is not None
+        assert random_only >= 3
+
 
 class TestBallCertificate:
     def test_depolarizing_has_zero_deviation(self):

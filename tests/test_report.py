@@ -190,9 +190,11 @@ MALFORMED = {
     "im-shape": ({"re": [1.0, 2.0], "im": [1.0]}, DimMismatch),
     "vector-not-flat": ({"re": [[1.0], [2.0]]}, DimMismatch),
     "non-numeric-entry": ({"rows": 1, "cols": 1, "re": [["x"]]}, DomainError),
+    # BipartiteState checks its dims by the count rule, as QuantumMap does
     "wrong-field-type": (
-        {"kind": "BipartiteState", "dims": ["a", "b"], "mat": to_json(np.eye(4))}, DomainError
+        {"kind": "BipartiteState", "dims": ["a", "b"], "mat": to_json(np.eye(4))}, DimMismatch
     ),
+    "wrong-mat-type": ({"kind": "BipartiteState", "dims": [2, 2], "mat": "x"}, DomainError),
     "choi-wrong-size": (
         {"kind": "QuantumMap", "din": 2, "dout": 2,
          "choi": {"rows": 1, "cols": 1, "re": [[1.0]]}},
