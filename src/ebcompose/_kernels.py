@@ -4,10 +4,10 @@
 iteration is a handful of stacked LAPACK calls, and a mask retires each
 restart at its own stopping point, so each restart takes the same steps it
 would take alone.  ``pursuit_atom`` does the same and returns every
-restart's result, so one call also polishes a whole stack of atoms, each
-against its own residual.  None of them builds an embedding
-matrix: each half step contracts the reshaped four-index operator with the
-passive factor by matmul.
+restart's result; the separable pursuit calls it once per polish round,
+with one restart per atom, each against its own residual.  None of them
+builds an embedding matrix: each half step contracts the reshaped
+four-index operator with the passive factor by matmul.
 """
 
 from __future__ import annotations

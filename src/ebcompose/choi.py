@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatch, LinearityViolation, is_count
+from .errors import DimMismatch, DomainError, LinearityViolation, is_count
 
 LINEARITY_TOL = 1e-8  # relative, choi_from_action's spot-check
 
@@ -202,10 +202,13 @@ def random_cp_cocp_map(d: int, seed: int) -> QuantumMap:
     the Choi matrix and its partial transpose (at most 500 rounds); a final
     uniform identity shift lifts both spectra to be exactly nonnegative
     (the shift commutes with partial transposition).  The result is scaled
-    to trace d.  A d that is not an integer >= 1 raises DimMismatch.
+    to trace d.  A d that is not an integer >= 1 raises DimMismatch, and a
+    seed that is not an integer >= 0 DomainError.
     """
     if not is_count(d, 1):
         raise DimMismatch(f"map dimension must be a positive integer, got {d!r}")
+    if not is_count(seed, 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     dims = (d, d)
     C = linalg.random_psd(d * d, rng)

@@ -6,7 +6,9 @@ dimension-4 PT-invariance), Schmidt-number tools (the fidelity lower bound,
 sub-blocks, the trimming bound and the iteration count), heuristic
 k-positivity falsification, and separability certification:
 a closed-form twirl decomposition over mutually unbiased bases for PPT
-Werner- and isotropic-type states, and a product-state pursuit for the rest.
+Werner- and isotropic-type states, and for the rest a product-state pursuit:
+an NNLS refit of fixed seed atoms, then stacked polish rounds that re-fit
+every atom at once.
 
 Verdicts are :class:`~ebcompose.report.Report` objects carrying named
 evidence, so "unknown" is always distinguishable from a certified answer.
@@ -37,9 +39,7 @@ WITNESS_TOL = 1e-9  # a k-positivity witness needs <psi|C|psi> < -WITNESS_TOL
 CCNR_TOL = 1e-9  # realignment_criterion passes a realigned trace norm <= 1 + CCNR_TOL
 FIDELITY_TIE_TOL = 1e-12  # sn_lower_fidelity: fidelity ties this close do not raise the bound
 JOHNSTON_TOL = 1e-12  # johnston_block_check: ||X||^2 <= rhs + JOHNSTON_TOL * max(1, |rhs|)
-ATOM_FLOOR = 1e-12  # the pursuit keeps an atom only above weight ATOM_FLOOR * ||X||
 SEP_RESIDUAL_TOL = 1e-7  # a decomposition is returned only with ||residual|| <= this * ||X||
-REFIT_EVERY = 50  # the pursuit refits all weights after every REFIT_EVERY new atoms
 KPOS_RESTARTS = 32  # k_positivity_falsify's default number of seesaw restarts
 KPOS_ITERS = 200  # seesaw rounds per k_positivity_falsify restart
 
@@ -146,7 +146,9 @@ def k_positivity_falsify(
     per (d1, d2, k, restarts, seed), run as one batch, and the best of all
     restarts (restart 0 winning ties) is verified, so verdict and vector are
     those of one batch of all restarts.  A returned witness is re-verified
-    independently; absence of a witness proves nothing.
+    independently; absence of a witness proves nothing.  A k outside
+    [1, min(d1, d2)], restarts < 1 or a seed < 0, or any of them not an
+    integer, raises DomainError before any search runs.
     """
     C = np.ascontiguousarray(linalg.require_hermitian(T.choi))
     d1, d2 = T.din, T.dout
@@ -154,6 +156,8 @@ def k_positivity_falsify(
         raise DomainError(f"k={k!r} is not an integer in [1, {min(d1, d2)}]")
     if not is_count(restarts, 1):
         raise DomainError(f"restarts must be an integer >= 1, got {restarts!r}")
+    if not is_count(seed, 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
 
     # warm start from the bottom eigenvector, Schmidt-truncated to rank k
     V = np.linalg.eigh(C)[1]
@@ -236,13 +240,13 @@ def deviation_from_depolarizing(
     batched random-unitary sweep.  The value is a lower bound that depends
     on the search budget; no certificate uses it (the ball certificate
     brackets the norm with :func:`depolarizing_ball_bounds` instead).
-    Budgets must be integers: ``samples >= 0``, ``restarts >= 1`` and
-    ``iters >= 1`` (DomainError otherwise).
+    Budgets and the seed must be integers: ``samples >= 0``, ``restarts >= 1``,
+    ``iters >= 1`` and ``seed >= 0`` (DomainError otherwise).
     """
     if T.din != T.dout:
         raise DimMismatch("deviation from depolarizing needs a square map")
     for name, value, minimum in (("samples", samples, 0), ("restarts", restarts, 1),
-                                 ("iters", iters, 1)):
+                                 ("iters", iters, 1), ("seed", seed, 0)):
         if not is_count(value, minimum):
             raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     d = T.din
@@ -634,26 +638,32 @@ def _polish_refit(X, A, B):
 def heuristic_sep_certify(
     X: BipartiteState, budget: int = 5000, seed: int = 0
 ) -> Optional[SepDecomposition]:
-    """Separable decomposition: a closed-form twirl rung, then a randomized
-    greedy product-state pursuit with NNLS refits.
+    """Separable decomposition: a closed-form twirl rung, then a product-state
+    pursuit of stacked polish rounds with NNLS refits.
 
     A PPT state alpha I + beta F or alpha I + beta |Omega><Omega| at d = 2-5
     is decomposed in closed form (``_twirl_decomposition``; no atoms are
     searched and no random numbers drawn).  Anything else goes to the pursuit.
 
     In the pursuit, atom t is the product vector v_t = A[t] (x) B[t] of two
-    stacks.  NNLS fits weights w over the projectors v_t v_t^dagger; between
-    refits the residual X - sum_t w_t v_t v_t^dagger is updated by rank-one
-    terms, and all weights are refit after every ``REFIT_EVERY`` new atoms.
-    ``budget`` caps the atoms searched, and ``seed`` draws the random starts.
+    stacks, and NNLS fits weights w over the projectors v_t v_t^dagger.  The
+    seed atoms (``_seed_atoms``; ``seed`` draws their random part) are refit
+    first.  Each polish round (``_polish_refit``) then re-fits every kept
+    atom against its own residual in one stacked seesaw and refits over the
+    old and new atoms; there is no greedy step.  The first refit whose
+    residual meets the bound below is returned.  ``budget`` caps the atoms
+    the rounds re-fit (each round counts its atoms), and a round that leaves
+    the refit's Frobenius error within rounding of the last one ends the
+    search.
 
     Returns a verified separable decomposition whose residual has operator
     norm at most ``SEP_RESIDUAL_TOL`` times that of X, or None; absence is
     inconclusive, not a verdict.  No argument moves that bound.  A budget
-    that is not an integer >= 0 raises DomainError.
+    or seed that is not an integer >= 0 raises DomainError.
     """
-    if not is_count(budget, 0):
-        raise DomainError(f"budget must be an integer >= 0, got {budget!r}")
+    for name, value in (("budget", budget), ("seed", seed)):
+        if not is_count(value, 0):
+            raise DomainError(f"{name} must be an integer >= 0, got {value!r}")
     dA, dB = X.dims
     scale = linalg.operator_norm(X.mat)
     if scale == 0.0:
@@ -662,42 +672,16 @@ def heuristic_sep_certify(
     twirled = _twirl_decomposition(X, target)
     if twirled is not None:
         return twirled
-    rng = np.random.default_rng(seed)
-    A, B, w, R = _refit(X.mat, *_seed_atoms(X.dims, rng))
-    searched = stalls = 0
-    while searched < budget:
-        wR, VR = np.linalg.eigh((R + R.conj().T) / 2.0)
-        if max(-wR[0], wR[-1]) <= target:
-            break
-        # warm start from the Schmidt split of the residual's top eigenvector
-        Uw, sw, Vhw = np.linalg.svd(VR[:, -1].reshape(dA, dB))
-        rand = [(linalg.random_pure_state(dA, rng), linalg.random_pure_state(dB, rng))
-                for _ in range(4)]
-        a_starts, b_starts = map(np.stack, zip((Uw[:, 0], Vhw[0, :].conj()), *rand))
-        vals, a, b = _kernels.pursuit_atom(R, dA, dB, a_starts, b_starts, 12)
-        best = int(np.argmax(vals))
-        val, a, b = vals[best], a[best], b[best]
-        searched += 1
-        if val > ATOM_FLOOR * scale:
-            stalls = 0
-            A, B = np.vstack([A, a]), np.vstack([B, b])
-            w = np.append(w, float(val))
-            v = np.outer(a, b).ravel()
-            R -= w[-1] * np.outer(v, v.conj())
-            if len(w) % REFIT_EVERY != 0:
-                continue
-        else:
-            # the greedy weights have gone stale: after an exact refit a
-            # separable target always exposes a positive product direction,
-            # so only repeated post-refit stalls mean the search is done
-            stalls += 1
-        A, B, w, R = _polish_refit(X.mat, A, B)
-        if stalls >= 3:
-            break
-
-    for _ in range(3):
-        A, B, w, R = _polish_refit(X.mat, A, B)
+    A, B, w, R = _refit(X.mat, *_seed_atoms(X.dims, np.random.default_rng(seed)))
+    searched, prev = 0, np.inf
+    while True:
         resid = linalg.operator_norm(R)
         if resid <= target:
             return SepDecomposition(w, A, B, resid, searched)
-    return None
+        # the union refit never raises the Frobenius error, so a round that
+        # leaves it within rounding (D ulps) of the last one has stalled
+        err = np.linalg.norm(R)
+        if searched >= budget or err >= prev * (1.0 - len(R) * np.finfo(float).eps):
+            return None
+        searched, prev = searched + len(A), err
+        A, B, w, R = _polish_refit(X.mat, A, B)

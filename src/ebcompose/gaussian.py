@@ -132,10 +132,14 @@ def random_cocp_channel(n: int, seed: int) -> GaussianChannel:
 
     X has uniform entries in [-1, 1]; Y is a random PSD matrix shifted by
     the smallest multiple of the identity that gives both conditions an
-    absolute eigenvalue margin of at least 0.01.
+    absolute eigenvalue margin of at least 0.01.  An n that is not an
+    integer >= 1 raises DimMismatch, and a seed that is not an integer >= 0
+    DomainError.
     """
     if not is_count(n, 1):
         raise DimMismatch(f"mode count must be a positive integer, got {n!r}")
+    if not is_count(seed, 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     two_n = 2 * n
     X = rng.uniform(-1.0, 1.0, size=(two_n, two_n))

@@ -58,6 +58,23 @@ BAD_COUNTS = {
         (lambda: criteria.BipartiteState((2.0, 2.0), np.eye(4) / 4), DimMismatch),
 }
 
+# A seed is a count too (an integer >= 0), checked before any search or draw,
+# so the error does not depend on which rung would answer first: the twirl
+# rung decomposes I/4 and a warm start can refute k-positivity alone.
+SEEDED_CALLS = {
+    "k_positivity_falsify": lambda seed: criteria.k_positivity_falsify(_hw(), 1, seed=seed),
+    "heuristic_sep_certify": lambda seed: criteria.heuristic_sep_certify(_state(), seed=seed),
+    "deviation_from_depolarizing":
+        lambda seed: criteria.deviation_from_depolarizing(_hw(), samples=0, seed=seed),
+    "random_cp_cocp_map": lambda seed: choi.random_cp_cocp_map(2, seed),
+    "random_cocp_channel": lambda seed: gaussian.random_cocp_channel(1, seed),
+}
+BAD_SEEDS = {"1.0": 1.0, "'a'": "a", "-1": -1, "True": True, "[1, 2]": [1, 2]}
+BAD_COUNTS.update({
+    f"{name}-seed={label}": (lambda call=call, seed=seed: call(seed), DomainError)
+    for name, call in SEEDED_CALLS.items() for label, seed in BAD_SEEDS.items()
+})
+
 
 @pytest.mark.parametrize("call,error", BAD_COUNTS.values(), ids=BAD_COUNTS)
 def test_non_integer_count_raises_the_typed_error(call, error):

@@ -967,8 +967,8 @@ class TestStackedPolish:
 
 
 class TestHeuristicSepCertifyArguments:
-    # budget is checked; the refit period and the residual bound are the
-    # constants REFIT_EVERY and SEP_RESIDUAL_TOL, so any value of them is a TypeError
+    # budget is checked; the removed refit period and the residual bound (the
+    # constant SEP_RESIDUAL_TOL) are no arguments, so any value of them is a TypeError
     @pytest.mark.parametrize(
         "kwargs,error",
         [
@@ -987,10 +987,79 @@ class TestHeuristicSepCertifyArguments:
         with pytest.raises(error):
             criteria.heuristic_sep_certify(criterion_05_state(0), **kwargs)
 
-    def test_zero_budget_still_refits_the_seed_atoms(self):
-        # no greedy search runs, but the product basis among the seed atoms
+    def test_zero_budget_still_refits_the_seed_atoms(self, monkeypatch):
+        # no polish round runs, but the product basis among the seed atoms
         # fits a product state exactly
+        monkeypatch.setattr(criteria, "_polish_refit", no_pursuit)
         X = state((2, 3), np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
         dec = criteria.heuristic_sep_certify(X, budget=0)
         assert dec is not None and dec.atoms_searched == 0
         assert_residual_matches_terms(dec, X.mat)
+
+    def test_zero_budget_runs_no_round_when_the_seed_refit_misses(self, monkeypatch):
+        monkeypatch.setattr(criteria, "_polish_refit", no_pursuit)
+        assert criteria.heuristic_sep_certify(criterion_05_state(0), budget=0) is None
+
+
+def tiles_upb_state() -> np.ndarray:
+    """(I - sum of the five Tiles UPB projectors) / 4: PPT and entangled."""
+    e = np.eye(3)
+    minus = lambda x, y: (x - y) / np.sqrt(2)
+    s = e.sum(axis=0) / np.sqrt(3)
+    vecs = [np.kron(e[0], minus(e[0], e[1])), np.kron(minus(e[0], e[1]), e[2]),
+            np.kron(e[2], minus(e[1], e[2])), np.kron(minus(e[1], e[2]), e[0]), np.kron(s, s)]
+    return (np.eye(9) - sum(np.outer(v, v) for v in vecs)) / 4.0
+
+
+def horodecki_state(a: float) -> np.ndarray:
+    """P. Horodecki's 3 x 3 state: PPT and entangled for 0 < a < 1."""
+    M = a * np.eye(9)
+    M[np.ix_([0, 4, 8], [0, 4, 8])] = a
+    M[6, 6] = M[8, 8] = (1.0 + a) / 2.0
+    M[6, 8] = M[8, 6] = np.sqrt(1.0 - a * a) / 2.0
+    return M / (8.0 * a + 1.0)
+
+
+def counted_rounds(monkeypatch) -> list:
+    """Patch _polish_refit to record the size of the atom stack of each round."""
+    sizes, polish = [], criteria._polish_refit
+
+    def counting(X, A, B):
+        sizes.append(len(A))
+        return polish(X, A, B)
+
+    monkeypatch.setattr(criteria, "_polish_refit", counting)
+    return sizes
+
+
+class TestPursuitStoppingRules:
+    @pytest.mark.parametrize(
+        "mat", [tiles_upb_state(), horodecki_state(0.3)], ids=["tiles-upb", "horodecki-0.3"])
+    def test_ppt_entangled_states_get_no_decomposition(self, mat):
+        X = state((3, 3), mat)
+        assert criteria.is_ppt_state(X)
+        assert criteria.heuristic_sep_certify(X) is None
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_npt_state_stops_on_the_frobenius_rule(self, d, monkeypatch):
+        # |Omega><Omega| / d is NPT, so no refit meets the bound; the refit's
+        # Frobenius error stops falling within two rounds, long before the
+        # default budget is spent
+        sizes = counted_rounds(monkeypatch)
+        X = state((d, d), linalg.max_entangled_projector(d) / d)
+        assert criteria.heuristic_sep_certify(X) is None
+        assert 1 <= len(sizes) <= 2 and sum(sizes) < 5000
+
+    @pytest.mark.parametrize("budget", [1, 50, 200, 5000])
+    @pytest.mark.parametrize("mat", [None, tiles_upb_state()], ids=["criterion-05", "tiles-upb"])
+    def test_atoms_searched_is_the_round_sizes_within_budget(self, budget, mat, monkeypatch):
+        X = criterion_05_state(4) if mat is None else state((3, 3), mat)
+        sizes = counted_rounds(monkeypatch)
+        dec = criteria.heuristic_sep_certify(X, budget=budget)
+        # a round starts only below the budget, so the last one may overrun it
+        assert sizes and sum(sizes[:-1]) < budget
+        if dec is not None:
+            assert dec.atoms_searched == sum(sizes) <= budget + sizes[-1]
+            assert dec.residual <= criteria.SEP_RESIDUAL_TOL * linalg.operator_norm(X.mat)
+        if budget == 5000 and mat is None:
+            assert dec is not None
