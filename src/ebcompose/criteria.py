@@ -7,8 +7,8 @@ sub-blocks, the trimming bound and the iteration count), heuristic
 k-positivity falsification, and separability certification:
 a closed-form twirl decomposition over mutually unbiased bases for PPT
 Werner- and isotropic-type states, and for the rest a product-state pursuit:
-an NNLS refit of fixed seed atoms, then stacked polish rounds that re-fit
-every atom at once.
+an NNLS refit of fixed seed atoms, then polish rounds, each one stacked
+seesaw that re-fits every atom at once and one NNLS refit.
 
 Verdicts are :class:`~ebcompose.report.Report` objects carrying named
 evidence, so "unknown" is always distinguishable from a certified answer.
@@ -382,7 +382,8 @@ def two_eb_ball_certificate(T: QuantumMap) -> bool:
                 return True
     if not (is_cp(T) and is_cocp(T)):
         return False
-    state = BipartiteState((T.din, T.dout), T.choi / np.trace(T.choi).real)
+    tr = np.trace(T.choi).real
+    state = BipartiteState((T.din, T.dout), T.choi / tr if tr > 0.0 else T.choi)
     return heuristic_sep_certify(state) is not None
 
 
@@ -623,12 +624,11 @@ def _refit(X, A, B):
     return A[keep], B[keep], w, X - (V.T * w) @ V.conj()
 
 
-def _polish_refit(X, A, B):
-    """Refit, then a Jacobi polish: in one stacked seesaw, atom t re-fits against
-    the residual with its own term added back, warm-started at itself.  The last
-    refit keeps the old atoms beside the new, so the Frobenius error never rises.
-    """
-    A, B, w, R = _refit(X, A, B)
+def _polish_refit(X, A, B, w, R):
+    """Jacobi polish of a refit (``_refit``'s output): in one stacked seesaw, atom t
+    re-fits against the residual with its own term added back, warm-started at
+    itself.  One NNLS refit keeps the old atoms beside the new, so the Frobenius
+    error never rises."""
     V = (A[:, :, None] * B[:, None, :]).reshape(len(A), A.shape[1] * B.shape[1])
     R_t = R + (w[:, None, None] * V[:, :, None]) * V.conj()[:, None, :]
     _, A2, B2 = _kernels.pursuit_atom(R_t, A.shape[1], B.shape[1], A, B, 10)
@@ -684,4 +684,4 @@ def heuristic_sep_certify(
         if searched >= budget or err >= prev * (1.0 - len(R) * np.finfo(float).eps):
             return None
         searched, prev = searched + len(A), err
-        A, B, w, R = _polish_refit(X.mat, A, B)
+        A, B, w, R = _polish_refit(X.mat, A, B, w, R)

@@ -245,7 +245,7 @@ def partial_transpose(M, dims: Sequence[int], which: str = "A") -> np.ndarray:
     elif which == "B":
         T = np.swapaxes(T, k + 1, k + 3)
     else:
-        raise ValueError("which must be 'A' or 'B'")
+        raise DomainError(f"which must be 'A' or 'B', got {which!r}")
     return T.reshape(lead + (dA * dB, dA * dB)).copy()
 
 
@@ -258,7 +258,7 @@ def partial_trace(M, dims: Sequence[int], which: str = "B") -> np.ndarray:
         return np.trace(T, axis1=1, axis2=3).copy()
     if which == "A":
         return np.trace(T, axis1=0, axis2=2).copy()
-    raise ValueError("which must be 'A' or 'B'")
+    raise DomainError(f"which must be 'A' or 'B', got {which!r}")
 
 
 def realign(M, dims: Sequence[int]) -> np.ndarray:
@@ -286,7 +286,7 @@ def permute_systems(M, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
         raise DimMismatch(f"dims {dims} do not match shape {A.shape}")
     perm = list(perm)
     if sorted(perm) != list(range(len(dims))):
-        raise ValueError(f"perm {perm} is not a permutation of {len(dims)} factors")
+        raise DomainError(f"perm {perm} is not a permutation of {len(dims)} factors")
     k = len(dims)
     T = A.reshape(dims + dims)
     axes = perm + [p + k for p in perm]

@@ -401,6 +401,13 @@ class TestBallCertificate:
         with pytest.raises(DimMismatch):
             criteria.two_eb_ball_certificate(rect)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.filterwarnings("error")
+    def test_zero_map_is_certified(self, d):
+        # the zero map is CP, coCP and EB; its Choi matrix has trace 0, so
+        # the fallback decomposes it without normalizing
+        assert criteria.two_eb_ball_certificate(choi.QuantumMap(d, d, np.zeros((d * d, d * d))))
+
 
 def random_shifted_map(d: int, rng, flip: float, size: float) -> choi.QuantumMap:
     """Choi matrix I - flip * F + size * G with G Hermitian of operator norm 1."""
@@ -920,7 +927,7 @@ class TestStackedPolish:
         A, B, w, R = criteria._refit(X.mat, *criteria._seed_atoms(X.dims, np.random.default_rng(0)))
         errors = [np.linalg.norm(R)]
         for _ in range(4):
-            A, B, w, R = criteria._polish_refit(X.mat, A, B)
+            A, B, w, R = criteria._polish_refit(X.mat, A, B, w, R)
             errors.append(np.linalg.norm(R))
         assert errors[1] < 0.999 * errors[0]
         for before, after in zip(errors, errors[1:]):
@@ -928,11 +935,26 @@ class TestStackedPolish:
 
     def test_polish_refit_residual_matches_atoms(self):
         X = criterion_05_state(3)
-        A, B, w, R = criteria._polish_refit(
-            X.mat, *criteria._seed_atoms(X.dims, np.random.default_rng(1)))
+        seed_fit = criteria._refit(X.mat, *criteria._seed_atoms(X.dims, np.random.default_rng(1)))
+        A, B, w, R = criteria._polish_refit(X.mat, *seed_fit)
         dec = criteria.SepDecomposition(w, A, B, 0.0, 0)
         assert np.all(w > 0.0) and len(w) == len(A) == len(B)
         np.testing.assert_allclose(X.mat - dec.reconstruct(), R, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 7, 42, 101])
+    def test_one_nnls_per_polish_round(self, seed, monkeypatch):
+        # each round polishes the refit it is handed, so the only NNLS
+        # problems are the seed refit and one union refit per round
+        calls, nnls = [], criteria.nnls
+
+        def counting(*args):
+            calls.append(None)
+            return nnls(*args)
+
+        monkeypatch.setattr(criteria, "nnls", counting)
+        sizes = counted_rounds(monkeypatch)
+        criteria.heuristic_sep_certify(criterion_05_state(seed))
+        assert sizes and len(calls) == 1 + len(sizes)
 
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_reconstruct_is_sum_of_kron_terms(self, seed):
@@ -1024,9 +1046,9 @@ def counted_rounds(monkeypatch) -> list:
     """Patch _polish_refit to record the size of the atom stack of each round."""
     sizes, polish = [], criteria._polish_refit
 
-    def counting(X, A, B):
+    def counting(X, A, B, w, R):
         sizes.append(len(A))
-        return polish(X, A, B)
+        return polish(X, A, B, w, R)
 
     monkeypatch.setattr(criteria, "_polish_refit", counting)
     return sizes

@@ -169,6 +169,10 @@ class TestPartialTranspose:
         with pytest.raises(DomainError):
             linalg.partial_transpose(M, (2, 2), "B")
 
+    def test_unknown_factor_is_domain_error(self):
+        with pytest.raises(DomainError):
+            linalg.partial_transpose(np.eye(4), (2, 2), "C")
+
 
 class TestPartialTrace:
     def test_product(self, rng):
@@ -194,6 +198,10 @@ class TestPartialTrace:
         for which in ("A", "B"):
             out = linalg.partial_trace(M, (2, 3), which)
             assert abs(np.trace(out) - np.trace(M)) <= 1e-12 * max(1.0, nuc)
+
+    def test_unknown_factor_is_domain_error(self):
+        with pytest.raises(DomainError):
+            linalg.partial_trace(np.eye(4), (2, 2), "C")
 
 
 class TestRealign:
@@ -259,6 +267,11 @@ class TestPermuteSystems:
     def test_identity_permutation(self, rng):
         M = linalg.random_hermitian(6, rng)
         np.testing.assert_array_equal(linalg.permute_systems(M, [2, 3], [0, 1]), M)
+
+    @pytest.mark.parametrize("perm", [[0, 0], [0, 2], [0]])
+    def test_non_permutation_is_domain_error(self, perm):
+        with pytest.raises(DomainError):
+            linalg.permute_systems(np.eye(6), [2, 3], perm)
 
 
 class TestHvec:
