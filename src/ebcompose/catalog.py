@@ -221,9 +221,12 @@ def annihilation_identity_check(
 
     Draws ``trials`` Haar-random pure states on the joint input space and
     accepts when every relative deviation stays within ``ANNIHILATION_TOL``.
+    Counts that are not integers (trials >= 1, seed >= 0) raise DomainError.
     """
     if not is_count(trials, 1):
         raise DomainError(f"trial count {trials!r} is not an integer >= 1")
+    if not is_count(seed, 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -233,11 +236,11 @@ def annihilation_identity_check(
 
 
 _BUILDERS: dict[str, Callable[[Mapping[str, ParamValue]], NamedMap]] = {
-    "holevo-werner": lambda ps: holevo_werner(int(ps["d"]), float(ps["p"])),
+    "holevo-werner": lambda ps: holevo_werner(ps["d"], ps["p"]),
     "rank3": lambda ps: rank3_example(),
-    "antisym": lambda ps: antisym_sym_maps(int(ps["d"]))[0],
-    "sym": lambda ps: antisym_sym_maps(int(ps["d"]))[1],
-    "tau-n": lambda ps: tau_n_map(int(ps["d"]), int(ps["n"])),
+    "antisym": lambda ps: antisym_sym_maps(ps["d"])[0],
+    "sym": lambda ps: antisym_sym_maps(ps["d"])[1],
+    "tau-n": lambda ps: tau_n_map(ps["d"], ps["n"]),
     "choi-witness": lambda ps: choi_map_witness(),
 }
 

@@ -227,11 +227,7 @@ def random_cp_cocp_map(d: int, seed: int) -> QuantumMap:
         )
         if margin >= 0.0:
             break
-    lift = -min(
-        0.0,
-        float(np.linalg.eigvalsh(C)[0]),
-        float(np.linalg.eigvalsh(linalg.partial_transpose(C, dims, "B"))[0]),
-    )
+    lift = -min(0.0, float(margin))  # the last round's margin is that of C as it stands
     C = C + lift * np.eye(d * d)
     C *= d / np.trace(C).real
     return QuantumMap(d, d, C)

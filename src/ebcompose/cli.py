@@ -188,7 +188,7 @@ def _suite_switch(args) -> list[dict]:
 def _suite_gaussian(args) -> list[dict]:
     C = gaussian.random_cocp_channel(args.n, args.seed)
     checks = [
-        _check("valid", gaussian.is_valid(C)),
+        _check("valid", C.valid),
         _check("cocp", gaussian.is_cocp(C)),
     ]
     N, M, verified = gaussian.ppt2_witness(C, C)

@@ -75,10 +75,12 @@ UNKNOWN = "unknown"
 def schmidt_rank(psi, dims: Sequence[int]) -> int:
     """Schmidt rank of a vector: ``linalg.numerical_rank`` of its dA x dB reshape.
 
-    A vector whose length is not dA * dB raises DimMismatch; non-finite
-    entries raise DomainError.
+    Dimensions that are not positive integers, or a vector whose length is
+    not dA * dB, raise DimMismatch; non-finite entries raise DomainError.
     """
-    dA, dB = int(dims[0]), int(dims[1])
+    dA, dB = dims[0], dims[1]
+    if not (is_count(dA, 1) and is_count(dB, 1)):
+        raise DimMismatch(f"dims {tuple(dims)} are not positive integers")
     v = np.asarray(psi, dtype=complex)
     if v.size != dA * dB:
         raise DimMismatch(f"vector of length {v.size} does not match dims {tuple(dims)}")

@@ -24,7 +24,8 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GaussianChannel:
-    """Gaussian channel (X, Y) on n modes; validity is recorded, not enforced."""
+    """Gaussian channel (X, Y) on n modes; ``valid`` records, once and without
+    enforcing it, the channel condition Y + i(sigma - X sigma X^T) >= 0."""
 
     n: int
     X: np.ndarray
@@ -51,17 +52,8 @@ class GaussianChannel:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "valid", _valid_check(n, X, Y))
-
-
-def _valid_check(n: int, X: np.ndarray, Y: np.ndarray) -> bool:
-    sig = linalg.symplectic_form(n)
-    return linalg.is_psd(Y + 1j * (sig - X @ sig @ X.T))
-
-
-def is_valid(C: GaussianChannel) -> bool:
-    """Channel condition Y + i(sigma - X sigma X^T) >= 0."""
-    return _valid_check(C.n, C.X, C.Y)
+        sig = linalg.symplectic_form(n)
+        object.__setattr__(self, "valid", linalg.is_psd(Y + 1j * (sig - X @ sig @ X.T)))
 
 
 def is_cocp(C: GaussianChannel) -> bool:
@@ -113,7 +105,7 @@ def ppt2_witness(C2: GaussianChannel, C1: GaussianChannel) -> tuple[np.ndarray, 
     if C1.n != C2.n:
         raise ModeMismatch(f"mode counts {C1.n} and {C2.n} differ")
     for label, C in (("first", C1), ("second", C2)):
-        if not is_valid(C):
+        if not C.valid:
             raise PreconditionFailed(f"{label} channel fails the validity condition")
         if not is_cocp(C):
             raise PreconditionFailed(f"{label} channel is not completely copositive")

@@ -280,6 +280,8 @@ def permute_systems(M, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     ``perm[k]`` names which input factor lands in slot ``k`` of the output.
     """
     A = _as_matrix(M)
+    if not all(is_count(d, 1) for d in dims):
+        raise DimMismatch(f"dims {tuple(dims)} are not positive integers")
     dims = [int(d) for d in dims]
     n = int(np.prod(dims))
     if A.shape != (n, n):

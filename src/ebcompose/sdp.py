@@ -6,17 +6,16 @@ interior-point method with Nesterov-Todd scaling (Todd, Toh and Tutuncu,
 SIAM J. Optim. 8, 1998) and a Mehrotra predictor-corrector step.  Each block
 is packed into its n^2 real coordinates with ``linalg.hvec``, and an
 ``SdpProblem`` is that packed system alone: a sparse equality matrix A, b
-and c, checked when it is built.  ``SdpProblem.from_matrices`` packs
-equalities given as Hermitian coefficient matrices, each block's checked as
-one stack under ``linalg.require_hermitian``.  The decomposability,
-Gaussian-split and counterexample-search problems are written in ``hvec``
-coordinates directly, in O(D^2): the Hermitian basis element B_k is s_k
-times the k-th ``hvec`` unit vector (s from ``_basis_scale``), and the
-partial transpose permutes ``hvec`` coordinates up to sign, hvec(PT(X)) =
-Q hvec(X) (``_pt_permutation``), so each of their equalities has one
-nonzero per block.  The solver works per size group, stacked: blocks of one
-size n form a group that moves through each per-block stage as one
-(k, n, n) stack, in one numpy or LAPACK call per group rather than per block.
+and c, checked when it is built.  All four wrappers (decomposability,
+Gaussian split, cb-norm split, counterexample search) write their equalities
+in ``hvec`` coordinates directly, in O(D^2), with no basis matrix: the basis
+element B_k is s_k times the k-th ``hvec`` unit vector (``_basis_scale``),
+and the partial transpose permutes ``hvec`` coordinates up to sign,
+hvec(PT(X)) = Q hvec(X) (``_pt_permutation``).  ``SdpProblem.from_matrices``
+packs hand-written problems, given as Hermitian coefficient matrices checked
+per block as one stack by ``linalg.require_hermitian``.  The solver works
+per size group, stacked: the blocks of one size n move through each
+per-block stage as one (k, n, n) stack, one numpy or LAPACK call per group.
 Per iteration each block's scaling takes two Cholesky factors and one SVD,
 X = L L^H, S = R R^H and R^H L = U diag(d) Vh, and no eigendecomposition:
 F = L Vh^H d^-1/2 and F^-1 = d^-1/2 U^H R^H give the scaled point
@@ -95,7 +94,7 @@ class SdpProblem:
     sparse or numpy array of shape (m, N), kept as a CSR array.  Sizes that
     are not positive integers and wrong shapes raise DimMismatch, repeated
     names PreconditionFailed, complex or non-finite data DomainError.
-    ``from_matrices`` builds a problem from coefficient matrices.
+    ``from_matrices`` builds a hand-written problem from coefficient matrices.
     """
 
     blocks: tuple[tuple[str, int], ...]
@@ -682,23 +681,15 @@ def solve(problem: SdpProblem) -> SdpResult:
 
 
 def _basis_scale(n: int) -> np.ndarray:
-    # B_k = scale_k hmat(e_k): 1 on the diagonal coordinates, sqrt2 elsewhere.
+    """s, 1 on the diagonal coordinates and sqrt2 elsewhere, with B_k = s_k hmat(e_k)
+    the Hermitian basis of M_n: E_pp, then E_pq + E_qp, then i E_pq - i E_qp."""
     scale = np.full(n * n, np.sqrt(2.0))
     scale[:n] = 1.0
     return scale
 
 
-def _hermitian_basis(n: int) -> np.ndarray:
-    """Orthogonal Hermitian basis of M_n as an (n^2, n, n) stack.
-
-    In ``linalg.hvec`` order: E_pp, then E_pq + E_qp, then i E_pq - i E_qp
-    for p < q in row-major order.
-    """
-    return linalg.hmat(np.diag(_basis_scale(n)), n)
-
-
 def _basis_coords(M: np.ndarray) -> np.ndarray:
-    """Re tr(B_k M) for the ``_hermitian_basis`` elements B_k, without the basis.
+    """Re tr(B_k M) for the basis elements B_k of ``_basis_scale``, without the basis.
 
     This is ``hvec`` of the Hermitian part of M scaled by ``_basis_scale``:
     Re M_pp, then Re(M_pq + M_qp) and Im(M_pq - M_qp) for p < q.  An entry
@@ -899,21 +890,34 @@ def cb_split_bound(P: choi.QuantumMap) -> SdpResult:
         raise DomainError("Choi matrix entries must be below 2**1023 in magnitude")
     unit = 2.0**exponent
     H = H / unit
-    basis = _hermitian_basis(D)
-    basis_pt = linalg.partial_transpose(basis, P.dims, "A")
-    rhs = np.einsum("kij,ji->k", basis, H).real
-    eqs = [({"pa": G, "na": -G, "pb": Gt, "nb": -Gt}, float(r))
-           for G, Gt, r in zip(basis, basis_pt, rhs)]
-    # ||Tr_in(P_X + N_X)|| <= t_X, as Tr_in(P_X + N_X) + S_X = t_X I with S_X PSD
-    one = np.ones((1, 1))
-    for X in ("a", "b"):
-        for g in _hermitian_basis(dout):
-            lifted = np.kron(np.eye(din), g)
-            eqs.append(({"p" + X: lifted, "n" + X: lifted, "s" + X: g,
-                         "t" + X: -np.trace(g).real * one}, 0.0))
+    N, n_out = D * D, dout * dout
+    s, s_out, t = _basis_scale(D), _basis_scale(dout), 4 * N + 2 * n_out
+    perm, sign = _pt_permutation(P.dims, "A")
+    k = np.arange(N)
+    # tr(B_k (P_A - N_A)) + tr(PT_A(B_k) (P_B - N_B)) == tr(B_k H) for each basis
+    # element B_k: row k of [diag(s) | -diag(s) | diag(s) Q | -diag(s) Q].
+    groups = [(np.column_stack([k, N + k, 2 * N + perm, 3 * N + perm]),
+               np.column_stack([s, -s, s * sign, -s * sign]))]
+    # ||Tr_in(P_X + N_X)|| <= t_X, as Tr_in(P_X + N_X) + S_X = t_X I, S_X PSD: row j,
+    # for g_j of M_dout at (a, b), reads P_X and N_X at (i dout + a, i dout + b),
+    # i < din, then coordinate j of S_X, and -1 on t_X when a == b.
+    x, y = linalg.hvec_positions(D)
+    position = np.zeros((D, D), dtype=np.intp)
+    position[x, y] = np.arange(x.size)
+    xo, yo, i = *linalg.hvec_positions(dout), dout * np.arange(din)[:, None]
+    lifted = position[xo + i, yo + i].T
+    lifted = np.concatenate([lifted, lifted[dout:] + (x.size - D)])  # imaginary coordinates
+    for side in (0, 1):  # A, then B
+        cols = np.hstack([2 * side * N + lifted, (2 * side + 1) * N + lifted,
+                          4 * N + side * n_out + np.arange(n_out)[:, None]])
+        vals = np.repeat(s_out[:, None], cols.shape[1], axis=1)
+        groups += [(np.hstack([cols[:dout], np.full((dout, 1), t + side)]),
+                    np.hstack([vals[:dout], np.full((dout, 1), -1.0)])), (cols[dout:], vals[dout:])]
     blocks = tuple((k, D) for k in ("pa", "na", "pb", "nb")) + (("sa", dout), ("sb", dout),
                                                                  ("ta", 1), ("tb", 1))
-    res = solve(SdpProblem.from_matrices(blocks, eqs, objective={"ta": one, "tb": one}))
+    c = np.concatenate([np.zeros(t), [1.0, 1.0]])
+    b = np.concatenate([_basis_coords(H), np.zeros(2 * n_out)])
+    res = solve(SdpProblem(blocks, _csr(groups, c.size), b, c))
     if res.status != FEASIBLE:
         return res
 
@@ -969,10 +973,10 @@ def counterexample_search(
     The objective is non-increasing across rounds.  On finding a negative
     value the composition P after T is handed to ``decomposability_check``
     and its verdict, with verified evidence, enters the report.  Budgets
-    must be integers >= 0 (DomainError otherwise); past that check it never
-    raises, and solver breakdowns are reported in the trace.
+    and the seed must be integers >= 0 (DomainError otherwise); past that
+    check it never raises, and solver breakdowns are reported in the trace.
     """
-    for name, value in (("restarts", restarts), ("max_rounds", max_rounds)):
+    for name, value in (("restarts", restarts), ("max_rounds", max_rounds), ("seed", seed)):
         if not is_count(value, 0):
             raise DomainError(f"{name} must be an integer >= 0, got {value!r}")
     d, dp = P.din, P.dout

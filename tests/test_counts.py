@@ -56,6 +56,15 @@ BAD_COUNTS = {
         (lambda: linalg.partial_transpose(np.eye(6), (2.0, 3.0)), DimMismatch),
     "BipartiteState-dims=(2.0, 2.0)":
         (lambda: criteria.BipartiteState((2.0, 2.0), np.eye(4) / 4), DimMismatch),
+    "permute_systems-dims=(2.5, 3)":
+        (lambda: linalg.permute_systems(np.eye(6), (2.5, 3), (1, 0)), DimMismatch),
+    "schmidt_rank-dims=(2.0, 2.0)":
+        (lambda: criteria.schmidt_rank(np.kron([1.0, 0.0], [1.0, 0.0]), (2.0, 2.0)), DimMismatch),
+    "build-holevo-werner-d=3.7":
+        (lambda: catalog.build("holevo-werner", {"d": 3.7, "p": 0.2}), DomainError),
+    "build-antisym-d=3.0": (lambda: catalog.build("antisym", {"d": 3.0}), DomainError),
+    "build-sym-d=2.0": (lambda: catalog.build("sym", {"d": 2.0}), DomainError),
+    "build-tau-n-n=1.5": (lambda: catalog.build("tau-n", {"d": 2, "n": 1.5}), DomainError),
 }
 
 # A seed is a count too (an integer >= 0), checked before any search or draw,
@@ -68,6 +77,9 @@ SEEDED_CALLS = {
         lambda seed: criteria.deviation_from_depolarizing(_hw(), samples=0, seed=seed),
     "random_cp_cocp_map": lambda seed: choi.random_cp_cocp_map(2, seed),
     "random_cocp_channel": lambda seed: gaussian.random_cocp_channel(1, seed),
+    "annihilation_identity_check":
+        lambda seed: catalog.annihilation_identity_check(_hw(), _hw(), trials=1, seed=seed),
+    "counterexample_search": lambda seed: sdp.counterexample_search(_hw(), restarts=0, seed=seed),
 }
 BAD_SEEDS = {"1.0": 1.0, "'a'": "a", "-1": -1, "True": True, "[1, 2]": [1, 2]}
 BAD_COUNTS.update({

@@ -57,13 +57,13 @@ class TestTypes:
 
 class TestPredicates:
     def test_identity_channel_valid(self):
-        assert gaussian.is_valid(chan(I2, Z2)) is True
+        assert chan(I2, Z2).valid is True
 
     def test_measure_prepare_valid(self):
-        assert gaussian.is_valid(chan(Z2, I2)) is True
+        assert chan(Z2, I2).valid is True
 
     def test_negative_noise_invalid(self):
-        assert gaussian.is_valid(chan(I2, -I2)) is False
+        assert chan(I2, -I2).valid is False
 
     def test_cocp_examples(self):
         assert gaussian.is_cocp(chan(I2, 2 * I2)) is True
@@ -155,7 +155,7 @@ class TestCompose:
             C1 = gaussian.random_cocp_channel(n, 2 * s)
             C2 = gaussian.random_cocp_channel(n, 2 * s + 1)
             out = gaussian.compose(C2, C1)
-            assert gaussian.is_valid(out) is True
+            assert out.valid is True
             count += 1
         assert count == 250
 
@@ -212,7 +212,6 @@ class TestRandomCocpChannel:
         for s in range(10):
             C = gaussian.random_cocp_channel(n, s)
             assert C.valid is True
-            assert gaussian.is_valid(C) is True
             assert gaussian.is_cocp(C) is True
 
     def test_margin_floor(self):

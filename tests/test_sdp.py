@@ -124,7 +124,7 @@ class TestProblemValidation:
         ],
     )
     def test_one_bad_coefficient_in_a_batch(self, bad, error):
-        eqs = [({"x": H, "y": H}, 0.0) for H in sdp._hermitian_basis(4)]
+        eqs = [({"x": H, "y": H}, 0.0) for H in hermitian_basis(4)]
         eqs[11] = ({"x": eqs[11][0]["x"], "y": bad}, 0.0)
         with pytest.raises(error):
             sdp.SdpProblem.from_matrices(blocks=(("x", 4), ("y", 4)), equalities=tuple(eqs))
@@ -875,14 +875,20 @@ class TestCbSplitBound:
             sdp.cb_split_bound(choi.QuantumMap(2, 2, J))
 
 
+def hermitian_basis(n):
+    """The basis B_k = s_k hmat(e_k) of M_n (s from ``sdp._basis_scale``) as an
+    (n^2, n, n) stack: E_pp, then E_pq + E_qp, then i E_pq - i E_qp."""
+    return linalg.hmat(np.diag(sdp._basis_scale(n)), n)
+
+
 def basis_rhs(M):
     """tr(B_k M) over the Hermitian basis, as a dense contraction."""
-    return np.einsum("kij,ji->k", sdp._hermitian_basis(M.shape[0]), M).real
+    return np.einsum("kij,ji->k", hermitian_basis(M.shape[0]), M).real
 
 
 def fresh_decomposability_problem(P):
     D = P.din * P.dout
-    basis = sdp._hermitian_basis(D)
+    basis = hermitian_basis(D)
     basis_pt = linalg.partial_transpose(basis, P.dims, "B")
     eqs = [({"cp_part": H, "cocp_part": G}, float(r))
            for H, G, r in zip(basis, basis_pt, basis_rhs(P.choi))]
@@ -894,7 +900,7 @@ def fresh_gaussian_problem(Y, X):
     n = Y.shape[0] // 2
     sig = linalg.symplectic_form(n)
     K = Y - 1j * (sig + X @ sig @ X.T)
-    basis = sdp._hermitian_basis(2 * n)
+    basis = hermitian_basis(2 * n)
     eqs = [({"part_m": H, "part_n": H}, float(r)) for H, r in zip(basis, basis_rhs(K))]
     iu = np.triu_indices(2 * n, 1)
     eqs += [({"part_m": H}, -2.0 * float(v)) for H, v in zip(basis[-len(iu[0]):], sig[iu])]
@@ -904,12 +910,36 @@ def fresh_gaussian_problem(Y, X):
 
 def fresh_seesaw_problem(d):
     D = d * d
-    basis = sdp._hermitian_basis(D)
+    basis = hermitian_basis(D)
     basis_pt = linalg.partial_transpose(basis, (d, d), "B")
     eqs = [({"choi_t": G, "choi_t_pt": -H}, 0.0) for H, G in zip(basis, basis_pt)]
     eqs.append(({"choi_t": np.eye(D)}, float(d)))
     return sdp.SdpProblem.from_matrices(blocks=(("choi_t", D), ("choi_t_pt", D)),
                                         equalities=tuple(eqs))
+
+
+def fresh_cb_split_problem(P):
+    din, dout = P.dims
+    D = din * dout
+    H = P.choi / 2.0 + P.choi.conj().T / 2.0
+    H = H / 2.0 ** int(np.frexp(np.max(np.abs(H)))[1])  # the wrapper's unit scale
+    basis = hermitian_basis(D)
+    basis_pt = linalg.partial_transpose(basis, P.dims, "A")
+    eqs = [({"pa": G, "na": -G, "pb": Gt, "nb": -Gt}, float(r))
+           for G, Gt, r in zip(basis, basis_pt, basis_rhs(H))]
+    one = np.ones((1, 1))
+    for X in ("a", "b"):
+        for g in hermitian_basis(dout):
+            lifted = np.kron(np.eye(din), g)
+            eqs.append(({"p" + X: lifted, "n" + X: lifted, "s" + X: g,
+                         "t" + X: -np.trace(g).real * one}, 0.0))
+    blocks = tuple((k, D) for k in ("pa", "na", "pb", "nb")) + (("sa", dout), ("sb", dout),
+                                                                 ("ta", 1), ("tb", 1))
+    return sdp.SdpProblem.from_matrices(blocks, tuple(eqs), objective={"ta": one, "tb": one})
+
+
+def random_hermitian_map(din, dout, seed):
+    return choi.QuantumMap(din, dout, linalg.random_hermitian(din * dout, rng_for(seed)))
 
 
 def random_cp_map(din, dout, seed):
@@ -927,15 +957,23 @@ for _d in (2, 3, 4):
     REFERENCE_CASES[f"decomposability-d{_d}"] = lambda d=_d: choi.random_cp_cocp_map(d, 20 + d)
 for _n in (1, 2, 3):
     REFERENCE_CASES[f"gaussian-n{_n}"] = lambda n=_n: gaussian.random_cocp_channel(n, 30 + n)
+for _din, _dout in ((1, 2), (2, 1), (2, 3), (3, 2), (3, 3)):
+    REFERENCE_CASES[f"cb-split-{_din}x{_dout}"] = (
+        lambda din=_din, dout=_dout: random_hermitian_map(din, dout, 40 + 10 * din + dout))
 
 
-def assert_same_solve(problem, got, ref_problem, ref):
-    """The same packed problem, bit for bit, and the same solve to 1e-12."""
+def assert_same_problem(problem, ref_problem):
+    """The same packed problem, bit for bit."""
     assert problem.blocks == ref_problem.blocks
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(problem.A, name), getattr(ref_problem.A, name))
     np.testing.assert_array_equal(problem.b, ref_problem.b)
     np.testing.assert_array_equal(problem.c, ref_problem.c)
+
+
+def assert_same_solve(problem, got, ref_problem, ref):
+    """The same packed problem, bit for bit, and the same solve to 1e-12."""
+    assert_same_problem(problem, ref_problem)
     assert got.status == ref.status
     assert got.residuals["iterations"] == ref.residuals["iterations"]
     if ref.status == sdp.FEASIBLE:
@@ -959,10 +997,29 @@ class TestReferenceProblems:
             problem, got = solved_by_wrapper(monkeypatch,
                                              lambda: sdp.gaussian_eb_split(data.Y, data.X))
             ref_problem = fresh_gaussian_problem(data.Y, data.X)
+        elif case.startswith("cb-split"):
+            problem, got = solved_by_wrapper(monkeypatch, lambda: sdp.cb_split_bound(data))
+            ref_problem = fresh_cb_split_problem(data)
         else:
             problem, got = solved_by_wrapper(monkeypatch, lambda: sdp.decomposability_check(data))
             ref_problem = fresh_decomposability_problem(data)
         assert_same_solve(problem, got, ref_problem, sdp.solve(ref_problem))
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_large_cb_split_matches_the_dense_reference(self, d, monkeypatch):
+        # the packed problem alone: solving it would add seconds
+        P = random_hermitian_map(d, d, 50 + d)
+
+        class Packed(Exception):
+            pass
+
+        def stop(problem):
+            raise Packed(problem)
+
+        monkeypatch.setattr(sdp, "solve", stop)
+        with pytest.raises(Packed) as packed:
+            sdp.cb_split_bound(P)
+        assert_same_problem(packed.value.args[0], fresh_cb_split_problem(P))
 
     def test_search_matches_the_dense_reference(self, monkeypatch):
         P = choi.random_cp_cocp_map(3, 5)
