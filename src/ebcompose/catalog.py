@@ -15,6 +15,7 @@ part of the package recomputes them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Mapping, Sequence, Union
@@ -55,6 +56,8 @@ def holevo_werner(d: int, p: float) -> NamedMap:
     """
     if not is_count(d, 2):
         raise DomainError(f"dimension {d!r} is not an integer >= 2")
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise DomainError(f"parameter p={p!r} is not a real number")
     p = float(p)
     if not np.isfinite(p) or not -1.0 <= p <= 1.0:
         raise DomainError(f"parameter p={p} outside [-1, 1]")

@@ -53,9 +53,7 @@ class BipartiteState:
 
     def __post_init__(self):
         M = np.array(self.mat, dtype=complex)
-        dA, dB = self.dims
-        if not (is_count(dA, 1) and is_count(dB, 1)):
-            raise DimMismatch(f"factor dimensions must be positive integers, got {self.dims!r}")
+        dA, dB = linalg.factor_dims(self.dims)
         if M.shape != (dA * dB, dA * dB):
             raise DimMismatch(f"state shape {M.shape} does not match dims {self.dims}")
         linalg.require_hermitian(M)
@@ -63,7 +61,7 @@ class BipartiteState:
             raise NotPSD("bipartite state must be PSD within tolerance")
         M.setflags(write=False)
         object.__setattr__(self, "mat", M)
-        object.__setattr__(self, "dims", (int(dA), int(dB)))
+        object.__setattr__(self, "dims", (dA, dB))
 
 
 # Report statuses of the entanglement-breaking decisions below.
@@ -75,12 +73,10 @@ UNKNOWN = "unknown"
 def schmidt_rank(psi, dims: Sequence[int]) -> int:
     """Schmidt rank of a vector: ``linalg.numerical_rank`` of its dA x dB reshape.
 
-    Dimensions that are not positive integers, or a vector whose length is
-    not dA * dB, raise DimMismatch; non-finite entries raise DomainError.
+    Dimensions that are not two positive integers, or a vector whose length
+    is not dA * dB, raise DimMismatch; non-finite entries raise DomainError.
     """
-    dA, dB = dims[0], dims[1]
-    if not (is_count(dA, 1) and is_count(dB, 1)):
-        raise DimMismatch(f"dims {tuple(dims)} are not positive integers")
+    dA, dB = linalg.factor_dims(dims)
     v = np.asarray(psi, dtype=complex)
     if v.size != dA * dB:
         raise DimMismatch(f"vector of length {v.size} does not match dims {tuple(dims)}")

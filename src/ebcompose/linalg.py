@@ -43,12 +43,23 @@ def _check_square(A: np.ndarray) -> int:
     return A.shape[-1]
 
 
+def factor_dims(dims) -> tuple[int, int]:
+    """``dims`` as exactly two positive integers (dA, dB); DimMismatch otherwise."""
+    try:
+        dA, dB = dims
+    except (TypeError, ValueError):
+        dA = dB = None
+    if not (is_count(dA, 1) and is_count(dB, 1)):
+        raise DimMismatch(f"dims {dims!r} are not two positive integers")
+    return int(dA), int(dB)
+
+
 def _check_bipartite(A: np.ndarray, dims: Sequence[int]) -> tuple[int, int]:
     n = _check_square(A)
-    dA, dB = dims[0], dims[1]
-    if not (is_count(dA, 1) and is_count(dB, 1) and dA * dB == n):
+    dA, dB = factor_dims(dims)
+    if dA * dB != n:
         raise DimMismatch(f"dims {dims} do not factor ambient dimension {n}")
-    return int(dA), int(dB)
+    return dA, dB
 
 
 def require_hermitian(M) -> np.ndarray:

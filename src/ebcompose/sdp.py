@@ -8,13 +8,15 @@ is packed into its n^2 real coordinates with ``linalg.hvec``, and an
 ``SdpProblem`` is that packed system alone: a sparse equality matrix A, b
 and c, checked when it is built.  All four wrappers (decomposability,
 Gaussian split, cb-norm split, counterexample search) write their equalities
-in ``hvec`` coordinates directly, in O(D^2), with no basis matrix: the basis
-element B_k is s_k times the k-th ``hvec`` unit vector (``_basis_scale``),
-and the partial transpose permutes ``hvec`` coordinates up to sign,
-hvec(PT(X)) = Q hvec(X) (``_pt_permutation``).  ``SdpProblem.from_matrices``
-packs hand-written problems, given as Hermitian coefficient matrices checked
-per block as one stack by ``linalg.require_hermitian``.  The solver works
-per size group, stacked: the blocks of one size n move through each
+in these orthonormal coordinates directly, in O(D^2), with no basis matrix:
+each row is a unit, signed-unit or sum row, b is ``hvec`` of the data, and
+the partial transpose permutes coordinates up to sign, hvec(PT(X)) =
+Q hvec(X) (``_pt_permutation``).  One scale rule, ``_unit_scale``, divides
+each wrapper's data by a power of two, exactly, so it solves at unit scale
+and multiplies its blocks back.  ``SdpProblem.from_matrices`` packs
+hand-written problems, given as Hermitian coefficient matrices checked per
+block as one stack by ``linalg.require_hermitian``.  The solver works per
+size group, stacked: the blocks of one size n move through each
 per-block stage as one (k, n, n) stack, one numpy or LAPACK call per group.
 Per iteration each block's scaling takes two Cholesky factors and one SVD,
 X = L L^H, S = R R^H and R^H L = U diag(d) Vh, and no eigendecomposition:
@@ -677,30 +679,17 @@ def solve(problem: SdpProblem) -> SdpResult:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian basis
+# unit scale and the partial transpose in hvec coordinates
 
 
-def _basis_scale(n: int) -> np.ndarray:
-    """s, 1 on the diagonal coordinates and sqrt2 elsewhere, with B_k = s_k hmat(e_k)
-    the Hermitian basis of M_n: E_pp, then E_pq + E_qp, then i E_pq - i E_qp."""
-    scale = np.full(n * n, np.sqrt(2.0))
-    scale[:n] = 1.0
-    return scale
-
-
-def _basis_coords(M: np.ndarray) -> np.ndarray:
-    """Re tr(B_k M) for the basis elements B_k of ``_basis_scale``, without the basis.
-
-    This is ``hvec`` of the Hermitian part of M scaled by ``_basis_scale``:
-    Re M_pp, then Re(M_pq + M_qp) and Im(M_pq - M_qp) for p < q.  An entry
-    that overflows is left infinite for ``SdpProblem`` to reject.
-    """
-    n = M.shape[-1]
-    x, y = linalg.hvec_positions(n)
-    upper, lower = M[x, y], M[y, x]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.concatenate([upper[:n].real, (upper + lower)[n:].real,
-                               (upper - lower)[n:].imag])
+def _unit_scale(M) -> float:
+    """2**e > max |M|, e from ``np.frexp``: a wrapper's problem is homogeneous,
+    so it divides its data by this, exactly, and multiplies its blocks back.
+    DomainError unless max |M| is finite and 2**e does not overflow."""
+    top = float(np.max(np.abs(M)))
+    if not top < 2.0**1023:  # NaN and inf fail too; 2.0**1024 overflows
+        raise DomainError("entries must be finite and below 2**1023 in magnitude")
+    return 2.0 ** int(np.frexp(top)[1])
 
 
 def _pt_permutation(dims: tuple[int, int], which: str) -> tuple[np.ndarray, np.ndarray]:
@@ -742,16 +731,20 @@ def decomposability_check(P: choi.QuantumMap) -> SdpResult:
     C = linalg.require_hermitian(P.choi)
     D = C.shape[0]
     N = D * D
-    s = _basis_scale(D)
+    H = C / 2.0 + C.conj().T / 2.0
+    unit = _unit_scale(H)
     perm, sign = _pt_permutation(P.dims, "B")
-    # tr(B_k C1) + tr(PT_B(B_k) C2) == tr(B_k C) for each basis element B_k:
-    # row k of [diag(s) | diag(s) Q].
-    A = _csr([(np.column_stack([np.arange(N), N + perm]), np.column_stack([s, s * sign]))], 2 * N)
+    # hvec(C1) + Q hvec(C2) == hvec(H): row k of [I | Q], at unit scale.
+    A = _csr([(np.column_stack([np.arange(N), N + perm]), np.column_stack([np.ones(N), sign]))],
+             2 * N)
     blocks = (("cp_part", D), ("cocp_part", D))
-    res = solve(SdpProblem(blocks, A, _basis_coords(C), np.zeros(2 * N)))
+    res = solve(SdpProblem(blocks, A, linalg.hvec(H / unit), np.zeros(2 * N)))
 
     if res.status == FEASIBLE:
+        # in place: fresh copies, kept by the caller, would raise a run's peak RSS
         C1, C2 = res.primal["cp_part"], res.primal["cocp_part"]
+        C1 *= unit
+        C2 *= unit
         recon = C1 + linalg.partial_transpose(C2, P.dims, "B")
         scale = 1.0 + float(np.max(np.abs(C)))
         err = float(np.max(np.abs(recon - C))) / scale
@@ -763,7 +756,7 @@ def decomposability_check(P: choi.QuantumMap) -> SdpResult:
                          "decomposition fails its re-check")
 
     if res.status == INFEASIBLE:
-        V = -linalg.hmat(res.dual * s, D)
+        V = -linalg.hmat(res.dual, D)
         t = float(np.real(np.trace(V)))
         if t <= 0.0:
             return SdpResult(INCONCLUSIVE, None, None, dict(res.residuals),
@@ -773,22 +766,24 @@ def decomposability_check(P: choi.QuantumMap) -> SdpResult:
         # only a tr(W C) negative beyond its rounding refutes decomposability.
         # The eigenvalues and the trace of the product are each within a few
         # D * eps of the norms involved; an error e in delta moves tr(W C) by
-        # e tr C.
-        V = V / t
+        # e tr C.  All of it is computed on C / unit, exact and free of
+        # overflow, and reported at C's scale.
+        V, C = V / t, C / unit
         mV, mG = linalg.min_eig(V), linalg.min_eig(linalg.partial_transpose(V, P.dims, "B"))
         delta = max(0.0, -mV, -mG)
         trace_c = float(np.real(np.trace(C)))
         overlap = float(np.real(np.trace(V @ C))) + delta * trace_c
         rounding = 8.0 * D * np.finfo(float).eps * float(np.linalg.norm(V)) * (
             float(np.linalg.norm(C)) + abs(trace_c))
-        info = {**res.residuals, "witness_overlap": overlap, "witness_margin": mV,
-                "witness_pt_margin": mG, "witness_shift": delta, "rounding_allowance": rounding}
+        info = {**res.residuals, "witness_overlap": overlap * unit, "witness_margin": mV,
+                "witness_pt_margin": mG, "witness_shift": delta,
+                "rounding_allowance": rounding * unit}
         if overlap >= -rounding:
             return SdpResult(INCONCLUSIVE, None, None, info, "witness fails its re-check")
         if delta > 0.0:  # W / tr W; unshifted, that is V as it stands
             W = V + delta * np.eye(D)
             t = float(np.real(np.trace(W)))
-            V, info["witness_overlap"] = W / t, overlap / t
+            V, info["witness_overlap"] = W / t, overlap / t * unit
         return SdpResult(INFEASIBLE, None, V, info)
 
     return res
@@ -823,22 +818,22 @@ def gaussian_eb_split(Y, X) -> SdpResult:
     sig = linalg.symplectic_form(n)
     xsx = X @ sig @ X.T
     K = Y - 1j * (sig + xsx)
+    # The split is homogeneous in (Y, sigma, X sigma X^T) jointly: solve at unit scale.
+    unit = _unit_scale(K)
+    K = (K / 2.0 + K.conj().T / 2.0) / unit
 
     width = 4 * n * n
-    s = _basis_scale(2 * n)
     k = np.arange(width)
-    # tr(B_k M) + tr(B_k N) == tr(B_k K) for each basis element B_k of M_2n:
-    # row k of [diag(s) | diag(s)]; then the imaginary part of M is pinned to
-    # -sigma: the trailing coordinates, of i E_pq - i E_qp (p < q), give
-    # tr(B_k M) = 2 Im M_pq.
+    # hvec(M) + hvec(N) == hvec(K): row k of [I | I]; then the imaginary part
+    # of M is pinned to -sigma: the trailing coordinates read sqrt2 Im M_pq (p < q).
     im = k[n * (2 * n + 1) :]
-    A = _csr([(np.column_stack([k, width + k]), np.column_stack([s, s])),
-              (im[:, None], s[im, None])], 2 * width)
-    b = np.concatenate([_basis_coords(K), -2.0 * sig[np.triu_indices(2 * n, 1)]])
+    A = _csr([(np.column_stack([k, width + k]), np.ones((width, 2))),
+              (im[:, None], np.ones((im.size, 1)))], 2 * width)
+    b = np.concatenate([linalg.hvec(K), -np.sqrt(2.0) * sig[np.triu_indices(2 * n, 1)] / unit])
     res = solve(SdpProblem((("part_m", 2 * n), ("part_n", 2 * n)), A, b, np.zeros(2 * width)))
 
     if res.status == FEASIBLE:
-        Mt = res.primal["part_m"]
+        Mt = res.primal["part_m"] * unit
         M = Mt.real
         M = (M + M.T) / 2.0
         N = Y - M
@@ -883,24 +878,19 @@ def cb_split_bound(P: choi.QuantumMap) -> SdpResult:
     D = din * dout
     H = C / 2.0 + C.conj().T / 2.0
     anti = linalg.block_norm_sum(C - H, P.dims)
-    # The bound is homogeneous, so solve at unit scale; a power of two
-    # rescales exactly.
-    exponent = int(np.frexp(np.max(np.abs(H)))[1])
-    if exponent > 1023:  # 2.0**1024 overflows
-        raise DomainError("Choi matrix entries must be below 2**1023 in magnitude")
-    unit = 2.0**exponent
+    unit = _unit_scale(H)  # the bound is homogeneous: solve at unit scale
     H = H / unit
     N, n_out = D * D, dout * dout
-    s, s_out, t = _basis_scale(D), _basis_scale(dout), 4 * N + 2 * n_out
+    t = 4 * N + 2 * n_out
     perm, sign = _pt_permutation(P.dims, "A")
     k = np.arange(N)
-    # tr(B_k (P_A - N_A)) + tr(PT_A(B_k) (P_B - N_B)) == tr(B_k H) for each basis
-    # element B_k: row k of [diag(s) | -diag(s) | diag(s) Q | -diag(s) Q].
+    # hvec(P_A - N_A) + Q hvec(P_B - N_B) == hvec(H): row k of [I | -I | Q | -Q].
+    one = np.ones(N)
     groups = [(np.column_stack([k, N + k, 2 * N + perm, 3 * N + perm]),
-               np.column_stack([s, -s, s * sign, -s * sign]))]
+               np.column_stack([one, -one, sign, -sign]))]
     # ||Tr_in(P_X + N_X)|| <= t_X, as Tr_in(P_X + N_X) + S_X = t_X I, S_X PSD: row j,
-    # for g_j of M_dout at (a, b), reads P_X and N_X at (i dout + a, i dout + b),
-    # i < din, then coordinate j of S_X, and -1 on t_X when a == b.
+    # for coordinate j of M_dout at (a, b), sums P_X and N_X at (i dout + a, i dout + b),
+    # i < din, and coordinate j of S_X, less t_X when a == b.
     x, y = linalg.hvec_positions(D)
     position = np.zeros((D, D), dtype=np.intp)
     position[x, y] = np.arange(x.size)
@@ -910,13 +900,13 @@ def cb_split_bound(P: choi.QuantumMap) -> SdpResult:
     for side in (0, 1):  # A, then B
         cols = np.hstack([2 * side * N + lifted, (2 * side + 1) * N + lifted,
                           4 * N + side * n_out + np.arange(n_out)[:, None]])
-        vals = np.repeat(s_out[:, None], cols.shape[1], axis=1)
+        vals = np.ones(cols.shape)
         groups += [(np.hstack([cols[:dout], np.full((dout, 1), t + side)]),
                     np.hstack([vals[:dout], np.full((dout, 1), -1.0)])), (cols[dout:], vals[dout:])]
     blocks = tuple((k, D) for k in ("pa", "na", "pb", "nb")) + (("sa", dout), ("sb", dout),
                                                                  ("ta", 1), ("tb", 1))
     c = np.concatenate([np.zeros(t), [1.0, 1.0]])
-    b = np.concatenate([_basis_coords(H), np.zeros(2 * n_out)])
+    b = np.concatenate([linalg.hvec(H), np.zeros(2 * n_out)])
     res = solve(SdpProblem(blocks, _csr(groups, c.size), b, c))
     if res.status != FEASIBLE:
         return res
@@ -951,11 +941,10 @@ def _seesaw_problem(d: int) -> SdpProblem:
     ``choi_t`` = C_T and ``choi_t_pt`` = PT_B(C_T), both PSD, and tr C_T = d."""
     D = d * d
     N = D * D
-    s = _basis_scale(D)
     perm, sign = _pt_permutation((d, d), "B")
-    # tr(PT_B(B_k) C_T) - tr(B_k G) == 0 couples G to the partial transpose:
-    # row k of [diag(s) Q | -diag(s)]; the last row is tr C_T == d.
-    A = _csr([(np.column_stack([perm, N + np.arange(N)]), np.column_stack([s * sign, -s])),
+    # Q hvec(C_T) - hvec(G) == 0 couples G to the partial transpose: row k of
+    # [Q | -I]; the last row is tr C_T == d.
+    A = _csr([(np.column_stack([perm, N + np.arange(N)]), np.column_stack([sign, -np.ones(N)])),
               (np.arange(D)[None, :], np.ones((1, D)))], 2 * N)
     b = np.zeros(N + 1)
     b[-1] = d

@@ -98,3 +98,40 @@ def test_integral_dimensions_of_any_type_are_accepted():
     assert linalg.flip_operator(np.int64(2)).shape == (4, 4)
     assert criteria.BipartiteState((np.int64(2), 2), np.eye(4) / 4).dims == (2, 2)
     assert linalg.partial_transpose(np.eye(6), (np.int32(2), 3)).shape == (6, 6)
+
+
+# holevo_werner's p is a real number, not a bool, a string or None: float()
+# would coerce "0.5" and True into a parameter.
+BAD_P = {"'0.5'": "0.5", "True": True, "np.True_": np.True_, "None": None}
+
+
+@pytest.mark.parametrize("p", BAD_P.values(), ids=BAD_P)
+def test_holevo_werner_p_must_be_a_real_number(p):
+    with pytest.raises(DomainError):
+        catalog.holevo_werner(3, p)
+    with pytest.raises(DomainError):
+        catalog.build("holevo-werner", {"d": 3, "p": p})
+
+
+def test_holevo_werner_p_of_any_real_type_is_accepted():
+    for p in (0, np.float32(0.25), np.int64(-1), 0.5):
+        assert catalog.holevo_werner(3, p).params == (("d", 3), ("p", float(p)))
+
+
+# A bipartite split names exactly two factors; extra or missing ones raise
+# DimMismatch, not a builtin error or a silent run on the first two.
+BAD_DIMS = {"(2, 2, 7)": (2, 2, 7), "(4,)": (4,), "4": 4, "()": ()}
+TWO_FACTOR_CALLS = {
+    "partial_transpose": lambda dims: linalg.partial_transpose(np.eye(4), dims),
+    "partial_trace": lambda dims: linalg.partial_trace(np.eye(4), dims),
+    "realign": lambda dims: linalg.realign(np.eye(4), dims),
+    "schmidt_rank": lambda dims: criteria.schmidt_rank(np.ones(4), dims),
+    "BipartiteState": lambda dims: criteria.BipartiteState(dims, np.eye(4) / 4),
+}
+
+
+@pytest.mark.parametrize("dims", BAD_DIMS.values(), ids=BAD_DIMS)
+@pytest.mark.parametrize("call", TWO_FACTOR_CALLS.values(), ids=TWO_FACTOR_CALLS)
+def test_dims_name_exactly_two_factors(call, dims):
+    with pytest.raises(DimMismatch):
+        call(dims)

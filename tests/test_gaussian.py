@@ -110,6 +110,18 @@ class TestIsEb:
             assert (eb == "feasible") == gaussian.is_cocp(C)
             assert (eb == "feasible") == (y >= 2.0 - 1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("y", [1e9, 1e12, 1e300])
+    def test_large_noise_is_eb_at_any_scale(self, n, y):
+        # valid and coCP, and M = N = Y/2 splits it with both margins near 1;
+        # the split is solved at unit scale
+        C = gaussian.GaussianChannel(n, 0.3 * np.eye(2 * n), y * np.eye(2 * n))
+        res = gaussian.is_eb(C)
+        assert res.status == "feasible"
+        M, N = res.primal["M"], res.primal["N"]
+        assert np.max(np.abs(M + N - C.Y)) <= 1e-7 * y
+
     def test_failed_channel_re_audit_gives_a_reason(self, monkeypatch):
         # The identity channel is valid but not coCP, so a split the solver
         # calls feasible must fail the channel re-audit.

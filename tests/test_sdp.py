@@ -1,5 +1,6 @@
 """Tests for the block SDP solver and the checks built on it."""
 
+import copy
 import dataclasses
 import gc
 import json
@@ -47,8 +48,10 @@ def solves_of(monkeypatch, call):
     solve = sdp.solve
 
     def spy(problem, **kwargs):
-        seen.append((problem, solve(problem, **kwargs)))
-        return seen[-1][1]
+        res = solve(problem, **kwargs)
+        # a copy, as returned: a wrapper may scale the blocks back in place
+        seen.append((problem, copy.deepcopy(res)))
+        return res
 
     monkeypatch.setattr(sdp, "solve", spy)
     out = call()
@@ -483,10 +486,10 @@ def block_operators(problem, Ws):
 
 
 def pt_block(dims, which):
-    """The CSR column block diag(s) Q of the partial transpose on ``which``."""
+    """The CSR column block Q of the partial transpose on ``which``."""
     n = dims[0] * dims[1]
     perm, sign = sdp._pt_permutation(dims, which)
-    return sdp._csr([(perm[:, None], (sdp._basis_scale(n) * sign)[:, None])], n * n)
+    return sdp._csr([(perm[:, None], sign[:, None])], n * n)
 
 
 class TestKronOperator:
@@ -736,6 +739,32 @@ class TestDecomposability:
                                           for _ in range(rank)], din, dout)
                 assert sdp.decomposability_check(P).status != sdp.INFEASIBLE, (seed, rank)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1e12, 1e100, 1e300])
+    def test_badly_scaled_cp_map_is_decomposable(self, t):
+        # t J_9 is rank-one PSD, so the map is CP; the check solves at unit scale
+        P = choi.QuantumMap(3, 3, t * np.ones((9, 9)))
+        res = sdp.decomposability_check(P)
+        assert res.status == sdp.FEASIBLE
+        C1, C2 = res.primal["cp_part"], res.primal["cocp_part"]
+        recon = C1 + linalg.partial_transpose(C2, P.dims, "B")
+        assert np.max(np.abs(recon - P.choi)) <= sdp.FEAS_TOL * t
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1e12, 1e100, 1e300])
+    def test_badly_scaled_choi_map_is_refuted(self, t):
+        P = choi.QuantumMap(3, 3, t * choi_map().choi)
+        res = sdp.decomposability_check(P)
+        assert res.status == sdp.INFEASIBLE
+        V = res.dual
+        assert linalg.psd_margin(V) >= -1e-9
+        assert linalg.psd_margin(linalg.partial_transpose(V, (3, 3), "B")) >= -1e-9
+        assert np.trace(V).real == pytest.approx(1.0, abs=1e-9)
+        # overlap and allowance are reported at the map's scale
+        overlap = res.residuals["witness_overlap"]
+        assert overlap < -res.residuals["rounding_allowance"] < 0.0
+        assert overlap == pytest.approx(float(np.real(np.trace(V @ P.choi))), rel=1e-9)
+
     def test_witness_is_ppt_by_its_shift(self):
         res = sdp.decomposability_check(choi_map())
         assert res.residuals["witness_shift"] == 0.0
@@ -876,22 +905,24 @@ class TestCbSplitBound:
 
 
 def hermitian_basis(n):
-    """The basis B_k = s_k hmat(e_k) of M_n (s from ``sdp._basis_scale``) as an
-    (n^2, n, n) stack: E_pp, then E_pq + E_qp, then i E_pq - i E_qp."""
-    return linalg.hmat(np.diag(sdp._basis_scale(n)), n)
+    """The orthonormal basis B_k = hmat(e_k) of M_n as an (n^2, n, n) stack:
+    E_pp, then (E_pq + E_qp) / sqrt2, then (i E_pq - i E_qp) / sqrt2."""
+    return linalg.hmat(np.eye(n * n), n)
 
 
 def basis_rhs(M):
-    """tr(B_k M) over the Hermitian basis, as a dense contraction."""
-    return np.einsum("kij,ji->k", hermitian_basis(M.shape[0]), M).real
+    """tr(B_k M) over the Hermitian basis: ``hvec`` of the Hermitian part of M."""
+    return linalg.hvec(M / 2.0 + M.conj().T / 2.0)
 
 
 def fresh_decomposability_problem(P):
     D = P.din * P.dout
+    H = P.choi / 2.0 + P.choi.conj().T / 2.0
+    H = H / sdp._unit_scale(H)  # the wrapper's unit scale
     basis = hermitian_basis(D)
     basis_pt = linalg.partial_transpose(basis, P.dims, "B")
-    eqs = [({"cp_part": H, "cocp_part": G}, float(r))
-           for H, G, r in zip(basis, basis_pt, basis_rhs(P.choi))]
+    eqs = [({"cp_part": B, "cocp_part": G}, float(r))
+           for B, G, r in zip(basis, basis_pt, basis_rhs(H))]
     return sdp.SdpProblem.from_matrices(blocks=(("cp_part", D), ("cocp_part", D)),
                                         equalities=tuple(eqs))
 
@@ -900,10 +931,12 @@ def fresh_gaussian_problem(Y, X):
     n = Y.shape[0] // 2
     sig = linalg.symplectic_form(n)
     K = Y - 1j * (sig + X @ sig @ X.T)
+    unit = sdp._unit_scale(K)  # the wrapper's unit scale
     basis = hermitian_basis(2 * n)
-    eqs = [({"part_m": H, "part_n": H}, float(r)) for H, r in zip(basis, basis_rhs(K))]
+    eqs = [({"part_m": H, "part_n": H}, float(r)) for H, r in zip(basis, basis_rhs(K / unit))]
     iu = np.triu_indices(2 * n, 1)
-    eqs += [({"part_m": H}, -2.0 * float(v)) for H, v in zip(basis[-len(iu[0]):], sig[iu])]
+    eqs += [({"part_m": H}, -np.sqrt(2.0) * float(v) / unit)
+            for H, v in zip(basis[-len(iu[0]):], sig[iu])]
     return sdp.SdpProblem.from_matrices(blocks=(("part_m", 2 * n), ("part_n", 2 * n)),
                                         equalities=tuple(eqs))
 
@@ -922,7 +955,7 @@ def fresh_cb_split_problem(P):
     din, dout = P.dims
     D = din * dout
     H = P.choi / 2.0 + P.choi.conj().T / 2.0
-    H = H / 2.0 ** int(np.frexp(np.max(np.abs(H)))[1])  # the wrapper's unit scale
+    H = H / sdp._unit_scale(H)  # the wrapper's unit scale
     basis = hermitian_basis(D)
     basis_pt = linalg.partial_transpose(basis, P.dims, "A")
     eqs = [({"pa": G, "na": -G, "pb": Gt, "nb": -Gt}, float(r))
