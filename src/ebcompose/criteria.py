@@ -614,9 +614,13 @@ def _seed_atoms(dims: tuple[int, int], rng: np.random.Generator) -> tuple[np.nda
 
 
 def _refit(X, A, B):
-    """NNLS over the atoms' projectors: kept atoms, their weights and the residual."""
+    """NNLS over the atoms' projectors: kept atoms, their weights and the residual;
+    None, a stalled fit, when NNLS reaches its iteration cap."""
     V = (A[:, :, None] * B[:, None, :]).reshape(len(A), A.shape[1] * B.shape[1])
-    w, _ = nnls(linalg.hvec_projectors(V).T, linalg.hvec(X))
+    try:
+        w, _ = nnls(linalg.hvec_projectors(V).T, linalg.hvec(X))
+    except RuntimeError:  # scipy's bare "Maximum number of iterations reached."
+        return None
     keep = w > 0.0
     V, w = V[keep], w[keep]
     return A[keep], B[keep], w, X - (V.T * w) @ V.conj()
@@ -670,9 +674,10 @@ def heuristic_sep_certify(
     twirled = _twirl_decomposition(X, target)
     if twirled is not None:
         return twirled
-    A, B, w, R = _refit(X.mat, *_seed_atoms(X.dims, np.random.default_rng(seed)))
+    fit = _refit(X.mat, *_seed_atoms(X.dims, np.random.default_rng(seed)))
     searched, prev = 0, np.inf
-    while True:
+    while fit is not None:
+        A, B, w, R = fit
         resid = linalg.operator_norm(R)
         if resid <= target:
             return SepDecomposition(w, A, B, resid, searched)
@@ -682,4 +687,5 @@ def heuristic_sep_certify(
         if searched >= budget or err >= prev * (1.0 - len(R) * np.finfo(float).eps):
             return None
         searched, prev = searched + len(A), err
-        A, B, w, R = _polish_refit(X.mat, A, B, w, R)
+        fit = _polish_refit(X.mat, A, B, w, R)
+    return None

@@ -36,14 +36,12 @@ class GaussianChannel:
         if not is_count(self.n, 1):
             raise DimMismatch(f"mode count must be a positive integer, got {self.n!r}")
         n = int(self.n)
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
+        # complex or non-numeric entries raise DomainError; a float cast would drop them
+        X, Y = (sdp._real_finite(M, "channel matrices") for M in (self.X, self.Y))
         if X.shape != (2 * n, 2 * n) or Y.shape != (2 * n, 2 * n):
             raise DimMismatch(
                 f"X, Y must be {(2 * n, 2 * n)} matrices, got {X.shape} and {Y.shape}"
             )
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-            raise DomainError("channel matrices must be finite")
         if float(np.max(np.abs(Y - Y.T))) > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(Y)))):
             raise NotHermitian("Y must be symmetric")
         Y = (Y + Y.T) / 2.0

@@ -32,15 +32,20 @@ and Nakata, Math. Prog. 79, 1997), which ``SdpProblem`` reads once: a block
 whose rows each take one signed, scaled coordinate at a permuted matrix
 position (both decomposability blocks) adds its operator built at those
 positions, scaled by its values, and any other block its sparse product.
-Each solve allocates one workspace for the operators, their scratch and a
-Fortran-ordered Schur matrix, which the Cholesky factorization overwrites in
-place, so an iteration makes no m x m temporaries on the decomposability
-path and a check on D x D blocks costs O(D^4) outside the factorization.
+Each solve allocates one workspace for the operators and for their scratch,
+which a Fortran-ordered Schur matrix shares and the Cholesky factorization
+overwrites in place, so an iteration makes no m x m temporaries on the
+decomposability path and a check on D x D blocks costs O(D^4) outside the
+factorization.
 Every verdict is re-checked outside the solver: "feasible" is claimed only
 after the returned blocks pass an independent residual and PSD audit (the
 residual first, so a candidate that misses it costs no spectrum), and
-"infeasible" only with a verified separating functional.  The PSD audits
-are ``linalg.psd_margin`` against ``PSD_TOL``, which is ``linalg.TOL_PSD``
+"infeasible" only with a verified separating functional.  A feasibility
+problem's candidate x/tau is first corrected onto A x = b through the last
+factored Schur complement M = A W A^T, as x - W A^T M^-1 (A x - b): one
+solve with its factor, so a solve ends once the iterate is inside the cone
+rather than once its residual has decayed.  The PSD audits are
+``linalg.psd_margin`` against ``PSD_TOL``, which is ``linalg.TOL_PSD``
 itself: the package's one PSD rule.
 """
 
@@ -295,7 +300,9 @@ def _verify_feasible(A, b, dims, xs, obj=None, early=False):
     """Audit a primal candidate: equality residuals, then PSD blocks.
 
     Returns ``(ok, mats, info)``.  An ``early`` candidate, one found before
-    the solver's endgame, must meet 1e-2 ``FEAS_TOL`` and 1e-1 ``PSD_TOL``.
+    the solver's endgame, must meet 1e-2 ``FEAS_TOL`` and 1e-1 ``PSD_TOL``;
+    a feasibility problem's candidate meets the residual bound once the
+    solver has corrected it onto A x = b.
     The residual, one sparse product, is tested first, and a candidate
     beyond it is rejected with no spectrum computed and ``mats`` None.
     """
@@ -406,7 +413,7 @@ def _kron_operator(W: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray,
     return out
 
 
-def _schur(a_blocks, ops, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _schur(a_blocks, ops, out: np.ndarray) -> np.ndarray:
     """Schur complement M_ij = sum_k tr(A_ik W_k A_jk W_k), written into the
     Fortran-ordered m x m ``out``, which ``scipy.linalg.cho_factor`` then
     factors in place.
@@ -414,11 +421,10 @@ def _schur(a_blocks, ops, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     ``a_blocks`` are ``SdpProblem._a_blocks``, ``ops`` the matching
     ``_kron_operator`` matrices.  A ``_Positions`` block A_k = diag(v) P,
     with P the permutation to ``cols``, adds (v v^T) o K for its operator K,
-    built at the block's positions, in up to three O(m^2) passes; a later
-    block's term is scaled in ``work``, free once the operators are built
-    (scratch for side sqrt(m) holds more than m^2 floats).  These terms are
-    left as they fall, symmetric up to rounding, since the Cholesky
-    factorization reads one triangle.  A sparse block adds A_k (A_k W_k)^T
+    built at the block's positions and added to ``out`` 64 rows at a time, so
+    each product is a small temporary.  These terms are left as they fall,
+    symmetric up to rounding, since the Cholesky factorization reads one
+    triangle.  A sparse block adds A_k (A_k W_k)^T
     in O(nnz(A_k) n_k^2), and without a ``_Positions`` block the sum is
     symmetrized.
     """
@@ -429,14 +435,14 @@ def _schur(a_blocks, ops, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         out *= 0.5
         return out
     # out.T is C-ordered like the operators, so each pass runs in memory order
-    total = term = out.T
+    total = out.T
+    total.fill(0.0)
     for Ak, op in zip(a_blocks, ops):
         if isinstance(Ak, _Positions):
-            np.multiply(op, Ak.vals[:, None], out=term)
-            term *= Ak.vals
-            if term is not total:
-                total += term
-            term = work.view(float)[: total.size].reshape(total.shape)
+            for lo in range(0, len(op), 64):
+                term = op[lo : lo + 64] * Ak.vals[lo : lo + 64, None]
+                term *= Ak.vals
+                total[lo : lo + 64] += term
     for S in sparse:
         out += S
     return out
@@ -485,14 +491,17 @@ def solve(problem: SdpProblem) -> SdpResult:
     # frees whole: the kron scratch, the Schur matrix and the operators, one
     # (k, n^2, n^2) stack per group.  glibc trims its heap only past twice the
     # largest block it has freed, so the next solve finds this one in place
-    # rather than faulting it in again.
-    cuts = np.cumsum([0, 2 * _kron_scratch_size(max(dims)), m * m]
+    # rather than faulting it in again.  The Schur matrix shares the kron
+    # scratch's slot: its factor is dead while the operators are built
+    # (``cho`` is reset first).
+    scratch = 2 * _kron_scratch_size(max(dims))
+    cuts = np.cumsum([0, max(scratch, m * m)]
                      + [len(group) * n**4 for n, group in zip(sizes, groups)])
     arena = np.empty(cuts[-1])
-    work = arena[: cuts[1]].view(complex)
-    schur = arena[cuts[1] : cuts[2]].reshape((m, m), order="F")
+    work = arena[:scratch].view(complex)
+    schur = arena[cuts[1] - m * m : cuts[1]].reshape((m, m), order="F")
     op_stacks = [arena[lo:hi].reshape(len(group), n * n, n * n)
-                 for n, group, lo, hi in zip(sizes, groups, cuts[2:], cuts[3:])]
+                 for n, group, lo, hi in zip(sizes, groups, cuts[1:], cuts[2:])]
     ops = [op for stack in op_stacks for op in stack]
 
     def unpack(u, v):
@@ -518,6 +527,7 @@ def solve(problem: SdpProblem) -> SdpResult:
     s = x.copy()
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
+    cho = None
     nu = sum(dims) + 1
     mu0 = (float(x @ s) + tau * kappa) / nu
 
@@ -528,7 +538,11 @@ def solve(problem: SdpProblem) -> SdpResult:
         # solutions keep polishing instead of exiting at contract tolerance.
         if tau > 1e-9:
             if not has_obj or (x @ s) / (tau * tau) <= 1e-8 * (1.0 + abs(c @ x) / tau):
-                ok, mats, info = _verify_feasible(A, b, dims, x / tau, c if has_obj else None,
+                xs = x / tau
+                if not has_obj and cho is not None:
+                    # onto A x = b through the factored M = A W A^T: x - W A^T M^-1 (A x - b)
+                    xs -= apply_w(AT @ scipy.linalg.cho_solve(cho, A @ xs - b, check_finite=False))
+                ok, mats, info = _verify_feasible(A, b, dims, xs, c if has_obj else None,
                                                   early=not endgame)
                 if ok:
                     return SdpResult(FEASIBLE, dict(zip(names, mats)), y / tau, {**diag, **info})
@@ -567,6 +581,7 @@ def solve(problem: SdpProblem) -> SdpResult:
             # Nesterov-Todd scaling per group, in the frame where the scaled
             # point F^-1 X F^-H = F^H S F = diag(d) is diagonal.
             Fs, Finvs, dls = zip(*(_nt_scaling(*XS) for XS in unpack(x, s)))
+            cho = None  # the factor no longer matches the operators rebuilt below
             for W, op, (px, py) in zip((W for F in Fs for W in F @ _ct(F)), ops, positions):
                 _kron_operator(W, px, py, op, work)
             # K X K^H = I for K in a group's first stack, K S K^H = I in its second.
@@ -577,9 +592,9 @@ def solve(problem: SdpProblem) -> SdpResult:
             # factorization leaves the buffer overwritten, so each attempt
             # rebuilds it from the operators.
             wc = apply_w(c)
-            jitter = cho = None
+            jitter = None
             for _ in range(8):
-                _schur(a_blocks, ops, schur, work)
+                _schur(a_blocks, ops, schur)
                 if jitter is None:
                     jitter = 1e-14 * (1.0 + float(np.trace(schur)) / m)
                 else:
@@ -799,19 +814,14 @@ def gaussian_eb_split(Y, X) -> SdpResult:
     Existence of such a split certifies entanglement breaking for the
     Gaussian channel with matrices (X, Y).  Feasible: ``primal`` holds the
     real symmetric parts {"M": M, "N": N}, re-audited on the complex side.
-    Complex-typed Y or X raises DomainError: casting would drop the
-    imaginary part.
+    Complex-typed, non-numeric or non-finite Y or X raises DomainError; a
+    float cast would drop an imaginary part.
     """
-    if np.iscomplexobj(Y) or np.iscomplexobj(X):
-        raise DomainError("Y and X must be real")
-    Y = np.asarray(Y, dtype=float)
-    X = np.asarray(X, dtype=float)
+    Y, X = _real_finite(Y, "Y"), _real_finite(X, "X")
     if Y.ndim != 2 or Y.shape[0] != Y.shape[1] or Y.shape[0] % 2:
         raise DimMismatch(f"Y must be square even-dimensional, got {Y.shape}")
     if X.shape != Y.shape:
         raise DimMismatch(f"X shape {X.shape} does not match Y shape {Y.shape}")
-    if not np.all(np.isfinite(X)):
-        raise DomainError("X entries must be finite")
     linalg.require_hermitian(Y)
     scale = max(1.0, float(np.max(np.abs(Y))))
     n = Y.shape[0] // 2

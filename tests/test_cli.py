@@ -49,7 +49,9 @@ class TestCommands:
         assert "FAIL" not in out
 
     def test_inconclusive_split_reports_fail(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli.sdp, "MAX_ITERS", 1)
+        capped = cli.sdp.SdpResult(cli.sdp.INCONCLUSIVE, None, None, {"iterations": 1.0},
+                                   "iteration limit reached")
+        monkeypatch.setattr(cli.gaussian, "is_eb", lambda C: capped)
         assert cli.main(["gaussian", "--n", "1", "--seed", "4"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] composition-eb" in out

@@ -1054,7 +1054,39 @@ def counted_rounds(monkeypatch) -> list:
     return sizes
 
 
+def nnls_cap_state() -> BipartiteState:
+    """J(T^5)/tr for a d = 5, Kraus-rank 3 channel: PPT with lambda_min 4.6e-3,
+    and scipy's NNLS reaches its iteration cap in the pursuit's refits."""
+    rng = np.random.default_rng(11)
+    channels = []  # three each; the 17th is kept
+    for d, r in [(3, 2), (3, 3), (3, 9), (4, 2), (4, 4), (5, 3)]:
+        for _ in range(3):
+            G = rng.normal(size=(d * r, d)) + 1j * rng.normal(size=(d * r, d))
+            kraus = np.linalg.qr(G)[0].reshape(d, r, d).transpose(1, 0, 2)
+            channels.append(choi.choi_from_kraus(list(kraus), d, d))
+    T = C = channels[16]
+    for _ in range(4):
+        C = choi.compose(T, C)
+    return state((5, 5), C.choi / np.trace(C.choi).real)
+
+
 class TestPursuitStoppingRules:
+    def test_nnls_iteration_cap_is_a_stalled_fit(self, monkeypatch):
+        def capped(*args):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(criteria, "nnls", capped)
+        assert criteria.heuristic_sep_certify(criterion_05_state(0)) is None
+
+    def test_nnls_cap_input_returns_a_checkable_answer(self):
+        X = nnls_cap_state()
+        assert criteria.is_ppt_state(X)
+        dec = criteria.heuristic_sep_certify(X)
+        if dec is not None:
+            assert dec.residual <= criteria.SEP_RESIDUAL_TOL * linalg.operator_norm(X.mat)
+            assert np.all(dec.weights > 0.0)
+            assert_residual_matches_terms(dec, X.mat)
+
     @pytest.mark.parametrize(
         "mat", [tiles_upb_state(), horodecki_state(0.3)], ids=["tiles-upb", "horodecki-0.3"])
     def test_ppt_entangled_states_get_no_decomposition(self, mat):

@@ -44,6 +44,22 @@ class TestTypes:
         with pytest.raises(DomainError):
             chan(I2, np.diag([1.0, np.inf]))
 
+    @pytest.mark.parametrize("which", ["X", "Y"])
+    def test_complex_data_is_domain_error(self, which):
+        # a float cast would drop the imaginary part and judge another channel
+        data = {"X": I2, "Y": 3.0 * I2}
+        data[which] = (1.0 + 0.5j) * data[which]
+        with pytest.raises(DomainError):
+            gaussian.GaussianChannel(1, data["X"], data["Y"])
+
+    @pytest.mark.parametrize("bad", [np.array([["a", 0], [0, 1]], dtype=object),
+                                     [[1.0, None], [0.0, 1.0]], "ab"])
+    def test_non_numeric_data_is_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            gaussian.GaussianChannel(1, bad, I2)
+        with pytest.raises(DomainError):
+            gaussian.GaussianChannel(1, I2, bad)
+
     def test_validity_recorded_not_enforced(self):
         assert chan(I2, Z2).valid is True
         bad = chan(I2, -I2)
@@ -121,6 +137,13 @@ class TestIsEb:
         assert res.status == "feasible"
         M, N = res.primal["M"], res.primal["N"]
         assert np.max(np.abs(M + N - C.Y)) <= 1e-7 * y
+
+    def test_boundary_channel_is_not_refuted(self):
+        # y = 1 + eta is EB with coCP margin 0; a Farkas slack of -3.8e-10,
+        # inside PSD_TOL, once refuted it
+        C = gaussian.GaussianChannel(1, np.sqrt(0.99) * I2, 1.99 * I2)
+        assert gaussian.is_cocp(C)
+        assert gaussian.is_eb(C).status != sdp.INFEASIBLE
 
     def test_failed_channel_re_audit_gives_a_reason(self, monkeypatch):
         # The identity channel is valid but not coCP, so a split the solver

@@ -321,8 +321,12 @@ class TestSolve:
             assert abs(np.trace(Ai @ X) - bi) <= 1e-7 * scale
 
     def test_iteration_cap_gives_inconclusive(self, monkeypatch):
+        # x00 = 0 and Re x01 = 1 is weakly infeasible: no candidate and no
+        # certificate settles it, however the first iterate is corrected
         prob = sdp.SdpProblem.from_matrices(
-            blocks=(("x", 4),), equalities=(({"x": np.eye(4)}, 1.0),)
+            blocks=(("x", 2),),
+            equalities=(({"x": np.diag([1.0, 0.0])}, 0.0),
+                        ({"x": np.array([[0.0, 0.5], [0.5, 0.0]])}, 1.0)),
         )
         monkeypatch.setattr(sdp, "MAX_ITERS", 1)
         res = sdp.solve(prob)
@@ -393,6 +397,28 @@ class TestMixedSizes:
         res = sdp.cb_split_bound(P)
         assert res.status == sdp.FEASIBLE and res.residuals["iterations"] == 8.0
         assert res.residuals["upper_bound"] == pytest.approx(2.4000000003152633, rel=1e-9)
+
+
+class TestCorrectedCandidate:
+    """A feasibility problem's candidate is corrected onto A x = b through the
+    last factored Schur complement before its audit, so a solve ends as soon as
+    the iterate is inside the cone, not once its residual has decayed."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_decomposability_in_four_iterations(self, seed):
+        res = sdp.decomposability_check(choi.random_cp_cocp_map(3, seed))
+        assert res.status == sdp.FEASIBLE
+        assert res.residuals["iterations"] <= 4.0
+        assert res.residuals["equality_residual"] <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_three_mode_gaussian_split_in_four_iterations(self, seed):
+        rng = rng_for(seed)
+        X = 0.4 * np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        res = sdp.gaussian_eb_split(2.0 * np.eye(6), X)
+        assert res.status == sdp.FEASIBLE
+        assert res.residuals["iterations"] <= 4.0
+        assert res.residuals["equality_residual"] <= 1e-12
 
 
 class TestPrimalAudit:
@@ -577,8 +603,7 @@ class TestKronOperator:
         Ws = [random_pd(n, rng) for n in dims]
         m = A.shape[0]
         got = np.full((m, m), np.nan, order="F")
-        sdp._schur(problem._a_blocks, block_operators(problem, Ws), got,
-                   np.empty(sdp._kron_scratch_size(max(dims)), complex))
+        sdp._schur(problem._a_blocks, block_operators(problem, Ws), got)
         Ad = A.toarray()
         op_w_A = np.concatenate(
             [linalg.hvec(W @ M @ W) for W, M in zip(Ws, sdp._unpack(Ad, dims))], axis=-1)
